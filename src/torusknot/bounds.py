@@ -136,7 +136,8 @@ def _best(
         value = evaluate(diagram)
         if best_value is None or value < best_value:
             best_value, best_label = value, label
-    assert best_value is not None
+    if best_value is None:
+        raise ValueError("no candidate diagram to evaluate")
     return best_value, best_label
 
 

@@ -37,18 +37,25 @@ from .diagram import (
     state_components,
     turaev_genus_diagram,
 )
-from .hfk import scan_conjecture_parallel, width_torus
+from .hfk import scan_conjecture, width_torus
 from .verify import CHECK_NAMES, run_checks
 
 __all__ = ["main"]
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("TORUSKNOT_JOBS", "")
+def _jobs(text: str) -> int:
+    """Parse a worker count; the scan clamps it to [1, os.cpu_count()]."""
     try:
-        return max(1, int(env))
+        return int(text)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or TORUSKNOT_JOBS) must be an integer, got {text!r}"
+        ) from None
+
+
+def _default_jobs() -> str:
+    """TORUSKNOT_JOBS, or "1"; argparse parses it with :func:`_jobs`."""
+    return os.environ.get("TORUSKNOT_JOBS") or "1"
 
 
 def _emit(args: argparse.Namespace, document: dict | list, text: str) -> None:
@@ -132,7 +139,7 @@ def _cmd_width(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    checked, violations = scan_conjecture_parallel(args.bound, jobs=args.jobs)
+    checked, violations = scan_conjecture(args.bound, jobs=args.jobs)
     document = {
         "bound": args.bound,
         "pairs_checked": checked,
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--bound", type=int, default=250, help="upper bound (default 250)")
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=_default_jobs(),
         help="worker processes (default: TORUSKNOT_JOBS or 1)",
     )
@@ -456,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=_default_jobs(),
         help="worker processes for the scan (default: TORUSKNOT_JOBS or 1)",
     )

@@ -141,13 +141,6 @@ class Diagram:
     def n_crossings(self) -> int:
         return len(self.signs)
 
-    def end_label(self, end: int) -> int:
-        """PD edge label carried by the arc at this end."""
-        for i, (u, v) in enumerate(self.arcs):
-            if end in (u, v):
-                return self.labels[i]
-        raise IndexError(end)
-
     def pd_rows(self) -> list[list[object]]:
         """Per-crossing PD rows: [label slot0..slot3, sign]."""
         lab = [0] * (4 * self.n_crossings)
@@ -317,7 +310,12 @@ def turaev_genus_diagram(diagram: Diagram) -> int:
     s_a = all_a(diagram).component_count
     s_b = all_b(diagram).component_count
     doubled = 2 + c - s_a - s_b
-    assert doubled % 2 == 0 and doubled >= 0, (c, s_a, s_b)
+    if doubled % 2 or doubled < 0:
+        # A connected planar diagram has s_A + s_B <= c + 2, of the parity of c.
+        raise MalformedPDCode(
+            f"2 + c - s_A - s_B = {doubled} (c = {c}, s_A = {s_a}, s_B = {s_b}) "
+            "is not a nonnegative even number: the diagram is not planar"
+        )
     return doubled // 2
 
 
@@ -448,7 +446,10 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
             ConstraintComponent(tuple(sorted(members)), tuple(chosen))
         )
     report = DaltReport(total, tuple(sorted(witness)), tuple(blocks))
-    assert is_alternating(change_crossings(diagram, report.witness))
+    if not is_alternating(change_crossings(diagram, report.witness)):
+        raise RuntimeError(
+            f"witness {list(report.witness)} does not make the diagram alternate"
+        )
     return report
 
 

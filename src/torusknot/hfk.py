@@ -17,19 +17,31 @@ Generators with negative Alexander grading follow from the symmetry
 The delta grading delta_l = s_l - m_l obeys the analogous descending
 recursion, and the homological width is max(delta) - min(delta) + 1.
 
-Everything here is exact integer arithmetic on numpy arrays; the recursions
-are evaluated as reversed cumulative sums, so a width is O(k) after the
-Alexander polynomial is known.
+For the (p, q) torus knot, :func:`width_torus` reads the staircase straight
+off the numerical semigroup <p, q>.  With g = (p-1)(q-1)/2,
+
+    Delta(t) * t^g = (1 - t) * sum_{x in <p,q>} t^x    (truncated at t^{2g}),
+
+and x lies in <p, q> iff x >= q * ((x * q^-1) mod p), so the coefficients
+over 0..2g are one integer-array expression inS[x] - inS[x-1]; there is no
+polynomial division.  The same L-space-form checks as for a user-supplied
+polynomial (:func:`extract_staircase`) run on that array, and the delta
+recursion is a reversed cumulative sum over the steps, so a width is a
+handful of O(pq) array operations.
+
+:func:`scan_conjecture` computes each width of the width-jump scan once,
+serially or in a process pool, and checks the jumps in one fixed order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alexander import alexander_torus, normalize_torus_params
+from .alexander import normalize_torus_params
 from .laurent import LaurentPolynomial
 
 __all__ = [
@@ -60,7 +72,11 @@ class Staircase:
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.s) == self.k + 1 and self.s[0] == 0
+        if len(self.s) != self.k + 1 or not self.s or self.s[0] != 0:
+            raise ValueError(
+                f"a staircase with k = {self.k} needs {self.k + 1} steps "
+                f"starting at 0, got {self.s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +116,6 @@ class WidthReport:
     delta_max: int
     delta_min: int
     width: int
-    deltas: tuple[int, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,6 +129,37 @@ class ConjectureViolation:
     expected_jump: int
 
 
+def _lspace_steps(min_exponent: int, coefficients: np.ndarray) -> np.ndarray:
+    """The steps s_0..s_k of a trimmed dense coefficient array, checked.
+
+    ``coefficients[i]`` is the coefficient of t^(min_exponent + i), and the
+    first and last entries are nonzero unless the array is empty.  Raises
+    NotLSpaceForm unless every coefficient is 0 or +-1, the polynomial is
+    palindromic, the constant coefficient is nonzero, the signs alternate
+    along the support and the leading coefficient is +1.  By the symmetry,
+    alternation over the nonnegative half is alternation over the support.
+    """
+    if coefficients.size == 0:
+        raise NotLSpaceForm("the zero polynomial has no staircase")
+    if coefficients.min() < -1 or coefficients.max() > 1:
+        raise NotLSpaceForm("coefficients must all be +-1")
+    if (
+        min_exponent != -(min_exponent + coefficients.size - 1)
+        or not (coefficients == coefficients[::-1]).all()
+    ):
+        raise NotLSpaceForm("polynomial is not palindromic")
+    upper = coefficients[-min_exponent:]
+    if upper[0] == 0:
+        raise NotLSpaceForm("constant coefficient must be nonzero")
+    s = np.flatnonzero(upper)
+    signs = upper[s]
+    if (signs[1:] == signs[:-1]).any():
+        raise NotLSpaceForm("signs must alternate along the support")
+    if signs[-1] != 1:
+        raise NotLSpaceForm("leading coefficient must be +1")
+    return s
+
+
 def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     """Read the staircase steps off an L-space-form Alexander polynomial.
 
@@ -125,40 +171,35 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
     Staircase(k=1, s=(0, 1))
     """
-    arr = delta.coefficients
-    support_idx = np.flatnonzero(arr)
-    if support_idx.size == 0:
-        raise NotLSpaceForm("the zero polynomial has no staircase")
-    coeffs = arr[support_idx]
-    exponents = support_idx + delta.min_exponent
-    if not np.all(np.abs(coeffs) == 1):
-        raise NotLSpaceForm("coefficients must all be +-1")
-    if not (
-        np.array_equal(exponents, -exponents[::-1])
-        and np.array_equal(coeffs, coeffs[::-1])
-    ):
-        raise NotLSpaceForm("polynomial is not palindromic")
-    if not np.any(exponents == 0):
-        raise NotLSpaceForm("constant coefficient must be nonzero")
-    if not np.all(coeffs[1:] == -coeffs[:-1]):
-        raise NotLSpaceForm("signs must alternate along the support")
-    if coeffs[-1] != 1:
-        raise NotLSpaceForm("leading coefficient must be +1")
-    s = exponents[exponents >= 0]
-    return Staircase(k=len(s) - 1, s=tuple(int(e) for e in s))
+    s = _lspace_steps(delta.min_exponent, delta.coefficients)
+    return Staircase(k=len(s) - 1, s=tuple(s.tolist()))
 
 
-def _descending_sums(s: np.ndarray, odd_step: np.ndarray, even_step: np.ndarray) -> np.ndarray:
+def _torus_steps(p: int, q: int) -> np.ndarray:
+    """Checked staircase steps of T(p, q), 1 <= p <= q coprime, from <p, q>.
+
+    x is in <p, q> iff x >= q * ((x * q^-1) mod p): the right side is the
+    least element of <p, q> congruent to x mod p.  With x < pq and
+    q^-1 < p <= sqrt(pq), the products stay below (pq)^1.5, far inside int64
+    for any array that fits in memory.
+    """
+    top = (p - 1) * (q - 1)  # 2g, the conductor of <p, q>
+    x = np.arange(top + 1)
+    in_semigroup = (x >= q * (x * pow(q, -1, p) % p)).view(np.int8)
+    coefficients = in_semigroup.copy()  # inS[x] - inS[x-1], with inS[-1] = 0
+    coefficients[1:] -= in_semigroup[:-1]
+    return _lspace_steps(-(top // 2), coefficients)
+
+
+def _descending_sums(odd_step: np.ndarray, even_step: np.ndarray) -> np.ndarray:
     """Evaluate v_k = 0, v_l = v_{l+1} + w_l with w_l chosen by parity of k-l.
 
-    ``odd_step[l]`` / ``even_step[l]`` give w_l for k-l odd / even; returns the
-    full vector v_0..v_k.
+    ``odd_step[l]`` / ``even_step[l]`` (l = 0..k-1) give w_l for k-l odd /
+    even; returns the full vector v_0..v_k.
     """
-    k = len(s) - 1
-    if k == 0:
-        return np.zeros(1, dtype=np.int64)
-    l = np.arange(k)
-    w = np.where((k - l) % 2 == 1, odd_step, even_step)
+    k = len(odd_step)
+    w = even_step.copy()
+    w[-1::-2] = odd_step[-1::-2]
     v = np.zeros(k + 1, dtype=np.int64)
     v[:k] = np.cumsum(w[::-1])[::-1]
     return v
@@ -172,24 +213,21 @@ def hfk_from_staircase(stair: Staircase) -> HFKTable:
     """
     s = np.asarray(stair.s, dtype=np.int64)
     diffs = np.diff(s)
-    m = _descending_sums(s, -2 * diffs + 1, np.full(len(diffs), -1, dtype=np.int64))
+    m = _descending_sums(-2 * diffs + 1, np.full(len(diffs), -1, dtype=np.int64))
     return HFKTable(k=stair.k, s=stair.s, m=tuple(int(x) for x in m))
+
+
+def _width_report(s: np.ndarray) -> WidthReport:
+    """Spread of the delta gradings delta_l = s_l - m_l over steps ``s``."""
+    diffs = s[1:] - s[:-1]
+    deltas = s[-1] + _descending_sums(diffs - 1, 1 - diffs)
+    dmax, dmin = int(deltas.max()), int(deltas.min())
+    return WidthReport(delta_max=dmax, delta_min=dmin, width=dmax - dmin + 1)
 
 
 def delta_sequence(stair: Staircase) -> WidthReport:
     """Delta gradings delta_l = s_l - m_l and the width of their spread."""
-    s = np.asarray(stair.s, dtype=np.int64)
-    diffs = np.diff(s)
-    deltas = s[-1] + _descending_sums(s, diffs - 1, -diffs + 1)
-    table = hfk_from_staircase(stair)
-    assert np.array_equal(deltas, s - np.asarray(table.m, dtype=np.int64))
-    dmax, dmin = int(deltas.max()), int(deltas.min())
-    return WidthReport(
-        delta_max=dmax,
-        delta_min=dmin,
-        width=dmax - dmin + 1,
-        deltas=tuple(int(d) for d in deltas),
-    )
+    return _width_report(np.asarray(stair.s, dtype=np.int64))
 
 
 def width_torus(p: int, q: int) -> WidthReport:
@@ -198,7 +236,7 @@ def width_torus(p: int, q: int) -> WidthReport:
     >>> width_torus(4, 5).width
     3
     """
-    return delta_sequence(extract_staircase(alexander_torus(p, q)))
+    return _width_report(_torus_steps(*normalize_torus_params(p, q)))
 
 
 def width_formula(p: int, q: int) -> int:
@@ -224,84 +262,58 @@ def width_formula(p: int, q: int) -> int:
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 
-def _memo_width(p: int, q: int, cache: dict[tuple[int, int], int]) -> int:
-    if p > q:
-        p, q = q, p
-    if p == 1:
-        return 1
-    key = (p, q)
-    got = cache.get(key)
-    if got is None:
-        got = width_torus(p, q).width
-        cache[key] = got
-    return got
+def _widths(knots: list[tuple[int, int]]) -> list[int]:
+    return [width_torus(p, q).width for p, q in knots]
 
 
 def scan_conjecture(
-    bound: int, q_range: tuple[int, int] | None = None
+    bound: int, q_range: tuple[int, int] | None = None, *, jobs: int = 1
 ) -> tuple[int, list[ConjectureViolation]]:
     """Check the width jump width(p,q) - width(p,q-p) == floor((p-1)^2/4).
 
     Scans all coprime pairs 1 < p < q < bound (optionally restricted to
     q in [q_range)), comparing each width with the width of the previous
     knot in its column; (p, q-p) pairs with q - p <= 1 have width 1.
-    Returns (number of pairs checked, violations).  An empty violation list
-    over the full range is the conjecture holding below the bound.
+    Returns (number of pairs checked, violations), violations ordered by
+    (q, p).  An empty violation list over the full range is the conjecture
+    holding below the bound.
+
+    Every width the check needs is computed exactly once.  With ``jobs`` > 1
+    (clamped to [1, os.cpu_count()]) a process pool computes them, each
+    worker taking every jobs-th knot; the check itself always runs here in
+    one fixed order, so the result is identical for every worker count.
     """
-    cache: dict[tuple[int, int], int] = {}
-    violations: list[ConjectureViolation] = []
-    checked = 0
     q_lo, q_hi = q_range if q_range is not None else (3, bound)
-    q_hi = min(q_hi, bound)
-    for q in range(max(q_lo, 3), q_hi):
-        for p in range(2, q):
-            if math.gcd(p, q) != 1:
-                continue
-            checked += 1
-            w = _memo_width(p, q, cache)
-            w_prev = _memo_width(min(p, q - p), max(p, q - p), cache)
-            jump = ((p - 1) ** 2) // 4
-            if w - w_prev != jump:
-                violations.append(ConjectureViolation(p, q, w, w_prev, jump))
-    violations.sort(key=lambda v: (v.q, v.p))
-    return checked, violations
+    pairs = [
+        (p, q)
+        for q in range(max(q_lo, 3), min(q_hi, bound))
+        for p in range(2, q)
+        if math.gcd(p, q) == 1
+    ]
+    previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
+    knots = sorted(set(pairs).union(knot for knot in previous if knot[0] > 1))
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(knots)))
+    if jobs == 1:
+        widths = _widths(knots)
+    else:
+        import multiprocessing
+
+        shares = [knots[i::jobs] for i in range(jobs)]
+        with multiprocessing.Pool(processes=jobs) as pool:
+            parts = pool.map(_widths, shares)
+        knots = [knot for share in shares for knot in share]
+        widths = [w for part in parts for w in part]
+    width = dict(zip(knots, widths))
+
+    violations: list[ConjectureViolation] = []
+    for (p, q), prev in zip(pairs, previous):
+        w = width[p, q]
+        w_prev = width[prev] if prev[0] > 1 else 1
+        jump = ((p - 1) ** 2) // 4
+        if w - w_prev != jump:
+            violations.append(ConjectureViolation(p, q, w, w_prev, jump))
+    return len(pairs), violations
 
 
-def _scan_chunk(args: tuple[int, tuple[int, int]]):
-    bound, q_range = args
-    return scan_conjecture(bound, q_range)
-
-
-def scan_conjecture_parallel(
-    bound: int, jobs: int = 1
-) -> tuple[int, list[ConjectureViolation]]:
-    """Fork-join version of :func:`scan_conjecture`.
-
-    Splits the q-range into contiguous chunks of roughly equal work
-    (cost per column grows like q**3), maps them over a process pool,
-    and merges deterministically: totals are summed and violations
-    re-sorted, so the result is identical for every worker count.
-    """
-    if jobs <= 1 or bound <= 4:
-        return scan_conjecture(bound)
-    import multiprocessing
-
-    weights = [(q, q**3) for q in range(3, bound)]
-    total = sum(w for _, w in weights)
-    n_chunks = min(8 * jobs, max(1, bound - 3))
-    target = total / n_chunks
-    chunks: list[tuple[int, int]] = []
-    lo, acc = 3, 0
-    for q, w in weights:
-        acc += w
-        if acc >= target and q + 1 < bound:
-            chunks.append((lo, q + 1))
-            lo, acc = q + 1, 0
-    chunks.append((lo, bound))
-
-    with multiprocessing.Pool(processes=jobs) as pool:
-        parts = pool.map(_scan_chunk, [(bound, c) for c in chunks])
-    checked = sum(part[0] for part in parts)
-    violations = [v for part in parts for v in part[1]]
-    violations.sort(key=lambda v: (v.q, v.p))
-    return checked, violations
+# The same function under the name that existing callers of the parallel scan use.
+scan_conjecture_parallel = scan_conjecture

@@ -6,10 +6,11 @@ exponent of its first entry.  ``coefficients[i]`` is the coefficient of
 polynomial (with ``min_exponent == 0``), otherwise its first and last entries
 are nonzero.  Instances are immutable; the backing array is marked read-only.
 
-All arithmetic is exact integer arithmetic.  Multiplication guards against
-int64 overflow; division is exact division (``exact_div``) which raises
-``NonExactDivision`` whenever the divisor does not divide the dividend in
-Z[t, 1/t].
+All arithmetic is exact integer arithmetic.  Negation, addition,
+subtraction and multiplication (by a polynomial or an int) raise
+``OverflowError`` wherever a result coefficient could leave the int64 range;
+division is exact division (``exact_div``) which raises ``NonExactDivision``
+whenever the divisor does not divide the dividend in Z[t, 1/t].
 
 The text format matches the usual typeset style, e.g.::
 
@@ -29,17 +30,19 @@ import numpy as np
 __all__ = [
     "LaurentPolynomial",
     "NonExactDivision",
-    "add",
-    "mul",
-    "exact_div",
-    "is_palindromic",
 ]
 
 _INT64_GUARD = 2**62  # headroom below int64 max for products
+_INT64_MAX = 2**63 - 1
 
 
 class NonExactDivision(ArithmeticError):
     """Raised when exact_div is asked for a quotient that does not exist."""
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """Largest coefficient magnitude, exact even for the int64 minimum."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def _trimmed(min_exponent: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
@@ -155,11 +158,16 @@ class LaurentPolynomial:
         )
 
     def __hash__(self) -> int:
+        # Constants compare equal to ints, so they hash like them (0 for zero).
+        if self.min_exponent == 0 and len(self.coefficients) <= 1:
+            return hash(self.coefficient(0))
         return hash((self.min_exponent, self.coefficients.tobytes()))
 
     # -- ring operations ----------------------------------------------
 
     def __neg__(self) -> "LaurentPolynomial":
+        if _max_abs(self.coefficients) > _INT64_MAX:
+            raise OverflowError("negated coefficients exceed int64 range")
         return LaurentPolynomial._raw(self.min_exponent, -self.coefficients)
 
     def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
@@ -171,6 +179,8 @@ class LaurentPolynomial:
             return other
         if other.is_zero():
             return self
+        if _max_abs(self.coefficients) + _max_abs(other.coefficients) > _INT64_MAX:
+            raise OverflowError("sum coefficients may exceed int64 range")
         lo = min(self.min_exponent, other.min_exponent)
         hi = max(self.max_exponent, other.max_exponent)
         arr = np.zeros(hi - lo + 1, dtype=np.int64)
@@ -194,17 +204,17 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
-            if other == 0:
+            if other == 0 or self.is_zero():
                 return LaurentPolynomial.zero()
+            if _max_abs(self.coefficients) * abs(other) > _INT64_MAX:
+                raise OverflowError("scaled coefficients exceed int64 range")
             return LaurentPolynomial._raw(self.min_exponent, self.coefficients * other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPolynomial.zero()
         a, b = self.coefficients, other.coefficients
-        bound = (
-            int(np.abs(a).max()) * int(np.abs(b).max()) * min(len(a), len(b))
-        )
+        bound = _max_abs(a) * _max_abs(b) * min(len(a), len(b))
         if bound >= _INT64_GUARD:
             raise OverflowError("product coefficients may exceed int64 range")
         return LaurentPolynomial._raw(
@@ -392,21 +402,3 @@ def _long_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if np.any(rem[: dlen - 1]):
         raise NonExactDivision("nonzero remainder")
     return quot
-
-
-# Free-function aliases for the arithmetic methods.
-
-def add(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a + b
-
-
-def mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a * b
-
-
-def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a.exact_div(b)
-
-
-def is_palindromic(p: LaurentPolynomial) -> bool:
-    return p.is_palindromic()

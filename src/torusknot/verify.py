@@ -7,9 +7,9 @@ braid-word identities, state-count tables, solver-vs-brute-force
 minimality, randomized property suites, and the bound brackets.
 
 Each check returns a :class:`CheckResult`; :func:`run_checks` runs them
-all in a fixed order.  All randomness is seeded, and the scan is
-fork-join with deterministic aggregation, so output is identical across
-runs and worker counts.
+all in a fixed order.  All randomness is seeded, and the scan checks its
+pairs in one fixed order whatever the worker count, so output is identical
+across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .diagram import (
 from .hfk import (
     extract_staircase,
     hfk_from_staircase,
-    scan_conjecture_parallel,
+    scan_conjecture,
     width_formula,
     width_torus,
 )
@@ -218,7 +218,7 @@ def check_width_formulas() -> CheckResult:
 def check_conjecture_scan(bound: int = 250, jobs: int = 1) -> CheckResult:
     """Exhaustive width-jump check for all coprime pairs below the bound."""
     start = time.perf_counter()
-    checked, violations = scan_conjecture_parallel(bound, jobs=jobs)
+    checked, violations = scan_conjecture(bound, jobs=jobs)
     failures = [
         f"T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, "
         f"expected jump {v.expected_jump}"

@@ -183,3 +183,28 @@ def test_compact_json_single_line(capsys):
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out) == {"delta_max": 6, "delta_min": 4, "width": 3}
+
+
+@pytest.mark.parametrize("env", ["abc", "2.5", " "])
+def test_non_integer_jobs_env_exits_two(capsys, monkeypatch, env):
+    monkeypatch.setenv("TORUSKNOT_JOBS", env)
+    for argv in (["scan", "--bound", "10"], ["verify-paper", "--only", "golden-hfk"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "TORUSKNOT_JOBS" in capsys.readouterr().err
+    # commands without a worker count ignore the variable
+    assert run(capsys, "width", "4", "5")[0] == 0
+
+
+def test_jobs_env_is_clamped_to_cpu_count(capsys, monkeypatch, inline_pool):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("TORUSKNOT_JOBS", "64")
+    code, document, _ = run_json(capsys, "scan", "--bound", "40")
+    assert code == 0 and document["violations"] == []
+    assert inline_pool == [2]
+    monkeypatch.setenv("TORUSKNOT_JOBS", "-4")
+    code, _, _ = run(capsys, "scan", "--bound", "40")
+    assert code == 0 and inline_pool == [2]

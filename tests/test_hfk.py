@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+from torusknot import hfk
 from torusknot.alexander import alexander_torus
 from torusknot.hfk import (
     NotLSpaceForm,
+    Staircase,
+    WidthReport,
+    delta_sequence,
     extract_staircase,
     hfk_from_staircase,
     scan_conjecture,
@@ -55,6 +59,29 @@ def test_non_staircase_polynomials_rejected(terms):
         extract_staircase(LaurentPolynomial.from_terms(terms))
 
 
+@pytest.mark.parametrize("k,s", [(2, (0, 1)), (1, (1, 2)), (0, ())])
+def test_malformed_staircase_rejected(k, s):
+    with pytest.raises(ValueError):
+        Staircase(k, s)
+
+
+# ----------------------------------------------------------------------
+# the semigroup kernel against the rational-formula path
+
+
+def test_semigroup_kernel_matches_rational_formula():
+    """Staircase and width of every coprime 2 <= p < q < 120, computed from
+    <p, q>, equal those read off the divided-out Alexander polynomial."""
+    for q in range(3, 120):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            stair = extract_staircase(alexander_torus(p, q))
+            assert hfk._torus_steps(p, q).tolist() == list(stair.s), (p, q)
+            assert width_torus(p, q) == delta_sequence(stair), (p, q)
+            assert width_torus(q, p) == width_torus(p, q)
+
+
 # ----------------------------------------------------------------------
 # tables
 
@@ -76,8 +103,7 @@ def test_golden_generators_4_5():
 
 
 def test_width_report_4_5():
-    report = width_torus(4, 5)
-    assert (report.delta_max, report.delta_min, report.width) == (6, 4, 3)
+    assert width_torus(4, 5) == WidthReport(delta_max=6, delta_min=4, width=3)
 
 
 def test_generator_symmetry_and_euler():
@@ -146,3 +172,30 @@ def test_scan_q_range_partition():
 def test_parallel_scan_matches_serial():
     for jobs in (1, 2, 3):
         assert scan_conjecture_parallel(60, jobs=jobs) == scan_conjecture(60)
+
+
+def test_scan_computes_each_width_once(monkeypatch):
+    calls = []
+    real = hfk.width_torus
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(hfk, "width_torus", counted)
+    checked, _ = scan_conjecture(40)
+    assert len(calls) == len(set(calls)) == checked
+    calls.clear()
+    # (5, 23)'s previous knot (5, 18) lies outside the range: computed once too
+    checked, _ = scan_conjecture(40, (23, 24))
+    assert len(calls) == len(set(calls)) > checked
+
+
+@pytest.mark.parametrize(
+    "cpus,jobs,pool_size",
+    [(2, 64, 2), (4, 3, 3), (1, 8, None), (None, 8, None), (8, 0, None), (8, -3, None)],
+)
+def test_scan_clamps_jobs_to_cpu_count(monkeypatch, inline_pool, cpus, jobs, pool_size):
+    monkeypatch.setattr(hfk.os, "cpu_count", lambda: cpus)
+    assert scan_conjecture(30, jobs=jobs) == scan_conjecture(30)
+    assert inline_pool == ([] if pool_size is None else [pool_size])

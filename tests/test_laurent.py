@@ -140,6 +140,23 @@ def test_hash_consistent_with_eq(a):
     assert hash(twin) == hash(a)
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 5, -7, 2**40])
+def test_constants_hash_like_ints(c):
+    poly = LaurentPolynomial(0, [c])
+    assert poly == c
+    assert hash(poly) == hash(c)
+    assert {poly} == {c} and len({poly, c}) == 1
+    assert {c: "int"}[poly] == "int"
+    assert {poly: "poly"}[c] == "poly"
+
+
+def test_zero_polynomial_hashes_like_zero():
+    assert hash(LaurentPolynomial.zero()) == hash(0)
+    assert {LaurentPolynomial.zero(): 1}[0] == 1
+    # a monomial away from t^0 is not a constant
+    assert LaurentPolynomial.monomial(3, 5) != 5
+
+
 def test_division_type_errors():
     one = LaurentPolynomial.one()
     with pytest.raises(TypeError):
@@ -157,6 +174,41 @@ def test_overflow_guard():
     big = LaurentPolynomial.from_terms({0: 2**40})
     with pytest.raises(OverflowError):
         big * big
+
+
+_HUGE = LaurentPolynomial(0, [1, 2**62])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: _HUGE * 4,
+        lambda: 4 * _HUGE,
+        lambda: _HUGE * -2,
+        lambda: _HUGE * 2**70,
+        lambda: _HUGE + _HUGE,
+        lambda: _HUGE + _HUGE + _HUGE,
+        lambda: _HUGE + 2**62,
+        lambda: 2**62 + _HUGE,
+        lambda: _HUGE - LaurentPolynomial(1, [-(2**62)]),
+        lambda: _HUGE - (-(2**62)),
+        lambda: -(2**62) - _HUGE - _HUGE,
+        lambda: -LaurentPolynomial(0, [-(2**63)]),
+        lambda: LaurentPolynomial(0, [-(2**63)]) * LaurentPolynomial(0, [2]),
+    ],
+)
+def test_scalar_and_sum_overflow_raise(op):
+    with pytest.raises(OverflowError):
+        op()
+
+
+def test_ops_at_the_int64_edge_stay_exact():
+    top = 2**63 - 1
+    half = LaurentPolynomial(0, [2**62 - 1])
+    assert (half * 2).coefficient(0) == 2**63 - 2
+    assert (half + half + 1).coefficient(0) == top
+    assert (-LaurentPolynomial(0, [top])).coefficient(0) == -top
+    assert LaurentPolynomial.zero() * 2**70 == 0
 
 
 def test_palindromic():
