@@ -1,6 +1,11 @@
 """Command-line interface: output documents and exit codes."""
 
+import contextlib
+import io
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +213,98 @@ def test_jobs_env_is_clamped_to_cpu_count(capsys, monkeypatch, inline_pool):
     monkeypatch.setenv("TORUSKNOT_JOBS", "-4")
     code, _, _ = run(capsys, "scan", "--bound", "40")
     assert code == 0 and inline_pool == [2]
+
+
+# ----------------------------------------------------------------------
+# golden transcript: stdout, stderr and exit code of every subcommand
+
+# Each command runs in text, --json and --json --compact mode.  "{pd}"
+# stands for a PD file of the closure of the standard T(3,4) braid.
+_TRANSCRIPT_COMMANDS = [
+    "alexander 4 5",
+    "alexander 4 6",
+    "hfk 4 5",
+    "hfk 1 3",
+    "width 5 7",
+    "scan --bound 30 --jobs 1",
+    "braid-eq --strands 3 121 212",
+    "braid-eq --strands 3 12 21",
+    "braid-eq --strands 4 --cyclic 123 231",
+    "braid-eq --strands 3 1x 11",
+    "verify-lemmas --n-max 1",
+    "turaev-genus --tabulated 5 7",
+    "turaev-genus --pd {pd}",
+    "dalt --torus 4 4",
+    "dalt --strands 3 1212",
+    "dalt",
+    "states --torus 2 3 --assignment all-B",
+    "states --strands 3 1122 --assignment ABAB",
+    "states --torus 2 3 --assignment AAAA",
+    "bounds 4 5",
+    "bounds 5 7",
+    "verify-paper --only width-formulas --only state-counts --only braid-lemmas --n-max 1",
+]
+_SUBCOMMANDS = [
+    "alexander", "hfk", "width", "scan", "braid-eq", "verify-lemmas",
+    "turaev-genus", "dalt", "states", "bounds", "verify-paper",
+]
+_TRANSCRIPT_CASES = [
+    command + mode
+    for command in _TRANSCRIPT_COMMANDS
+    for mode in ("", " --json", " --json --compact")
+] + ["--help"] + [f"{name} --help" for name in _SUBCOMMANDS]
+_GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+# verify-paper timings vary from run to run; every other field is pinned.
+_SECONDS = re.compile(r'(?<=\()[0-9.]+(?=s\))|(?<="seconds": )[0-9.e-]+')
+
+
+def _transcript(case: str, pd_path: str) -> dict:
+    """Exit code, stdout and stderr of ``torusknot <case>``, timings masked."""
+    argv = [pd_path if arg == "{pd}" else arg for arg in case.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return {
+        "exit": code,
+        "stdout": _SECONDS.sub("<s>", out.getvalue()),
+        "stderr": err.getvalue(),
+    }
+
+
+def _write_pd(directory: Path) -> str:
+    path = directory / "t34.json"
+    path.write_text(export_pd(closure_diagram(torus_braid_word(3, 4))))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(_GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _TRANSCRIPT_CASES)
+def test_golden_transcript(case, golden, monkeypatch, tmp_path):
+    if "--help" in case and golden["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"argparse help was recorded under Python {golden['python']}")
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("TORUSKNOT_JOBS", raising=False)
+    assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
+
+
+if __name__ == "__main__":
+    # Re-record tests/cli_golden.json from the current code:
+    #     PYTHONPATH=src python tests/test_cli.py
+    # Only do this for a deliberate change of the command-line output.
+    import os
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("TORUSKNOT_JOBS", None)
+    with tempfile.TemporaryDirectory() as scratch:
+        pd_path = _write_pd(Path(scratch))
+        cases = {case: _transcript(case, pd_path) for case in _TRANSCRIPT_CASES}
+    document = {"python": "%d.%d" % sys.version_info[:2], "cases": cases}
+    _GOLDEN_PATH.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
