@@ -38,6 +38,7 @@ from .braid import (
     LemmaCheck,
     NormalForm,
     ParseError,
+    SearchBudgetExceeded,
     StrandMismatch,
     UnknownMacro,
     UnsupportedTorusFamily,
@@ -119,6 +120,7 @@ __all__ = [
     "ParseError",
     "UnknownMacro",
     "IndexOutOfRange",
+    "SearchBudgetExceeded",
     "StrandMismatch",
     "UnsupportedTorusFamily",
     "BraidWord",

@@ -39,6 +39,7 @@ __all__ = [
     "IndexOutOfRange",
     "StrandMismatch",
     "UnsupportedTorusFamily",
+    "SearchBudgetExceeded",
     "BraidWord",
     "NormalForm",
     "LemmaCheck",
@@ -57,6 +58,10 @@ __all__ = [
 
 class ParseError(ValueError):
     """Malformed braid-word text."""
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A search ran out of its state budget before reaching a decision."""
 
 
 class UnknownMacro(ParseError):
@@ -156,7 +161,10 @@ def parse_braid(
     '123123111'
     """
     table = DEFAULT_MACROS if macros is None else macros
-    letters, pos = _parse_word(text, 0, strands, table)
+    try:
+        letters, pos = _parse_word(text, 0, strands, table)
+    except RecursionError:
+        raise ParseError("word nested too deeply to parse") from None
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError(f"unexpected {text[pos]!r} at offset {pos}")
@@ -440,8 +448,9 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     move types, so rotations of the literal input words are not enough;
     after the quick rotation scan this searches the orbit of ``a`` under
     conjugation by left-dividing generators, which generates exactly the
-    same equivalence.  ``max_states`` caps the orbit search; a RuntimeError
-    reports an inconclusive (too large) search rather than guessing.
+    same equivalence.  ``max_states`` caps the orbit search; a
+    :class:`SearchBudgetExceeded` (a RuntimeError) reports an inconclusive
+    (too large) search rather than guessing.
     """
     if a.strands != b.strands:
         raise StrandMismatch(
@@ -475,8 +484,8 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
                     seen.add(y)
                     next_frontier.append(y)
                     if len(seen) > max_states:
-                        raise RuntimeError(
-                            "cyclic-equivalence search exceeded max_states; "
+                        raise SearchBudgetExceeded(
+                            f"cyclic-equivalence search exceeded max_states = {max_states}; "
                             "the words are too tangled to decide within budget"
                         )
         frontier = next_frontier

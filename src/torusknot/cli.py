@@ -4,7 +4,13 @@ Every subcommand prints human-readable text by default and a stable JSON
 document with ``--json``.  Exit codes: 0 on success, 1 when a requested
 verification fails (scan violations, unequal braid words, failed
 checks), 2 on usage or domain errors (bad parameters, parse errors,
-malformed PD files).
+words nested too deeply, an exhausted cyclic-search budget, malformed or
+non-planar PD files).
+
+Each subcommand is declared once, by :func:`_command` on the function
+that runs it.  That one table drives the parser, the dispatch and the
+output: a command returns ``(document, text, exit_code)`` and
+:func:`main` prints the document or the text.
 
 Worker counts for the scanning subcommands default to the
 ``TORUSKNOT_JOBS`` environment variable when set.
@@ -16,10 +22,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from .alexander import alexander_torus
 from .bounds import bounds_report
 from .braid import (
+    SearchBudgetExceeded,
     cyclically_equal,
     lemma_word,
     parse_braid,
@@ -37,7 +46,14 @@ from .diagram import (
     state_components,
     turaev_genus_diagram,
 )
-from .hfk import scan_conjecture, width_torus
+from .hfk import (
+    WidthReport,
+    delta_sequence,
+    extract_staircase,
+    hfk_from_staircase,
+    scan_conjecture,
+    width_torus,
+)
 from .verify import CHECK_NAMES, run_checks
 
 __all__ = ["main"]
@@ -56,13 +72,6 @@ def _jobs(text: str) -> int:
 def _default_jobs() -> str:
     """TORUSKNOT_JOBS, or "1"; argparse parses it with :func:`_jobs`."""
     return os.environ.get("TORUSKNOT_JOBS") or "1"
-
-
-def _emit(args: argparse.Namespace, document: dict | list, text: str) -> None:
-    if args.json:
-        print(json.dumps(document, indent=2 if not args.compact else None))
-    else:
-        print(text)
 
 
 def _diagram_from_args(args: argparse.Namespace) -> Diagram:
@@ -84,10 +93,79 @@ def _diagram_from_args(args: argparse.Namespace) -> Diagram:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers (each returns the process exit code)
+# the command table
 
 
-def _cmd_alexander(args: argparse.Namespace) -> int:
+_Output = tuple[dict | list, str, int]  # (JSON document, text, exit code)
+_Adder = Callable[[argparse.ArgumentParser], object]
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    arguments: tuple[_Adder, ...]  # applied in order to the subparser
+    run: Callable[[argparse.Namespace], _Output]
+
+
+_COMMANDS: list[_Command] = []
+
+
+def _command(name: str, help: str, *arguments: _Adder):
+    """Declare a subcommand: its name, help and arguments, on its function."""
+
+    def register(run: Callable[[argparse.Namespace], _Output]):
+        _COMMANDS.append(_Command(name, help, arguments, run))
+        return run
+
+    return register
+
+
+def _arg(*names: str, **options) -> _Adder:
+    return lambda sub: sub.add_argument(*names, **options)
+
+
+def _jobs_arg(help: str) -> _Adder:
+    # TORUSKNOT_JOBS is read each time a parser is built, not at import.
+    return lambda sub: sub.add_argument(
+        "--jobs", type=_jobs, default=_default_jobs(), help=help
+    )
+
+
+_PQ = (
+    _arg("p", type=int, help="strand count of the torus link"),
+    _arg("q", type=int, help="winding count of the torus link"),
+)
+_DIAGRAM_SOURCE = (
+    _arg("--strands", type=int, help="strand count for a braid word"),
+    _arg("word", nargs="?", default="", help="braid word whose closure to use"),
+    _arg("--pd", help="read the diagram from a PD-code JSON file"),
+    _arg(
+        "--torus",
+        type=int,
+        nargs=2,
+        metavar=("P", "Q"),
+        help="use the standard closed-braid diagram of T(P,Q)",
+    ),
+    _arg(
+        "--tabulated",
+        type=int,
+        nargs=2,
+        metavar=("P", "Q"),
+        help="use the tabulated low-crossing diagram of T(P,Q)",
+    ),
+)
+_COMMON = (
+    _arg("--json", action="store_true", help="emit JSON instead of text"),
+    _arg("--compact", action="store_true", help="single-line JSON (with --json)"),
+)
+
+
+# ----------------------------------------------------------------------
+# subcommands, in the order the help lists them
+
+
+@_command("alexander", "Alexander polynomial of the torus knot T(p,q)", *_PQ)
+def _alexander(args: argparse.Namespace) -> _Output:
     delta = alexander_torus(args.p, args.q)
     document = {
         "p": args.p,
@@ -95,73 +173,65 @@ def _cmd_alexander(args: argparse.Namespace) -> int:
         "polynomial": delta.to_text(),
         "coefficients": {str(e): c for e, c in delta.terms()},
     }
-    _emit(args, document, delta.to_text())
-    return 0
+    return document, delta.to_text(), 0
 
 
-def _cmd_hfk(args: argparse.Namespace) -> int:
-    from .hfk import extract_staircase, hfk_from_staircase
+def _width_text(report: WidthReport) -> str:
+    return f"width {report.width} (delta range {report.delta_min}..{report.delta_max})"
 
-    table = hfk_from_staircase(extract_staircase(alexander_torus(args.p, args.q)))
-    report = width_torus(args.p, args.q)
-    generators = table.generators()
+
+@_command("hfk", "knot Floer staircase generators of T(p,q)", *_PQ)
+def _hfk(args: argparse.Namespace) -> _Output:
+    stair = extract_staircase(alexander_torus(args.p, args.q))
+    generators = hfk_from_staircase(stair).generators()
+    report = delta_sequence(stair)
     document = {
         "p": args.p,
         "q": args.q,
         "generators": [list(g) for g in generators],
-        "delta_max": report.delta_max,
-        "delta_min": report.delta_min,
-        "width": report.width,
+        **asdict(report),
     }
     lines = [f"{'s':>5} {'m':>5} {'rank':>5}"]
     for s, m, rank in generators:
         lines.append(f"{s:>5} {m:>5} {rank:>5}")
-    lines.append(
-        f"width {report.width} (delta range {report.delta_min}..{report.delta_max})"
-    )
-    _emit(args, document, "\n".join(lines))
-    return 0
+    lines.append(_width_text(report))
+    return document, "\n".join(lines), 0
 
 
-def _cmd_width(args: argparse.Namespace) -> int:
+@_command("width", "homological width of the staircase of T(p,q)", *_PQ)
+def _width(args: argparse.Namespace) -> _Output:
     report = width_torus(args.p, args.q)
-    document = {
-        "delta_max": report.delta_max,
-        "delta_min": report.delta_min,
-        "width": report.width,
-    }
-    _emit(
-        args,
-        document,
-        f"width {report.width} (delta range {report.delta_min}..{report.delta_max})",
-    )
-    return 0
+    return asdict(report), _width_text(report), 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+@_command(
+    "scan",
+    "check the width-jump rule for all coprime pairs below a bound",
+    _arg("--bound", type=int, default=250, help="upper bound (default 250)"),
+    _jobs_arg("worker processes (default: TORUSKNOT_JOBS or 1)"),
+)
+def _scan(args: argparse.Namespace) -> _Output:
     checked, violations = scan_conjecture(args.bound, jobs=args.jobs)
     document = {
         "bound": args.bound,
         "pairs_checked": checked,
-        "violations": [
-            {
-                "p": v.p,
-                "q": v.q,
-                "width": v.width,
-                "previous_width": v.previous_width,
-                "expected_jump": v.expected_jump,
-            }
-            for v in violations
-        ],
+        "violations": [asdict(v) for v in violations],
     }
     text = f"checked {checked} coprime pairs below {args.bound}: {len(violations)} violations"
     for v in violations:
         text += f"\n  T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, expected jump {v.expected_jump}"
-    _emit(args, document, text)
-    return 1 if violations else 0
+    return document, text, 1 if violations else 0
 
 
-def _cmd_braid_eq(args: argparse.Namespace) -> int:
+@_command(
+    "braid-eq",
+    "decide equality of two positive braid words",
+    _arg("--strands", type=int, required=True),
+    _arg("--cyclic", action="store_true", help="compare up to cyclic rotation"),
+    _arg("word1", help="first braid word"),
+    _arg("word2", help="second braid word"),
+)
+def _braid_eq(args: argparse.Namespace) -> _Output:
     a = parse_braid(args.word1, args.strands)
     b = parse_braid(args.word2, args.strands)
     if args.cyclic:
@@ -177,23 +247,17 @@ def _cmd_braid_eq(args: argparse.Namespace) -> int:
         "cyclic": args.cyclic,
         "equal": equal,
     }
-    _emit(args, document, relation)
-    return 0 if equal else 1
+    return document, relation, 0 if equal else 1
 
 
-def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
+@_command(
+    "verify-lemmas",
+    "check every tabulated torus-word rewriting identity",
+    _arg("--n-max", type=int, default=4, help="largest n (default 4)"),
+)
+def _verify_lemmas(args: argparse.Namespace) -> _Output:
     checks = verify_lemmas(n_max=args.n_max)
-    document = [
-        {
-            "p": c.p,
-            "q": c.q,
-            "n": c.n,
-            "relation": c.relation,
-            "crossings": c.crossings,
-            "passed": c.passed,
-        }
-        for c in checks
-    ]
+    document = [asdict(c) for c in checks]
     lines = []
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
@@ -202,11 +266,13 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
         )
     failed = sum(1 for c in checks if not c.passed)
     lines.append(f"{len(checks) - failed}/{len(checks)} identities hold")
-    _emit(args, document, "\n".join(lines))
-    return 1 if failed else 0
+    return document, "\n".join(lines), 1 if failed else 0
 
 
-def _cmd_turaev_genus(args: argparse.Namespace) -> int:
+@_command(
+    "turaev-genus", "Turaev genus of a closed-braid or PD diagram", *_DIAGRAM_SOURCE
+)
+def _turaev_genus(args: argparse.Namespace) -> _Output:
     diagram = _diagram_from_args(args)
     genus = turaev_genus_diagram(diagram)
     s_a = all_a(diagram).component_count
@@ -217,15 +283,14 @@ def _cmd_turaev_genus(args: argparse.Namespace) -> int:
         "s_B": s_b,
         "turaev_genus": genus,
     }
-    _emit(
-        args,
-        document,
-        f"turaev genus {genus} (c = {len(diagram.signs)}, s_A = {s_a}, s_B = {s_b})",
-    )
-    return 0
+    text = f"turaev genus {genus} (c = {len(diagram.signs)}, s_A = {s_a}, s_B = {s_b})"
+    return document, text, 0
 
 
-def _cmd_dalt(args: argparse.Namespace) -> int:
+@_command(
+    "dalt", "exact dealternating number of a diagram, with witness", *_DIAGRAM_SOURCE
+)
+def _dalt(args: argparse.Namespace) -> _Output:
     diagram = _diagram_from_args(args)
     report = dealternating_number_diagram(diagram)
     document = {
@@ -237,15 +302,21 @@ def _cmd_dalt(args: argparse.Namespace) -> int:
         ],
     }
     witness = ", ".join(str(i) for i in report.witness) or "none needed"
-    _emit(
-        args,
-        document,
-        f"minimum crossing changes {report.minimum_changes} (witness: {witness})",
-    )
-    return 0
+    text = f"minimum crossing changes {report.minimum_changes} (witness: {witness})"
+    return document, text, 0
 
 
-def _cmd_states(args: argparse.Namespace) -> int:
+@_command(
+    "states",
+    "component count of a Kauffman state of a diagram",
+    *_DIAGRAM_SOURCE,
+    _arg(
+        "--assignment",
+        required=True,
+        help="all-A, all-B, or an explicit A/B string (one letter per crossing)",
+    ),
+)
+def _states(args: argparse.Namespace) -> _Output:
     diagram = _diagram_from_args(args)
     letter_count = len(diagram.signs)
     if args.assignment == "all-A":
@@ -261,11 +332,16 @@ def _cmd_states(args: argparse.Namespace) -> int:
             )
     state = state_components(diagram, assignment)
     document = {"assignment": assignment, "components": state.component_count}
-    _emit(args, document, f"{state.component_count} components under {assignment}")
-    return 0
+    return document, f"{state.component_count} components under {assignment}", 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+@_command(
+    "bounds",
+    "certified lower/upper brackets for Turaev genus and "
+    "dealternating number of T(p,q)",
+    *_PQ,
+)
+def _bounds(args: argparse.Namespace) -> _Output:
     report = bounds_report(args.p, args.q)
     lines = []
     for key in ("turaev_genus", "dealternating"):
@@ -287,24 +363,33 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 )
                 + ")"
             )
-    _emit(args, report, "\n".join(lines))
-    return 0
+    return report, "\n".join(lines), 0
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> int:
+@_command(
+    "verify-paper",
+    "run every built-in verification check",
+    _arg(
+        "--scan-bound",
+        type=int,
+        default=250,
+        help="bound for the conjecture scan (default 250)",
+    ),
+    _jobs_arg("worker processes for the scan (default: TORUSKNOT_JOBS or 1)"),
+    _arg("--n-max", type=int, default=4, help="largest n for identities"),
+    _arg(
+        "--only",
+        action="append",
+        choices=CHECK_NAMES,
+        help="run a single named check (repeatable)",
+    ),
+)
+def _verify_paper(args: argparse.Namespace) -> _Output:
     names = tuple(args.only) if args.only else None
     results = run_checks(
         scan_bound=args.scan_bound, jobs=args.jobs, n_max=args.n_max, names=names
     )
-    document = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "seconds": round(r.seconds, 3),
-        }
-        for r in results
-    ]
+    document = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -314,44 +399,11 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         f"{len(results) - failed}/{len(results)} checks passed"
         + (f", {failed} FAILED" if failed else "")
     )
-    _emit(args, document, "\n".join(lines))
-    return 1 if failed else 0
+    return document, "\n".join(lines), 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
-# parser assembly
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument(
-        "--compact", action="store_true", help="single-line JSON (with --json)"
-    )
-
-
-def _add_pq(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("p", type=int, help="strand count of the torus link")
-    sub.add_argument("q", type=int, help="winding count of the torus link")
-
-
-def _add_diagram_source(sub: argparse.ArgumentParser, word_help: str) -> None:
-    sub.add_argument("--strands", type=int, help="strand count for a braid word")
-    sub.add_argument("word", nargs="?", default="", help=word_help)
-    sub.add_argument("--pd", help="read the diagram from a PD-code JSON file")
-    sub.add_argument(
-        "--torus",
-        type=int,
-        nargs=2,
-        metavar=("P", "Q"),
-        help="use the standard closed-braid diagram of T(P,Q)",
-    )
-    sub.add_argument(
-        "--tabulated",
-        type=int,
-        nargs=2,
-        metavar=("P", "Q"),
-        help="use the tabulated low-crossing diagram of T(P,Q)",
-    )
+# parser and entry point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,121 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
         "counts, Turaev genus, and dealternating numbers.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser(
-        "alexander", help="Alexander polynomial of the torus knot T(p,q)"
-    )
-    _add_pq(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_alexander)
-
-    sub = subparsers.add_parser(
-        "hfk", help="knot Floer staircase generators of T(p,q)"
-    )
-    _add_pq(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_hfk)
-
-    sub = subparsers.add_parser(
-        "width", help="homological width of the staircase of T(p,q)"
-    )
-    _add_pq(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_width)
-
-    sub = subparsers.add_parser(
-        "scan", help="check the width-jump rule for all coprime pairs below a bound"
-    )
-    sub.add_argument("--bound", type=int, default=250, help="upper bound (default 250)")
-    sub.add_argument(
-        "--jobs",
-        type=_jobs,
-        default=_default_jobs(),
-        help="worker processes (default: TORUSKNOT_JOBS or 1)",
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_scan)
-
-    sub = subparsers.add_parser(
-        "braid-eq", help="decide equality of two positive braid words"
-    )
-    sub.add_argument("--strands", type=int, required=True)
-    sub.add_argument(
-        "--cyclic", action="store_true", help="compare up to cyclic rotation"
-    )
-    sub.add_argument("word1", help="first braid word")
-    sub.add_argument("word2", help="second braid word")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_braid_eq)
-
-    sub = subparsers.add_parser(
-        "verify-lemmas",
-        help="check every tabulated torus-word rewriting identity",
-    )
-    sub.add_argument("--n-max", type=int, default=4, help="largest n (default 4)")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_verify_lemmas)
-
-    sub = subparsers.add_parser(
-        "turaev-genus", help="Turaev genus of a closed-braid or PD diagram"
-    )
-    _add_diagram_source(sub, "braid word whose closure to use")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_turaev_genus)
-
-    sub = subparsers.add_parser(
-        "dalt", help="exact dealternating number of a diagram, with witness"
-    )
-    _add_diagram_source(sub, "braid word whose closure to use")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_dalt)
-
-    sub = subparsers.add_parser(
-        "states", help="component count of a Kauffman state of a diagram"
-    )
-    _add_diagram_source(sub, "braid word whose closure to use")
-    sub.add_argument(
-        "--assignment",
-        required=True,
-        help="all-A, all-B, or an explicit A/B string (one letter per crossing)",
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_states)
-
-    sub = subparsers.add_parser(
-        "bounds",
-        help="certified lower/upper brackets for Turaev genus and "
-        "dealternating number of T(p,q)",
-    )
-    _add_pq(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_bounds)
-
-    sub = subparsers.add_parser(
-        "verify-paper", help="run every built-in verification check"
-    )
-    sub.add_argument(
-        "--scan-bound",
-        type=int,
-        default=250,
-        help="bound for the conjecture scan (default 250)",
-    )
-    sub.add_argument(
-        "--jobs",
-        type=_jobs,
-        default=_default_jobs(),
-        help="worker processes for the scan (default: TORUSKNOT_JOBS or 1)",
-    )
-    sub.add_argument("--n-max", type=int, default=4, help="largest n for identities")
-    sub.add_argument(
-        "--only",
-        action="append",
-        choices=CHECK_NAMES,
-        help="run a single named check (repeatable)",
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_verify_paper)
-
+    for command in _COMMANDS:
+        sub = subparsers.add_parser(command.name, help=command.help)
+        for add in command.arguments + _COMMON:
+            add(sub)
+        sub.set_defaults(handler=command.run)
     return parser
 
 
@@ -484,10 +426,15 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+        document, text, code = args.handler(args)
+    except (ValueError, ArithmeticError, OSError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(document, indent=2 if not args.compact else None))
+    else:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -516,8 +516,42 @@ def export_pd(diagram: Diagram) -> str:
     return json.dumps(obj)
 
 
+def _check_planar(diagram: Diagram) -> None:
+    """Raise MalformedPDCode unless the diagram's projection is planar.
+
+    The counterclockwise slot order at each crossing is a rotation system.
+    Its faces are the orbits of "follow the arc from end e to its partner,
+    then turn to the next slot (s + 1) mod 4"; by Euler's formula a planar
+    4-valent graph with c vertices has c + 2 faces per connected component.
+    """
+    n = diagram.n_crossings
+    pieces = _UnionFind(n)
+    for u, v in diagram.arcs:
+        pieces.union(u // 4, v // 4)
+    faces = 0
+    seen = [False] * (4 * n)
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        faces += 1
+        end = start
+        while not seen[end]:
+            seen[end] = True
+            far = diagram._partner[end]
+            end = far - far % 4 + (far + 1) % 4
+    if faces != n + 2 * pieces.roots():
+        raise MalformedPDCode(
+            f"the crossings and arcs bound {faces} faces, not "
+            f"{n + 2 * pieces.roots()}: the diagram is not planar"
+        )
+
+
 def import_pd(text: str) -> Diagram:
-    """Parse the PD JSON format; raises MalformedPDCode on any defect."""
+    """Parse the PD JSON format; raises MalformedPDCode on any defect.
+
+    Besides the format, this checks that the code describes a planar
+    diagram; generated closures are planar by construction and skip it.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -557,10 +591,12 @@ def import_pd(text: str) -> Diagram:
             )
         arcs.append((ends[0], ends[1]))
         labels.append(label)
-    return Diagram(
+    diagram = Diagram(
         signs=signs,
         arcs=arcs,
         labels=labels,
         free_circles=circles,
         strands=strands,
     )
+    _check_planar(diagram)
+    return diagram

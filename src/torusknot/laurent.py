@@ -32,8 +32,8 @@ __all__ = [
     "NonExactDivision",
 ]
 
-_INT64_GUARD = 2**62  # headroom below int64 max for products
 _INT64_MAX = 2**63 - 1
+_INT64_MIN = -(2**63)
 
 
 class NonExactDivision(ArithmeticError):
@@ -104,19 +104,25 @@ class LaurentPolynomial:
     ) -> "LaurentPolynomial":
         """Build from (exponent, coefficient) pairs; repeats accumulate.
 
+        The sums are exact; a coefficient outside the int64 range raises
+        ``OverflowError``.
+
         >>> LaurentPolynomial.from_terms({1: 1, -1: 1, 0: -1})
         LaurentPolynomial.from_text('t^{-1}-1+t')
         """
-        items = terms.items() if isinstance(terms, Mapping) else list(terms)
-        items = [(int(e), int(c)) for e, c in items]
-        items = [(e, c) for e, c in items if c != 0]
-        if not items:
-            return cls.zero()
-        lo = min(e for e, _ in items)
-        hi = max(e for e, _ in items)
-        arr = np.zeros(hi - lo + 1, dtype=np.int64)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        sums: dict[int, int] = {}
         for e, c in items:
-            arr[e - lo] += c
+            sums[int(e)] = sums.get(int(e), 0) + int(c)
+        sums = {e: c for e, c in sums.items() if c != 0}
+        if not sums:
+            return cls.zero()
+        if not all(_INT64_MIN <= c <= _INT64_MAX for c in sums.values()):
+            raise OverflowError("term coefficients exceed int64 range")
+        lo = min(sums)
+        arr = np.zeros(max(sums) - lo + 1, dtype=np.int64)
+        for e, c in sums.items():
+            arr[e - lo] = c
         return cls._raw(lo, arr)
 
     # -- inspection ---------------------------------------------------
@@ -214,8 +220,8 @@ class LaurentPolynomial:
         if self.is_zero() or other.is_zero():
             return LaurentPolynomial.zero()
         a, b = self.coefficients, other.coefficients
-        bound = _max_abs(a) * _max_abs(b) * min(len(a), len(b))
-        if bound >= _INT64_GUARD:
+        # Every partial sum np.convolve forms has at most min(len) terms.
+        if _max_abs(a) * _max_abs(b) * min(len(a), len(b)) > _INT64_MAX:
             raise OverflowError("product coefficients may exceed int64 range")
         return LaurentPolynomial._raw(
             self.min_exponent + other.min_exponent, np.convolve(a, b)

@@ -6,18 +6,23 @@ staircase outputs, formula-vs-computation sweeps, the width-jump scan,
 braid-word identities, state-count tables, solver-vs-brute-force
 minimality, randomized property suites, and the bound brackets.
 
-Each check returns a :class:`CheckResult`; :func:`run_checks` runs them
-all in a fixed order.  All randomness is seeded, and the scan checks its
+Each check is declared once, by the ``_check`` decorator, which names it,
+times it and builds its :class:`CheckResult`; the check body only
+collects failures and returns its detail.  ``CHECK_NAMES`` and
+:func:`run_checks` read that registry, in declaration order.  All randomness is seeded, and the scan checks its
 pairs in one fixed order whatever the worker count, so output is identical
 across runs and worker counts.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .alexander import (
     NotCoprime,
@@ -66,14 +71,38 @@ class CheckResult:
     seconds: float
 
 
-def _result(name: str, start: float, failures: list[str], detail: str) -> CheckResult:
-    elapsed = time.perf_counter() - start
-    if failures:
-        summary = "; ".join(failures[:5])
-        if len(failures) > 5:
-            summary += f"; ... {len(failures)} failures total"
-        return CheckResult(name, False, summary, elapsed)
-    return CheckResult(name, True, detail, elapsed)
+_CHECKS: dict[str, tuple[Callable[..., CheckResult], tuple[str, ...]]] = {}
+
+
+def _check(name: str, *options: str):
+    """Register a check under ``name``, in run order, and time it.
+
+    The decorated body takes a list to append failure strings to, then the
+    check's own parameters, and returns the detail reported on success.
+    ``options`` names the :func:`run_checks` settings passed to those
+    parameters, in order.
+    """
+
+    def register(body: Callable[..., str]) -> Callable[..., CheckResult]:
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            failures: list[str] = []
+            detail = body(failures, *args, **kwargs)
+            elapsed = time.perf_counter() - start
+            if failures:
+                summary = "; ".join(failures[:5])
+                if len(failures) > 5:
+                    summary += f"; ... {len(failures)} failures total"
+                return CheckResult(name, False, summary, elapsed)
+            return CheckResult(name, True, detail, elapsed)
+
+        parameters = list(inspect.signature(body).parameters.values())[1:]
+        check.__signature__ = inspect.Signature(parameters, return_annotation=CheckResult)
+        _CHECKS[name] = (check, options)
+        return check
+
+    return register
 
 
 def _best_of_three(fn) -> float:
@@ -102,10 +131,9 @@ _GOLDEN_ALEXANDER = {
 }
 
 
-def check_golden_alexander() -> CheckResult:
+@_check("golden-alexander")
+def check_golden_alexander(failures: list[str]) -> str:
     """Frozen polynomial text for small torus knots, plus domain errors."""
-    start = time.perf_counter()
-    failures: list[str] = []
     for (p, q), text in _GOLDEN_ALEXANDER.items():
         got = alexander_torus(p, q).to_text()
         if got != text:
@@ -124,12 +152,9 @@ def check_golden_alexander() -> CheckResult:
     best = _best_of_three(lambda: alexander_torus(4, 5))
     if best >= 1e-3:
         failures.append(f"T(4,5) took {best * 1e3:.3f} ms (budget 1 ms)")
-    return _result(
-        "golden-alexander",
-        start,
-        failures,
+    return (
         f"{len(_GOLDEN_ALEXANDER)} golden polynomials; "
-        f"T(4,5) best-of-3 {best * 1e6:.0f} us",
+        f"T(4,5) best-of-3 {best * 1e6:.0f} us"
     )
 
 
@@ -155,10 +180,9 @@ def _hfk_table(p: int, q: int):
     return hfk_from_staircase(extract_staircase(alexander_torus(p, q)))
 
 
-def check_golden_hfk() -> CheckResult:
+@_check("golden-hfk")
+def check_golden_hfk(failures: list[str]) -> str:
     """Frozen staircase generators and the (4,5) width report."""
-    start = time.perf_counter()
-    failures: list[str] = []
     for (p, q), gens in _GOLDEN_HFK.items():
         got = _hfk_table(p, q).generators()
         if got != gens:
@@ -172,12 +196,9 @@ def check_golden_hfk() -> CheckResult:
     best = _best_of_three(lambda: _hfk_table(4, 5))
     if best >= 1e-3:
         failures.append(f"T(4,5) table took {best * 1e3:.3f} ms (budget 1 ms)")
-    return _result(
-        "golden-hfk",
-        start,
-        failures,
+    return (
         f"{sum(len(g) for g in _GOLDEN_HFK.values())} generators frozen; "
-        f"T(4,5) best-of-3 {best * 1e6:.0f} us",
+        f"T(4,5) best-of-3 {best * 1e6:.0f} us"
     )
 
 
@@ -185,62 +206,8 @@ def check_golden_hfk() -> CheckResult:
 # 3. width formulas vs staircase computation
 
 
-def check_width_formulas() -> CheckResult:
-    """width_formula == width_torus across all covered families, n <= 20."""
-    start = time.perf_counter()
-    failures: list[str] = []
-    cases = 0
-    pairs: set[tuple[int, int]] = set()
-    for p in range(2, 13):
-        for n in range(1, 21):
-            for q in (p * n + 1, p * n - 1):
-                if q < 2 or math.gcd(p, q) != 1:
-                    continue
-                pairs.add((min(p, q), max(p, q)))
-    for n in range(1, 21):
-        pairs.add((5, 5 * n + 2))
-        pairs.add((5, 5 * n + 3))
-    for p, q in sorted(pairs):
-        cases += 1
-        got = width_torus(p, q).width
-        want = width_formula(p, q)
-        if got != want:
-            failures.append(f"T({p},{q}): staircase {got}, formula {want}")
-    return _result(
-        "width-formulas", start, failures, f"{cases} (p,q) pairs, exact match"
-    )
-
-
-# ----------------------------------------------------------------------
-# 4. width-jump conjecture scan
-
-
-def check_conjecture_scan(bound: int = 250, jobs: int = 1) -> CheckResult:
-    """Exhaustive width-jump check for all coprime pairs below the bound."""
-    start = time.perf_counter()
-    checked, violations = scan_conjecture(bound, jobs=jobs)
-    failures = [
-        f"T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, "
-        f"expected jump {v.expected_jump}"
-        for v in violations
-    ]
-    return _result(
-        "conjecture-scan",
-        start,
-        failures,
-        f"{checked} coprime pairs below {bound}, zero violations",
-    )
-
-
-# ----------------------------------------------------------------------
-# 5. closed forms vs rational formula
-
-
-def check_closed_forms() -> CheckResult:
-    """Every closed-form family equals the rational formula, n <= 20."""
-    start = time.perf_counter()
-    failures: list[str] = []
-    cases = 0
+def _closed_form_families() -> list[TorusFamily]:
+    """Every closed-form family instance with p <= 12 and n <= 20."""
     families: list[TorusFamily] = []
     for p in range(2, 13):
         for n in range(0, 21):
@@ -252,8 +219,50 @@ def check_closed_forms() -> CheckResult:
     for n in range(0, 21):
         families.append(TorusFamily("5n+2", 5, n))
         families.append(TorusFamily("5n+3", 5, n))
+    return families
+
+
+@_check("width-formulas")
+def check_width_formulas(failures: list[str]) -> str:
+    """width_formula == width_torus across all covered families, 1 <= n <= 20."""
+    pairs = {
+        (min(f.p, f.q), max(f.p, f.q))
+        for f in _closed_form_families()
+        if f.n >= 1 and f.q >= 2
+    }
+    for p, q in sorted(pairs):
+        got = width_torus(p, q).width
+        want = width_formula(p, q)
+        if got != want:
+            failures.append(f"T({p},{q}): staircase {got}, formula {want}")
+    return f"{len(pairs)} (p,q) pairs, exact match"
+
+
+# ----------------------------------------------------------------------
+# 4. width-jump conjecture scan
+
+
+@_check("conjecture-scan", "scan_bound", "jobs")
+def check_conjecture_scan(failures: list[str], bound: int = 250, jobs: int = 1) -> str:
+    """Exhaustive width-jump check for all coprime pairs below the bound."""
+    checked, violations = scan_conjecture(bound, jobs=jobs)
+    failures.extend(
+        f"T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, "
+        f"expected jump {v.expected_jump}"
+        for v in violations
+    )
+    return f"{checked} coprime pairs below {bound}, zero violations"
+
+
+# ----------------------------------------------------------------------
+# 5. closed forms vs rational formula
+
+
+@_check("closed-forms")
+def check_closed_forms(failures: list[str]) -> str:
+    """Every closed-form family equals the rational formula, n <= 20."""
+    families = _closed_form_families()
     for family in families:
-        cases += 1
         closed = alexander_closed_form(family)
         rational = alexander_torus(family.p, family.q)
         if closed != rational:
@@ -261,127 +270,101 @@ def check_closed_forms() -> CheckResult:
                 f"{family.kind} p={family.p} n={family.n}: closed form "
                 f"differs from rational formula"
             )
-    return _result(
-        "closed-forms", start, failures, f"{cases} family instances, exact match"
-    )
+    return f"{len(families)} family instances, exact match"
 
 
 # ----------------------------------------------------------------------
 # 6. braid-word identities
 
 
-def check_braid_lemmas(n_max: int = 4) -> CheckResult:
+@_check("braid-lemmas", "n_max")
+def check_braid_lemmas(failures: list[str], n_max: int = 4) -> str:
     """All tabulated torus-word rewritings hold in the braid group."""
-    start = time.perf_counter()
     checks = verify_lemmas(n_max=n_max)
-    failures = [
+    failures.extend(
         f"({c.p},{c.q}) n={c.n} [{c.relation}] failed" for c in checks if not c.passed
-    ]
-    cyclic = sum(1 for c in checks if c.relation == "cyclic")
-    return _result(
-        "braid-lemmas",
-        start,
-        failures,
-        f"{len(checks)} identities up to n={n_max} ({cyclic} cyclic), all pass",
     )
+    cyclic = sum(1 for c in checks if c.relation == "cyclic")
+    return f"{len(checks)} identities up to n={n_max} ({cyclic} cyclic), all pass"
 
 
 # ----------------------------------------------------------------------
 # 7. state counts and Turaev genus of the tabulated diagrams
 
 
-def _s_b_expected(p: int, r: int, n: int) -> int:
-    table = {
-        4: {0: (8, -2), 1: (8, 1), 2: (8, 2), 3: (8, 5)},
-        5: {0: (12, -3), 1: (12, 1), 2: (12, 3), 3: (12, 5), 4: (12, 7)},
-        6: {0: (18, -4), 1: (18, 1)},
-    }
-    a, b = table[p][r]
-    return a * n + b
+# The tabulated diagram of T(p, pn + r), by (p, r): its all-B circle count
+# s_B, Turaev genus g_T and dealternating number are a*n + b, given as
+# ((a, b) for s_B, (a, b) for g_T, (a, b) for the dealternating number).
+_TABULATED = {
+    (4, 0): ((8, -2), (2, 0), (4, 0)),
+    (4, 1): ((8, 1), (2, 0), (4, 0)),
+    (4, 2): ((8, 2), (2, 1), (4, 2)),
+    (4, 3): ((8, 5), (2, 1), (4, 2)),
+    (5, 0): ((12, -3), (4, 0), (4, 2)),
+    (5, 1): ((12, 1), (4, 0), (4, 2)),
+    (5, 2): ((12, 3), (4, 1), (4, 3)),
+    (5, 3): ((12, 5), (4, 2), (4, 4)),
+    (5, 4): ((12, 7), (4, 3), (4, 7)),
+    (6, 0): ((18, -4), (6, 0), (6, 2)),
+    (6, 1): ((18, 1), (6, 0), (6, 2)),
+}
 
 
-def _g_t_expected(p: int, r: int, n: int) -> int:
-    table = {
-        4: {0: (2, 0), 1: (2, 0), 2: (2, 1), 3: (2, 1)},
-        5: {0: (4, 0), 1: (4, 0), 2: (4, 1), 3: (4, 2), 4: (4, 3)},
-        6: {0: (6, 0), 1: (6, 0)},
-    }
-    a, b = table[p][r]
-    return a * n + b
-
-
-def _dalt_expected(p: int, r: int, n: int) -> int:
-    table = {
-        4: {0: (4, 0), 1: (4, 0), 2: (4, 2), 3: (4, 2)},
-        5: {0: (4, 2), 1: (4, 2), 2: (4, 3), 3: (4, 4), 4: (4, 7)},
-        6: {0: (6, 2), 1: (6, 2)},
-    }
-    a, b = table[p][r]
-    return a * n + b
-
-
-def _lemma_families():
-    for p, residues in ((4, range(4)), (5, range(5)), (6, range(2))):
-        for r in residues:
-            yield p, r
-
-
-def check_state_counts() -> CheckResult:
-    """s_A, s_B, and Turaev genus of every tabulated diagram, n = 1..4."""
-    start = time.perf_counter()
-    failures: list[str] = []
-    cases = 0
+def _tabulated_diagrams():
+    """(p, r, q, s_B, g_T, dealternating number) for n = 1..4."""
     for n in range(1, 5):
-        for p, r in _lemma_families():
-            q = p * n + r
-            diagram = closure_diagram(lemma_word(p, q))
-            cases += 1
-            c = len(diagram.signs)
-            s_a = all_a(diagram).component_count
-            s_b = all_b(diagram).component_count
-            g_t = turaev_genus_diagram(diagram)
-            if s_a != p:
-                failures.append(f"D({p},{q}): s_A = {s_a}, want {p}")
-            if s_b != _s_b_expected(p, r, n):
-                failures.append(
-                    f"D({p},{q}): s_B = {s_b}, want {_s_b_expected(p, r, n)}"
-                )
-            if g_t != _g_t_expected(p, r, n):
-                failures.append(
-                    f"D({p},{q}): g_T = {g_t}, want {_g_t_expected(p, r, n)}"
-                )
-            if 2 * g_t != 2 + c - s_a - s_b:
-                failures.append(f"D({p},{q}): genus identity violated")
+        for (p, r), formulas in _TABULATED.items():
+            yield (p, r, p * n + r, *(a * n + b for a, b in formulas))
+
+
+@_check("state-counts")
+def check_state_counts(failures: list[str]) -> str:
+    """s_A, s_B, and Turaev genus of every tabulated diagram, n = 1..4."""
+    cases = 0
+    for p, _, q, want_s_b, want_g_t, _ in _tabulated_diagrams():
+        diagram = closure_diagram(lemma_word(p, q))
+        cases += 1
+        c = len(diagram.signs)
+        s_a = all_a(diagram).component_count
+        s_b = all_b(diagram).component_count
+        g_t = turaev_genus_diagram(diagram)
+        if s_a != p:
+            failures.append(f"D({p},{q}): s_A = {s_a}, want {p}")
+        if s_b != want_s_b:
+            failures.append(f"D({p},{q}): s_B = {s_b}, want {want_s_b}")
+        if g_t != want_g_t:
+            failures.append(f"D({p},{q}): g_T = {g_t}, want {want_g_t}")
+        if 2 * g_t != 2 + c - s_a - s_b:
+            failures.append(f"D({p},{q}): genus identity violated")
     for (p, q), crossings in (((6, 6), 30), ((6, 7), 35)):
         if len(lemma_word(p, q).letters) != crossings:
             failures.append(
                 f"word({p},{q}) has {len(lemma_word(p, q).letters)} crossings, "
                 f"want {crossings}"
             )
-    return _result(
-        "state-counts", start, failures, f"{cases} diagrams, all three counts match"
-    )
+    return f"{cases} diagrams, all three counts match"
 
 
 # ----------------------------------------------------------------------
 # 8. dealternating solver soundness
 
 
-def check_dealternating_solver() -> CheckResult:
+@_check("dealternating-solver")
+def check_dealternating_solver(failures: list[str]) -> str:
     """Witness really alternates; brute force confirms minimality (<= 14 crossings)."""
-    start = time.perf_counter()
-    failures: list[str] = []
+    # (label, diagram, its known minimum or None)
     corpus = []
-    for n in range(1, 5):
-        for p, r in _lemma_families():
-            q = p * n + r
-            corpus.append((f"tabulated ({p},{q})", closure_diagram(lemma_word(p, q))))
+    for p, _, q, _, _, minimum in _tabulated_diagrams():
+        diagram = closure_diagram(lemma_word(p, q))
+        corpus.append((f"tabulated ({p},{q})", diagram, minimum))
     for p, q in ((2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (3, 7), (4, 4), (4, 5), (5, 6), (6, 7)):
-        corpus.append((f"standard ({p},{q})", closure_diagram(torus_braid_word(p, q))))
+        corpus.append((f"standard ({p},{q})", closure_diagram(torus_braid_word(p, q)), None))
     witnessed = 0
     brute_checked = 0
-    for label, diagram in corpus:
+    for label, diagram, minimum in corpus:
         report = dealternating_number_diagram(diagram)
+        if minimum is not None and report.minimum_changes != minimum:
+            failures.append(f"{label}: minimum {report.minimum_changes}, want {minimum}")
         changed = change_crossings(diagram, report.witness)
         if not is_alternating(changed):
             failures.append(f"{label}: witness does not alternate")
@@ -402,21 +385,9 @@ def check_dealternating_solver() -> CheckResult:
             f"standard (4,4): got {golden.minimum_changes} via {golden.witness}, "
             f"want 4 via (1, 4, 7, 10)"
         )
-    for n in range(1, 5):
-        for p, r in _lemma_families():
-            q = p * n + r
-            report = dealternating_number_diagram(closure_diagram(lemma_word(p, q)))
-            if report.minimum_changes != _dalt_expected(p, r, n):
-                failures.append(
-                    f"tabulated ({p},{q}): minimum {report.minimum_changes}, "
-                    f"want {_dalt_expected(p, r, n)}"
-                )
-    return _result(
-        "dealternating-solver",
-        start,
-        failures,
+    return (
         f"{witnessed} witnesses verified, {brute_checked} brute-force "
-        f"minimality confirmations",
+        f"minimality confirmations"
     )
 
 
@@ -546,21 +517,17 @@ def _single_flip_properties(rng: random.Random, failures: list[str]) -> int:
     return cases
 
 
-def check_property_suites(seed: int = 20260814) -> CheckResult:
+@_check("property-suites")
+def check_property_suites(failures: list[str], seed: int = 20260814) -> str:
     """Seeded randomized suites: ring axioms, rewriting invariance, symmetry."""
-    start = time.perf_counter()
-    failures: list[str] = []
     rng = random.Random(seed)
     n_laurent = _laurent_properties(rng, failures)
     n_nf = _normal_form_properties(rng, failures)
     n_hfk = _hfk_properties(failures)
     n_flip = _single_flip_properties(rng, failures)
-    return _result(
-        "property-suites",
-        start,
-        failures,
+    return (
         f"{n_laurent} ring/division cases, {n_nf} rewriting words, "
-        f"{n_hfk} staircase tables, {n_flip} smoothing flips",
+        f"{n_hfk} staircase tables, {n_flip} smoothing flips"
     )
 
 
@@ -568,58 +535,46 @@ def check_property_suites(seed: int = 20260814) -> CheckResult:
 # 10. bound brackets
 
 
-def _expected_turaev(p: int, r: int, n: int) -> tuple[int, int]:
-    upper = _g_t_expected(p, r, n)
-    q = p * n + r
-    if math.gcd(p, q) != 1:
-        return 0, upper
-    lower = width_torus(p, q).width - 1
-    return lower, upper
-
-
-def check_bound_brackets() -> CheckResult:
+@_check("bound-brackets")
+def check_bound_brackets(failures: list[str]) -> str:
     """Bracket tables for every covered family, n = 1..4, with import labels."""
-    start = time.perf_counter()
-    failures: list[str] = []
     cases = 0
-    for n in range(1, 5):
-        for p, r in _lemma_families():
-            q = p * n + r
-            cases += 1
-            turaev, dealt = bounds(p, q)
-            want_lower, want_upper = _expected_turaev(p, r, n)
-            if (turaev.lower, turaev.upper) != (want_lower, want_upper):
-                failures.append(
-                    f"T({p},{q}): Turaev bracket [{turaev.lower},{turaev.upper}], "
-                    f"want [{want_lower},{want_upper}]"
-                )
-            gap = turaev.upper - turaev.lower
-            open_family = p == 5 and r in (2, 3, 4)
-            if math.gcd(p, q) == 1 and gap != (1 if open_family else 0):
-                failures.append(f"T({p},{q}): Turaev gap {gap} unexpected")
-            if dealt.lower != turaev.lower:
-                failures.append(f"T({p},{q}): lower bounds disagree")
-            if dealt.upper != _dalt_expected(p, r, n):
-                failures.append(
-                    f"T({p},{q}): dealternating upper {dealt.upper}, "
-                    f"want {_dalt_expected(p, r, n)}"
-                )
-            known = known_dealternating_upper(p, q)
-            if known is None:
-                failures.append(f"T({p},{q}): no known upper tabulated")
-                continue
-            in_scope = p == 6
-            if known.needs_pd_import != (not in_scope):
-                failures.append(f"T({p},{q}): import label wrong")
-            if in_scope and dealt.upper != known.value:
-                failures.append(
-                    f"T({p},{q}): in-scope upper {dealt.upper} != known {known.value}"
-                )
-            if not in_scope and dealt.upper <= known.value:
-                failures.append(
-                    f"T({p},{q}): upper {dealt.upper} not above known "
-                    f"{known.value} despite import label"
-                )
+    for p, r, q, _, want_upper, want_dealt in _tabulated_diagrams():
+        cases += 1
+        turaev, dealt = bounds(p, q)
+        knot = math.gcd(p, q) == 1
+        want_lower = width_torus(p, q).width - 1 if knot else 0
+        if (turaev.lower, turaev.upper) != (want_lower, want_upper):
+            failures.append(
+                f"T({p},{q}): Turaev bracket [{turaev.lower},{turaev.upper}], "
+                f"want [{want_lower},{want_upper}]"
+            )
+        gap = turaev.upper - turaev.lower
+        open_family = p == 5 and r in (2, 3, 4)
+        if knot and gap != (1 if open_family else 0):
+            failures.append(f"T({p},{q}): Turaev gap {gap} unexpected")
+        if dealt.lower != turaev.lower:
+            failures.append(f"T({p},{q}): lower bounds disagree")
+        if dealt.upper != want_dealt:
+            failures.append(
+                f"T({p},{q}): dealternating upper {dealt.upper}, want {want_dealt}"
+            )
+        known = known_dealternating_upper(p, q)
+        if known is None:
+            failures.append(f"T({p},{q}): no known upper tabulated")
+            continue
+        in_scope = p == 6
+        if known.needs_pd_import != (not in_scope):
+            failures.append(f"T({p},{q}): import label wrong")
+        if in_scope and dealt.upper != known.value:
+            failures.append(
+                f"T({p},{q}): in-scope upper {dealt.upper} != known {known.value}"
+            )
+        if not in_scope and dealt.upper <= known.value:
+            failures.append(
+                f"T({p},{q}): upper {dealt.upper} not above known "
+                f"{known.value} despite import label"
+            )
     for (p, q), bracket in (((4, 5), (2, 2)), ((5, 7), (4, 5)), ((3, 2), (0, 0))):
         turaev, _ = bounds(p, q)
         if (turaev.lower, turaev.upper) != bracket:
@@ -632,30 +587,14 @@ def check_bound_brackets() -> CheckResult:
             for bracket in bounds(p, q):
                 if bracket.lower > bracket.upper:
                     failures.append(f"T({p},{q}): {bracket.invariant} inverted")
-    return _result(
-        "bound-brackets",
-        start,
-        failures,
-        f"{cases} family brackets, import labels and gaps as documented",
-    )
+    return f"{cases} family brackets, import labels and gaps as documented"
 
 
 # ----------------------------------------------------------------------
 # runner
 
 
-CHECK_NAMES = (
-    "golden-alexander",
-    "golden-hfk",
-    "width-formulas",
-    "conjecture-scan",
-    "closed-forms",
-    "braid-lemmas",
-    "state-counts",
-    "dealternating-solver",
-    "property-suites",
-    "bound-brackets",
-)
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(
@@ -665,20 +604,13 @@ def run_checks(
     names: "tuple[str, ...] | None" = None,
 ) -> list[CheckResult]:
     """Run the verification checks in order; returns one result per check."""
-    table = {
-        "golden-alexander": check_golden_alexander,
-        "golden-hfk": check_golden_hfk,
-        "width-formulas": check_width_formulas,
-        "conjecture-scan": lambda: check_conjecture_scan(scan_bound, jobs),
-        "closed-forms": check_closed_forms,
-        "braid-lemmas": lambda: check_braid_lemmas(n_max),
-        "state-counts": check_state_counts,
-        "dealternating-solver": check_dealternating_solver,
-        "property-suites": check_property_suites,
-        "bound-brackets": check_bound_brackets,
-    }
+    settings = {"scan_bound": scan_bound, "jobs": jobs, "n_max": n_max}
     selected = CHECK_NAMES if names is None else names
-    unknown = [name for name in selected if name not in table]
+    unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    return [table[name]() for name in selected]
+    results = []
+    for name in selected:
+        check, options = _CHECKS[name]
+        results.append(check(*(settings[option] for option in options)))
+    return results

@@ -10,6 +10,7 @@ from torusknot.braid import (
     BraidWord,
     IndexOutOfRange,
     ParseError,
+    SearchBudgetExceeded,
     StrandMismatch,
     UnknownMacro,
     UnsupportedTorusFamily,
@@ -63,6 +64,12 @@ def test_parse_macro_power():
 def test_parse_errors(text, err):
     with pytest.raises(err):
         parse_braid(text, 4)
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_braid("(" * 200 + "1" + ")" * 200, 3).as_text() == "1"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_braid("(" * 3000 + "1" + ")" * 3000, 3)
 
 
 def test_macro_generator_out_of_range():
@@ -230,6 +237,15 @@ def test_cyclic_inequality():
     assert not cyclically_equal(
         torus_braid_word(5, 8), BraidWord(5, (1,) * 8 + (2,) * 8 + (3,) * 8 + (4,) * 8)
     )
+
+
+def test_cyclic_search_budget_is_a_named_runtime_error():
+    # Same cycle type and no equal rotation, so the orbit search must run.
+    a, b = BraidWord(4, (1, 1, 2)), BraidWord(4, (1, 1, 1))
+    assert not cyclically_equal(a, b)
+    with pytest.raises(SearchBudgetExceeded, match="max_states = 1"):
+        cyclically_equal(a, b, max_states=1)
+    assert issubclass(SearchBudgetExceeded, RuntimeError)
 
 
 def test_cyclic_equality_respects_conjugation_by_letter():

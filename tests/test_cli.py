@@ -174,6 +174,32 @@ def test_verify_paper_text_summary(capsys):
     assert "2/2 checks passed" in out
 
 
+def test_deeply_nested_word_exits_two(capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    code, out, err = run(capsys, "braid-eq", "--strands", "3", deep, "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_exhausted_cyclic_search_exits_two(capsys, monkeypatch):
+    from torusknot.braid import cyclically_equal
+
+    monkeypatch.setattr(cyclically_equal, "__defaults__", (1,))
+    code, out, err = run(capsys, "braid-eq", "--strands", "4", "--cyclic", "112", "111")
+    assert code == 2 and out == ""
+    assert "error: cyclic-equivalence search exceeded max_states = 1" in err
+
+
+def test_non_planar_pd_exits_two(capsys, tmp_path):
+    pd_file = tmp_path / "bad.json"
+    pd_file.write_text(json.dumps({"crossings": [[1, 2, 1, 2, "+"]]}))
+    for command in ("states", "turaev-genus", "dalt"):
+        extra = ["--assignment", "all-A"] if command == "states" else []
+        code, out, err = run(capsys, command, "--pd", str(pd_file), *extra)
+        assert code == 2 and out == ""
+        assert "not planar" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

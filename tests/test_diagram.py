@@ -252,6 +252,23 @@ def test_pd_import_validates_labels():
         import_pd(json.dumps(bad))
 
 
+def test_pd_import_rejects_non_planar_codes():
+    # One crossing whose two arcs join opposite slots: one face, not c + 2 = 3.
+    with pytest.raises(MalformedPDCode, match="not planar"):
+        import_pd(json.dumps({"crossings": [[1, 2, 1, 2, "+"]]}))
+    # The planar kink: arcs join neighbouring slots.
+    assert import_pd(json.dumps({"crossings": [[1, 1, 2, 2, "+"]]})).n_crossings == 1
+
+
+def test_pd_import_accepts_random_closures():
+    rng = random.Random(11)
+    for _ in range(300):
+        strands = rng.randint(2, 6)
+        letters = tuple(rng.randint(1, strands - 1) for _ in range(rng.randint(1, 30)))
+        d = closure_diagram(BraidWord(strands, letters))
+        assert import_pd(export_pd(d)) == d
+
+
 def test_pd_import_rejects_non_json():
     with pytest.raises(ValueError):
         import_pd("not json at all {")

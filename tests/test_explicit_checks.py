@@ -41,7 +41,9 @@ for terms in ({-1: 1, 0: -2, 1: 1}, {-1: 1, 0: -1, 2: 1}, {-1: -1, 0: 1, 1: -1})
         lambda: extract_staircase(LaurentPolynomial.from_terms(terms)),
         f"L-space form {terms}",
     )
-non_planar = import_pd('{"crossings": [[1, 2, 1, 2, "+"]]}')
+expect(MalformedPDCode, lambda: import_pd('{"crossings": [[1, 2, 1, 2, "+"]]}'), "pd planarity")
+# The same crossing built directly, past import_pd's planarity check.
+non_planar = diagram.Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
 expect(MalformedPDCode, lambda: diagram.turaev_genus_diagram(non_planar), "turaev parity")
 diagram.is_alternating = lambda d: False
 expect(
@@ -63,4 +65,4 @@ def test_checks_fire_under_python_dash_O():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr + done.stdout
-    assert done.stdout.count("fired") == 8, done.stdout
+    assert done.stdout.count("fired") == 9, done.stdout

@@ -211,6 +211,28 @@ def test_ops_at_the_int64_edge_stay_exact():
     assert LaurentPolynomial.zero() * 2**70 == 0
 
 
+def test_from_terms_sums_exactly_and_range_checks():
+    top = 2**63 - 1
+    edge = LaurentPolynomial.from_terms([(0, 2**62), (0, 2**62 - 1), (3, 1), (3, -1)])
+    assert edge == LaurentPolynomial(0, [top])
+    with pytest.raises(OverflowError):
+        LaurentPolynomial.from_terms([(0, 2**62), (0, 2**62)])
+    with pytest.raises(OverflowError):
+        LaurentPolynomial.from_terms({1: -(2**64)})
+    assert LaurentPolynomial.from_terms([(0, 2**62), (0, 2**62), (0, -(2**63))]) == 0
+
+
+def test_products_whose_bound_fits_int64_are_exact():
+    big = LaurentPolynomial(0, [2**62])
+    assert big**1 == big
+    assert (big**1).coefficient(0) == 2**62
+    x = LaurentPolynomial(-1, [2**63 - 1, 5, -(2**63 - 1)])
+    assert LaurentPolynomial.one() * x == x
+    assert x * LaurentPolynomial.monomial(2, -1) == -x.shift(2)
+    with pytest.raises(OverflowError):
+        x * LaurentPolynomial(0, [1, 1])
+
+
 def test_palindromic():
     assert LaurentPolynomial.from_terms({-1: 1, 0: -1, 1: 1}).is_palindromic()
     assert not LaurentPolynomial.from_terms({-1: 1, 0: -1, 2: 1}).is_palindromic()

@@ -1,0 +1,46 @@
+"""The verify-paper check registry: names, order, settings and failures."""
+
+import pytest
+
+import torusknot.verify as verify
+from torusknot.verify import CHECK_NAMES, check_width_formulas, run_checks
+
+
+def test_check_names_in_run_order():
+    assert CHECK_NAMES == (
+        "golden-alexander",
+        "golden-hfk",
+        "width-formulas",
+        "conjecture-scan",
+        "closed-forms",
+        "braid-lemmas",
+        "state-counts",
+        "dealternating-solver",
+        "property-suites",
+        "bound-brackets",
+    )
+
+
+def test_run_checks_passes_its_settings_to_the_checks():
+    scan, lemmas = run_checks(
+        scan_bound=20, n_max=1, names=("conjecture-scan", "braid-lemmas")
+    )
+    assert (scan.name, scan.passed) == ("conjecture-scan", True)
+    assert "below 20" in scan.detail
+    assert (lemmas.name, lemmas.passed) == ("braid-lemmas", True)
+    assert "up to n=1" in lemmas.detail
+
+
+def test_run_checks_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown checks: no-such-check"):
+        run_checks(names=("golden-hfk", "no-such-check"))
+
+
+def test_failures_replace_the_detail(monkeypatch):
+    monkeypatch.setattr(verify, "width_formula", lambda p, q: 0)
+    result = check_width_formulas()
+    assert result.name == "width-formulas" and not result.passed
+    assert result.detail.startswith("T(2,3): staircase 1, formula 0; ")
+    assert result.detail.count(";") == 5
+    assert result.detail.endswith("... 450 failures total")
+    assert result.seconds >= 0
