@@ -17,7 +17,10 @@ The package computes, with integer arithmetic throughout:
   and :mod:`torusknot.cli`.
 """
 
+import types as _types
+
 from .alexander import (
+    KnotTooLarge,
     NotCoprime,
     TorusFamily,
     UnsupportedFamily,
@@ -42,6 +45,7 @@ from .braid import (
     StrandMismatch,
     UnknownMacro,
     UnsupportedTorusFamily,
+    WordTooLong,
     cyclically_equal,
     lemma_word,
     normal_form,
@@ -91,76 +95,9 @@ from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # laurent
-    "LaurentPolynomial",
-    "NonExactDivision",
-    # alexander
-    "NotCoprime",
-    "UnsupportedFamily",
-    "TorusFamily",
-    "normalize_torus_params",
-    "alexander_torus",
-    "alexander_closed_form",
-    # hfk
-    "NotLSpaceForm",
-    "Staircase",
-    "HFKTable",
-    "WidthReport",
-    "ConjectureViolation",
-    "extract_staircase",
-    "hfk_from_staircase",
-    "delta_sequence",
-    "width_torus",
-    "width_formula",
-    "scan_conjecture",
-    "scan_conjecture_parallel",
-    # braid
-    "ParseError",
-    "UnknownMacro",
-    "IndexOutOfRange",
-    "SearchBudgetExceeded",
-    "StrandMismatch",
-    "UnsupportedTorusFamily",
-    "BraidWord",
-    "NormalForm",
-    "LemmaCheck",
-    "parse_braid",
-    "underlying_permutation",
-    "permutation_cycles",
-    "normal_form",
-    "words_equal",
-    "cyclically_equal",
-    "torus_braid_word",
-    "lemma_word",
-    "verify_lemmas",
-    # diagram
-    "MalformedPDCode",
-    "DisconnectedDiagram",
-    "InconsistentConstraints",
-    "Diagram",
-    "KauffmanState",
-    "ConstraintComponent",
-    "DaltReport",
-    "closure_diagram",
-    "state_components",
-    "all_a",
-    "all_b",
-    "turaev_genus_diagram",
-    "is_alternating",
-    "change_crossings",
-    "dealternating_number_diagram",
-    "brute_force_dealternating",
-    "export_pd",
-    "import_pd",
-    # bounds
-    "BoundBracket",
-    "KnownUpper",
-    "bounds",
-    "bounds_report",
-    "known_dealternating_upper",
-    # verify
-    "CheckResult",
-    "run_checks",
+# The package exports every name imported above, and its version.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

@@ -7,7 +7,9 @@ expression
 
 evaluated with exact Laurent-polynomial division, then normalized to the
 symmetric form Delta(t) == Delta(1/t).  Both divisions are by polynomials of
-the shape t^m - 1, so they hit the fast residue-class division path.
+the shape t^m - 1, so they hit the fast residue-class division path.  A knot
+with p * q above ``MAX_TORUS_PRODUCT`` raises KnotTooLarge before anything is
+allocated.
 
 Four infinite families close to explicit sparse sums (plus two special
 five-strand families); ``alexander_closed_form`` evaluates those sums
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from .laurent import LaurentPolynomial
 
 __all__ = [
+    "KnotTooLarge",
+    "MAX_TORUS_PRODUCT",
     "NotCoprime",
     "UnsupportedFamily",
     "TorusFamily",
@@ -41,6 +45,15 @@ class UnsupportedFamily(ValueError):
     """Raised for family parameters outside the supported patterns."""
 
 
+class KnotTooLarge(ValueError):
+    """Raised, before anything is allocated, for p * q above MAX_TORUS_PRODUCT."""
+
+
+# alexander_torus holds about p*q coefficients and width_torus (p-1)(q-1)+1;
+# the cap leaves room for the width-jump scan up to bound 2048.
+MAX_TORUS_PRODUCT = 2**22
+
+
 def normalize_torus_params(p: int, q: int) -> tuple[int, int]:
     """Validate and order torus-knot parameters: both positive, coprime, p <= q.
 
@@ -56,6 +69,15 @@ def normalize_torus_params(p: int, q: int) -> tuple[int, int]:
     return (p, q) if p <= q else (q, p)
 
 
+def _check_torus_size(p: int, q: int) -> None:
+    """Raise KnotTooLarge when T(p, q) needs more than MAX_TORUS_PRODUCT entries."""
+    if p * q > MAX_TORUS_PRODUCT:
+        raise KnotTooLarge(
+            f"T({p},{q}) needs {p * q} coefficients, "
+            f"above the cap of {MAX_TORUS_PRODUCT}"
+        )
+
+
 def _t_power_minus_one(m: int) -> LaurentPolynomial:
     """The polynomial t**m - 1."""
     return LaurentPolynomial.from_terms([(m, 1), (0, -1)])
@@ -68,11 +90,15 @@ def alexander_torus(p: int, q: int) -> LaurentPolynomial:
     t^{-1}-1+t
     """
     p, q = normalize_torus_params(p, q)
+    _check_torus_size(p, q)
     if p == 1:
         return LaurentPolynomial.one()
     genus_double = (p - 1) * (q - 1)  # always even for coprime p, q
-    num = _t_power_minus_one(p * q) * _t_power_minus_one(1)
-    quot = num.exact_div(_t_power_minus_one(p)).exact_div(_t_power_minus_one(q))
+    # (t^pq - 1) / (t^q - 1) is the sparse 1 + t^q + ... + t^((p-1)q).  Taking
+    # it first keeps the product cheap and leaves the dense division with only
+    # p <= q residue classes.
+    sparse = _t_power_minus_one(p * q).exact_div(_t_power_minus_one(q))
+    quot = (sparse * _t_power_minus_one(1)).exact_div(_t_power_minus_one(p))
     return quot.shift(-(genus_double // 2))
 
 

@@ -25,7 +25,8 @@ The word grammar accepted by :func:`parse_braid`::
 
 Whitespace is ignored; exponents are nonnegative; named macros expand to
 fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the full
-twist on the current strand count.
+twist on the current strand count.  A word that would grow past
+``MAX_WORD_LETTERS`` letters raises WordTooLong before it is built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "StrandMismatch",
     "UnsupportedTorusFamily",
     "SearchBudgetExceeded",
+    "WordTooLong",
+    "MAX_WORD_LETTERS",
     "BraidWord",
     "NormalForm",
     "LemmaCheck",
@@ -78,6 +81,20 @@ class StrandMismatch(ValueError):
 
 class UnsupportedTorusFamily(ValueError):
     """lemma_word was asked for a (p, q) outside the tabulated families."""
+
+
+class WordTooLong(ValueError):
+    """A word of more than MAX_WORD_LETTERS letters, refused before it is built."""
+
+
+MAX_WORD_LETTERS = 2**16
+
+
+def _check_length(letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise WordTooLong(
+            f"a word of {letters} letters is above the cap of {MAX_WORD_LETTERS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -141,6 +158,7 @@ _FIXED_MACROS: dict[str, tuple[int, ...]] = {
 
 
 def _full_twist_letters(strands: int) -> tuple[int, ...]:
+    _check_length((strands - 1) * strands)
     return tuple(range(1, strands)) * strands
 
 
@@ -184,6 +202,7 @@ def _parse_word(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int]
         if i >= len(s) or s[i] == ")":
             return out, i
         term, i = _parse_term(s, i, strands, table)
+        _check_length(len(out) + len(term))
         out.extend(term)
 
 
@@ -235,7 +254,9 @@ def _parse_term(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int]
                 j += 1
             if j == start:
                 raise ParseError(f"missing exponent at offset {start}")
-            base = base * int(s[start:j])
+            count = int(s[start:j])
+            _check_length(len(base) * count)
+            base = base * count
             i = j
         else:
             return base, i
@@ -500,6 +521,7 @@ def torus_braid_word(p: int, q: int) -> BraidWord:
     """The standard (p, q) torus word: (sigma_1 ... sigma_{p-1})^q on p strands."""
     if p < 1 or q < 0:
         raise ValueError(f"invalid torus braid parameters ({p}, {q})")
+    _check_length((p - 1) * q)
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
@@ -531,6 +553,7 @@ def lemma_word(p: int, q: int) -> BraidWord:
         raise UnsupportedTorusFamily(
             f"no tabulated rewriting for the ({p}, {q}) torus word"
         )
+    _check_length((p - 1) * q)  # a rewriting is as long as the torus word
     if p == 4:
         block = _digits("2132")
         if r == 0:

@@ -27,10 +27,15 @@ over 0..2g are one integer-array expression inS[x] - inS[x-1]; there is no
 polynomial division.  The same L-space-form checks as for a user-supplied
 polynomial (:func:`extract_staircase`) run on that array, and the delta
 recursion is a reversed cumulative sum over the steps, so a width is a
-handful of O(pq) array operations.
+handful of O(pq) numpy array operations.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 serially or in a process pool, and checks the jumps in one fixed order.
+Small scans run serially, because starting the pool costs more than they do.
+
+numpy is imported by the functions that use it, on their first call, not
+when this module is imported: code that never computes a staircase or a
+width never loads it.
 """
 
 from __future__ import annotations
@@ -38,11 +43,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .alexander import normalize_torus_params
+from .alexander import _check_torus_size, normalize_torus_params
 from .laurent import LaurentPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NotLSpaceForm",
@@ -151,7 +158,7 @@ def _lspace_steps(min_exponent: int, coefficients: np.ndarray) -> np.ndarray:
     upper = coefficients[-min_exponent:]
     if upper[0] == 0:
         raise NotLSpaceForm("constant coefficient must be nonzero")
-    s = np.flatnonzero(upper)
+    s = upper.nonzero()[0]
     signs = upper[s]
     if (signs[1:] == signs[:-1]).any():
         raise NotLSpaceForm("signs must alternate along the support")
@@ -171,7 +178,14 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
     Staircase(k=1, s=(0, 1))
     """
-    s = _lspace_steps(delta.min_exponent, delta.coefficients)
+    import numpy as np
+
+    count = len(delta.coefficients)
+    try:
+        coefficients = np.fromiter(delta.coefficients, np.int64, count)
+    except OverflowError:  # beyond int64, so certainly not +-1
+        raise NotLSpaceForm("coefficients must all be +-1") from None
+    s = _lspace_steps(delta.min_exponent, coefficients)
     return Staircase(k=len(s) - 1, s=tuple(s.tolist()))
 
 
@@ -183,6 +197,8 @@ def _torus_steps(p: int, q: int) -> np.ndarray:
     q^-1 < p <= sqrt(pq), the products stay below (pq)^1.5, far inside int64
     for any array that fits in memory.
     """
+    import numpy as np
+
     top = (p - 1) * (q - 1)  # 2g, the conductor of <p, q>
     x = np.arange(top + 1)
     in_semigroup = (x >= q * (x * pow(q, -1, p) % p)).view(np.int8)
@@ -195,14 +211,11 @@ def _descending_sums(odd_step: np.ndarray, even_step: np.ndarray) -> np.ndarray:
     """Evaluate v_k = 0, v_l = v_{l+1} + w_l with w_l chosen by parity of k-l.
 
     ``odd_step[l]`` / ``even_step[l]`` (l = 0..k-1) give w_l for k-l odd /
-    even; returns the full vector v_0..v_k.
+    even; returns v_0..v_{k-1}, leaving v_k = 0 implicit.
     """
-    k = len(odd_step)
     w = even_step.copy()
     w[-1::-2] = odd_step[-1::-2]
-    v = np.zeros(k + 1, dtype=np.int64)
-    v[:k] = np.cumsum(w[::-1])[::-1]
-    return v
+    return w[::-1].cumsum()[::-1]
 
 
 def hfk_from_staircase(stair: Staircase) -> HFKTable:
@@ -211,22 +224,26 @@ def hfk_from_staircase(stair: Staircase) -> HFKTable:
     >>> hfk_from_staircase(Staircase(1, (0, 1))).generators()
     [(1, 0, 1), (0, -1, 1), (-1, -2, 1)]
     """
+    import numpy as np
+
     s = np.asarray(stair.s, dtype=np.int64)
-    diffs = np.diff(s)
+    diffs = s[1:] - s[:-1]
     m = _descending_sums(-2 * diffs + 1, np.full(len(diffs), -1, dtype=np.int64))
-    return HFKTable(k=stair.k, s=stair.s, m=tuple(int(x) for x in m))
+    return HFKTable(k=stair.k, s=stair.s, m=(*m.tolist(), 0))
 
 
 def _width_report(s: np.ndarray) -> WidthReport:
     """Spread of the delta gradings delta_l = s_l - m_l over steps ``s``."""
     diffs = s[1:] - s[:-1]
-    deltas = s[-1] + _descending_sums(diffs - 1, 1 - diffs)
-    dmax, dmin = int(deltas.max()), int(deltas.min())
+    v = _descending_sums(diffs - 1, 1 - diffs)  # delta_l - s_k for l < k
+    dmax, dmin = int(s[-1] + v.max(initial=0)), int(s[-1] + v.min(initial=0))
     return WidthReport(delta_max=dmax, delta_min=dmin, width=dmax - dmin + 1)
 
 
 def delta_sequence(stair: Staircase) -> WidthReport:
     """Delta gradings delta_l = s_l - m_l and the width of their spread."""
+    import numpy as np
+
     return _width_report(np.asarray(stair.s, dtype=np.int64))
 
 
@@ -236,7 +253,9 @@ def width_torus(p: int, q: int) -> WidthReport:
     >>> width_torus(4, 5).width
     3
     """
-    return _width_report(_torus_steps(*normalize_torus_params(p, q)))
+    p, q = normalize_torus_params(p, q)
+    _check_torus_size(p, q)
+    return _width_report(_torus_steps(p, q))
 
 
 def width_formula(p: int, q: int) -> int:
@@ -262,6 +281,13 @@ def width_formula(p: int, q: int) -> int:
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 
+# A scan whose kernels total fewer entries than this runs serially: below it,
+# starting a pool cost more than it saved (2 cores: the bound-50 scan, 4.3e5
+# entries, took 36 ms serially and 64 ms with 2 workers; the two broke even
+# near 2e6 entries, about bound 72; bound 250 has 2.9e8).
+_SERIAL_BELOW = 2_000_000
+
+
 def _widths(knots: list[tuple[int, int]]) -> list[int]:
     return [width_torus(p, q).width for p, q in knots]
 
@@ -280,7 +306,8 @@ def scan_conjecture(
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, each
-    worker taking every jobs-th knot; the check itself always runs here in
+    worker taking every jobs-th knot, unless the knots' kernels total fewer
+    than ``_SERIAL_BELOW`` entries; the check itself always runs here in
     one fixed order, so the result is identical for every worker count.
     """
     q_lo, q_hi = q_range if q_range is not None else (3, bound)
@@ -293,6 +320,8 @@ def scan_conjecture(
     previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
     knots = sorted(set(pairs).union(knot for knot in previous if knot[0] > 1))
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(knots)))
+    if sum((p - 1) * (q - 1) + 1 for p, q in knots) < _SERIAL_BELOW:
+        jobs = 1
     if jobs == 1:
         widths = _widths(knots)
     else:

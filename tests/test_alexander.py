@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from torusknot import alexander
 from torusknot.alexander import (
+    KnotTooLarge,
     NotCoprime,
     TorusFamily,
     alexander_closed_form,
@@ -30,6 +32,15 @@ GOLDEN = {
 @pytest.mark.parametrize("pq,text", sorted(GOLDEN.items()))
 def test_golden_polynomials(pq, text):
     assert alexander_torus(*pq).to_text() == text
+
+
+def test_size_cap(monkeypatch):
+    with pytest.raises(KnotTooLarge, match="above the cap"):
+        alexander_torus(100000, 100001)
+    monkeypatch.setattr(alexander, "MAX_TORUS_PRODUCT", 20)
+    assert alexander_torus(5, 4).to_text() == GOLDEN[4, 5]  # p * q = 20: at the cap
+    with pytest.raises(KnotTooLarge):
+        alexander_torus(3, 7)
 
 
 def test_parameter_normalization():

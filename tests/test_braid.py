@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusknot import braid
 from torusknot.braid import (
     BraidWord,
     IndexOutOfRange,
@@ -14,6 +15,7 @@ from torusknot.braid import (
     StrandMismatch,
     UnknownMacro,
     UnsupportedTorusFamily,
+    WordTooLong,
     cyclically_equal,
     lemma_word,
     normal_form,
@@ -70,6 +72,25 @@ def test_deep_nesting_is_a_parse_error():
     assert parse_braid("(" * 200 + "1" + ")" * 200, 3).as_text() == "1"
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_braid("(" * 3000 + "1" + ")" * 3000, 3)
+
+
+def test_word_length_cap(monkeypatch):
+    with pytest.raises(WordTooLong, match="above the cap"):
+        parse_braid("(1)^99999999999", 2)
+    with pytest.raises(WordTooLong):
+        parse_braid("{delta_p}", 100000)
+    with pytest.raises(WordTooLong):
+        torus_braid_word(100000, 100001)
+    with pytest.raises(WordTooLong):
+        lemma_word(4, 40000000001)
+    monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 4)
+    assert parse_braid("1^4", 2).letters == (1,) * 4
+    assert torus_braid_word(3, 2).letters == (1, 2, 1, 2)
+    for text in ("1^5", "(11)^3", "(11)(11)1", "11 1 1 1", "{delta_p}"):
+        with pytest.raises(WordTooLong):
+            parse_braid(text, 3)
+    with pytest.raises(WordTooLong):
+        torus_braid_word(3, 3)
 
 
 def test_macro_generator_out_of_range():

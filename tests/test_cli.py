@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,32 @@ def test_compact_json_single_line(capsys):
     assert json.loads(out) == {"delta_max": 6, "delta_min": 4, "width": 3}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "alexander 100000 100001",
+        "hfk 100000 100001",
+        "width 100000 100001",
+        "bounds 100000 100001",
+        "braid-eq --strands 2 (1)^99999999999 1",
+        "dalt --strands 100000 {delta_p}",
+        "states --torus 100000 100001 --assignment all-A",
+        "turaev-genus --tabulated 4 40000000001",
+        "bounds 4 40000000000",
+    ],
+)
+def test_oversized_inputs_exit_two_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "above the cap" in capsys.readouterr().err
+    assert peak < 2**20  # bytes: the refusal comes before any big allocation
+
+
 @pytest.mark.parametrize("env", ["abc", "2.5", " "])
 def test_non_integer_jobs_env_exits_two(capsys, monkeypatch, env):
     monkeypatch.setenv("TORUSKNOT_JOBS", env)
@@ -231,6 +260,9 @@ def test_non_integer_jobs_env_exits_two(capsys, monkeypatch, env):
 def test_jobs_env_is_clamped_to_cpu_count(capsys, monkeypatch, inline_pool):
     import os
 
+    from torusknot import hfk
+
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("TORUSKNOT_JOBS", "64")
     code, document, _ = run_json(capsys, "scan", "--bound", "40")
@@ -318,6 +350,42 @@ def test_golden_transcript(case, golden, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("TORUSKNOT_JOBS", raising=False)
     assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
+
+
+# Commands that never compute a staircase or a width, so never load numpy.
+_NUMPY_FREE = (
+    "alexander", "braid-eq", "dalt", "turaev-genus", "states", "verify-lemmas",
+)
+_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # from here on, every numpy import raises ImportError
+import torusknot, torusknot.cli
+from test_cli import _transcript
+cases, pd_path = json.loads(sys.argv[1]), sys.argv[2]
+print(json.dumps({case: _transcript(case, pd_path) for case in cases}))
+"""
+
+
+def test_numpy_free_commands_match_golden(golden, tmp_path):
+    cases = [
+        case
+        for case in _TRANSCRIPT_CASES
+        if case.split()[0] in _NUMPY_FREE and "--help" not in case
+    ]
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED, json.dumps(cases), _write_pd(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    transcripts = json.loads(done.stdout)
+    assert len(cases) == 45  # 15 commands, each in three output modes
+    for case in cases:
+        assert transcripts[case] == golden["cases"][case], case
 
 
 if __name__ == "__main__":

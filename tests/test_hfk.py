@@ -59,6 +59,16 @@ def test_non_staircase_polynomials_rejected(terms):
         extract_staircase(LaurentPolynomial.from_terms(terms))
 
 
+@pytest.mark.parametrize("c", [2**70, -(2**70), 2**63, 2])
+def test_big_coefficients_are_not_lspace_form(c):
+    # Python-int coefficients past int64 are a domain error, not an
+    # OverflowError from converting them to an array.
+    with pytest.raises(NotLSpaceForm, match="must all be"):
+        extract_staircase(LaurentPolynomial(0, [c]))
+    with pytest.raises(NotLSpaceForm, match="must all be"):
+        extract_staircase(LaurentPolynomial(-1, [1, c, 1]))
+
+
 @pytest.mark.parametrize("k,s", [(2, (0, 1)), (1, (1, 2)), (0, ())])
 def test_malformed_staircase_rejected(k, s):
     with pytest.raises(ValueError):
@@ -169,7 +179,8 @@ def test_scan_q_range_partition():
     assert sorted(lo[1] + hi[1], key=lambda v: (v.q, v.p)) == full[1]
 
 
-def test_parallel_scan_matches_serial():
+def test_parallel_scan_matches_serial(monkeypatch):
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)  # a real pool, even this small
     for jobs in (1, 2, 3):
         assert scan_conjecture_parallel(60, jobs=jobs) == scan_conjecture(60)
 
@@ -191,11 +202,22 @@ def test_scan_computes_each_width_once(monkeypatch):
     assert len(calls) == len(set(calls)) > checked
 
 
+def test_small_scans_run_serially(monkeypatch, inline_pool):
+    monkeypatch.setattr(hfk.os, "cpu_count", lambda: 2)
+    assert scan_conjecture(50, jobs=2) == scan_conjecture(50)
+    assert inline_pool == []
+    # bound 250 still uses the pool; a stand-in width keeps this test fast
+    monkeypatch.setattr(hfk, "width_torus", lambda p, q: WidthReport(0, 0, 1))
+    scan_conjecture(250, jobs=2)
+    assert inline_pool == [2]
+
+
 @pytest.mark.parametrize(
     "cpus,jobs,pool_size",
     [(2, 64, 2), (4, 3, 3), (1, 8, None), (None, 8, None), (8, 0, None), (8, -3, None)],
 )
 def test_scan_clamps_jobs_to_cpu_count(monkeypatch, inline_pool, cpus, jobs, pool_size):
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)
     monkeypatch.setattr(hfk.os, "cpu_count", lambda: cpus)
     assert scan_conjecture(30, jobs=jobs) == scan_conjecture(30)
     assert inline_pool == ([] if pool_size is None else [pool_size])
