@@ -642,8 +642,11 @@ def verify_lemmas(n_max: int = 4) -> list[LemmaCheck]:
     The (5, 5n+3) identity is checked up to cyclic rotation (that is how it
     holds); all others on the nose.  Each check also confirms the two words
     have the same length and underlying permutation before running the
-    normal-form comparison.
+    normal-form comparison.  ``n_max`` below 1 is a ``ValueError``: it
+    would check nothing.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}: no identity to check")
     results: list[LemmaCheck] = []
     for n in range(1, n_max + 1):
         for p, q in _lemma_cases(n):

@@ -12,6 +12,13 @@ that runs it.  That one table drives the parser, the dispatch and the
 output: a command returns ``(document, text, exit_code)`` and
 :func:`main` prints the document or the text.
 
+Imports are per command: importing this module loads no other module of
+the package.  Each command imports what it runs inside its own body, and
+a subcommand's arguments are added only when the command line selects it,
+so ``alexander`` loads :mod:`~torusknot.alexander` and
+:mod:`~torusknot.laurent` alone, and only ``verify-paper`` loads
+:mod:`~torusknot.verify`, whose check names are the choices of ``--only``.
+
 Worker counts for the scanning subcommands default to the
 ``TORUSKNOT_JOBS`` environment variable when set.
 """
@@ -23,38 +30,11 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .alexander import alexander_torus
-from .bounds import bounds_report
-from .braid import (
-    SearchBudgetExceeded,
-    cyclically_equal,
-    lemma_word,
-    parse_braid,
-    torus_braid_word,
-    verify_lemmas,
-    words_equal,
-)
-from .diagram import (
-    Diagram,
-    all_a,
-    all_b,
-    closure_diagram,
-    dealternating_number_diagram,
-    import_pd,
-    state_components,
-    turaev_genus_diagram,
-)
-from .hfk import (
-    WidthReport,
-    delta_sequence,
-    extract_staircase,
-    hfk_from_staircase,
-    scan_conjecture,
-    width_torus,
-)
-from .verify import CHECK_NAMES, run_checks
+if TYPE_CHECKING:
+    from .diagram import Diagram
+    from .hfk import WidthReport
 
 __all__ = ["main"]
 
@@ -75,9 +55,13 @@ def _default_jobs() -> str:
 
 
 def _diagram_from_args(args: argparse.Namespace) -> Diagram:
+    from .diagram import closure_diagram, import_pd
+
     if args.pd is not None:
         with open(args.pd, "r", encoding="utf-8") as handle:
             return import_pd(handle.read())
+    from .braid import lemma_word, parse_braid, torus_braid_word
+
     if args.tabulated is not None:
         p, q = args.tabulated
         return closure_diagram(lemma_word(p, q))
@@ -131,6 +115,18 @@ def _jobs_arg(help: str) -> _Adder:
     )
 
 
+def _check_names_arg(sub: argparse.ArgumentParser) -> None:
+    # The check names are declared once, in verify.py; only verify-paper loads it.
+    from .verify import CHECK_NAMES
+
+    sub.add_argument(
+        "--only",
+        action="append",
+        choices=CHECK_NAMES,
+        help="run a single named check (repeatable)",
+    )
+
+
 _PQ = (
     _arg("p", type=int, help="strand count of the torus link"),
     _arg("q", type=int, help="winding count of the torus link"),
@@ -166,6 +162,8 @@ _COMMON = (
 
 @_command("alexander", "Alexander polynomial of the torus knot T(p,q)", *_PQ)
 def _alexander(args: argparse.Namespace) -> _Output:
+    from .alexander import alexander_torus
+
     delta = alexander_torus(args.p, args.q)
     document = {
         "p": args.p,
@@ -182,6 +180,9 @@ def _width_text(report: WidthReport) -> str:
 
 @_command("hfk", "knot Floer staircase generators of T(p,q)", *_PQ)
 def _hfk(args: argparse.Namespace) -> _Output:
+    from .alexander import alexander_torus
+    from .hfk import delta_sequence, extract_staircase, hfk_from_staircase
+
     stair = extract_staircase(alexander_torus(args.p, args.q))
     generators = hfk_from_staircase(stair).generators()
     report = delta_sequence(stair)
@@ -200,6 +201,8 @@ def _hfk(args: argparse.Namespace) -> _Output:
 
 @_command("width", "homological width of the staircase of T(p,q)", *_PQ)
 def _width(args: argparse.Namespace) -> _Output:
+    from .hfk import width_torus
+
     report = width_torus(args.p, args.q)
     return asdict(report), _width_text(report), 0
 
@@ -211,6 +214,8 @@ def _width(args: argparse.Namespace) -> _Output:
     _jobs_arg("worker processes (default: TORUSKNOT_JOBS or 1)"),
 )
 def _scan(args: argparse.Namespace) -> _Output:
+    from .hfk import scan_conjecture
+
     checked, violations = scan_conjecture(args.bound, jobs=args.jobs)
     document = {
         "bound": args.bound,
@@ -232,6 +237,8 @@ def _scan(args: argparse.Namespace) -> _Output:
     _arg("word2", help="second braid word"),
 )
 def _braid_eq(args: argparse.Namespace) -> _Output:
+    from .braid import cyclically_equal, parse_braid, words_equal
+
     a = parse_braid(args.word1, args.strands)
     b = parse_braid(args.word2, args.strands)
     if args.cyclic:
@@ -256,6 +263,8 @@ def _braid_eq(args: argparse.Namespace) -> _Output:
     _arg("--n-max", type=int, default=4, help="largest n (default 4)"),
 )
 def _verify_lemmas(args: argparse.Namespace) -> _Output:
+    from .braid import verify_lemmas
+
     checks = verify_lemmas(n_max=args.n_max)
     document = [asdict(c) for c in checks]
     lines = []
@@ -273,6 +282,8 @@ def _verify_lemmas(args: argparse.Namespace) -> _Output:
     "turaev-genus", "Turaev genus of a closed-braid or PD diagram", *_DIAGRAM_SOURCE
 )
 def _turaev_genus(args: argparse.Namespace) -> _Output:
+    from .diagram import all_a, all_b, turaev_genus_diagram
+
     diagram = _diagram_from_args(args)
     genus = turaev_genus_diagram(diagram)
     s_a = all_a(diagram).component_count
@@ -291,6 +302,8 @@ def _turaev_genus(args: argparse.Namespace) -> _Output:
     "dalt", "exact dealternating number of a diagram, with witness", *_DIAGRAM_SOURCE
 )
 def _dalt(args: argparse.Namespace) -> _Output:
+    from .diagram import dealternating_number_diagram
+
     diagram = _diagram_from_args(args)
     report = dealternating_number_diagram(diagram)
     document = {
@@ -317,6 +330,8 @@ def _dalt(args: argparse.Namespace) -> _Output:
     ),
 )
 def _states(args: argparse.Namespace) -> _Output:
+    from .diagram import state_components
+
     diagram = _diagram_from_args(args)
     letter_count = len(diagram.signs)
     if args.assignment == "all-A":
@@ -342,6 +357,8 @@ def _states(args: argparse.Namespace) -> _Output:
     *_PQ,
 )
 def _bounds(args: argparse.Namespace) -> _Output:
+    from .bounds import bounds_report
+
     report = bounds_report(args.p, args.q)
     lines = []
     for key in ("turaev_genus", "dealternating"):
@@ -377,14 +394,11 @@ def _bounds(args: argparse.Namespace) -> _Output:
     ),
     _jobs_arg("worker processes for the scan (default: TORUSKNOT_JOBS or 1)"),
     _arg("--n-max", type=int, default=4, help="largest n for identities"),
-    _arg(
-        "--only",
-        action="append",
-        choices=CHECK_NAMES,
-        help="run a single named check (repeatable)",
-    ),
+    _check_names_arg,
 )
 def _verify_paper(args: argparse.Namespace) -> _Output:
+    from .verify import run_checks
+
     names = tuple(args.only) if args.only else None
     results = run_checks(
         scan_bound=args.scan_bound, jobs=args.jobs, n_max=args.n_max, names=names
@@ -406,6 +420,25 @@ def _verify_paper(args: argparse.Namespace) -> _Output:
 # parser and entry point
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it parses.
+
+    argparse hands the rest of the command line only to the subcommand it
+    names, so only that subcommand's arguments, and what they import, are
+    ever built.
+    """
+
+    def __init__(self, *, arguments: tuple[_Adder, ...] = (), **options) -> None:
+        super().__init__(**options)
+        self._pending = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        for add in self._pending:
+            add(self)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusknot",
@@ -413,13 +446,26 @@ def build_parser() -> argparse.ArgumentParser:
         "knot Floer staircases, braid-word identities, Kauffman state "
         "counts, Turaev genus, and dealternating numbers.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for command in _COMMANDS:
-        sub = subparsers.add_parser(command.name, help=command.help)
-        for add in command.arguments + _COMMON:
-            add(sub)
+        sub = subparsers.add_parser(
+            command.name, help=command.help, arguments=command.arguments + _COMMON
+        )
         sub.set_defaults(handler=command.run)
     return parser
+
+
+def _exit_two_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports with exit code 2.
+
+    Only code in :mod:`torusknot.braid` raises ``SearchBudgetExceeded``, so
+    it is looked up only if that module was loaded.
+    """
+    errors = (ValueError, ArithmeticError, OSError)
+    braid = sys.modules.get(f"{__package__}.braid")
+    return errors + (braid.SearchBudgetExceeded,) if braid else errors
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -427,7 +473,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         document, text, code = args.handler(args)
-    except (ValueError, ArithmeticError, OSError, SearchBudgetExceeded) as exc:
+    except _exit_two_errors() as exc:  # evaluated only when the command raised
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -302,7 +302,8 @@ def scan_conjecture(
     knot in its column; (p, q-p) pairs with q - p <= 1 have width 1.
     Returns (number of pairs checked, violations), violations ordered by
     (q, p).  An empty violation list over the full range is the conjecture
-    holding below the bound.
+    holding below the bound.  A range with no coprime pair is a
+    ``ValueError``: the scan would check nothing.
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, each
@@ -317,6 +318,12 @@ def scan_conjecture(
         for p in range(2, q)
         if math.gcd(p, q) == 1
     ]
+    if not pairs:
+        raise ValueError(
+            f"no coprime pair 1 < p < q < {bound}"
+            + (f" with q in [{q_lo}, {q_hi})" if q_range is not None else "")
+            + ": nothing to scan"
+        )
     previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
     knots = sorted(set(pairs).union(knot for knot in previous if knot[0] > 1))
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(knots)))

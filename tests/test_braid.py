@@ -315,3 +315,9 @@ def test_verify_lemmas_smallest_case():
     assert {c.crossings for c in checks} == {
         (p - 1) * q for (p, q) in relations
     }
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_verify_lemmas_refuses_an_empty_range(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        verify_lemmas(n_max=n_max)

@@ -245,6 +245,23 @@ def test_oversized_inputs_exit_two_before_allocating(capsys, argv):
     assert peak < 2**20  # bytes: the refusal comes before any big allocation
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify-lemmas --n-max 0",
+        "scan --bound -5",
+        "verify-paper --only braid-lemmas --n-max 0",
+        "verify-paper --only conjecture-scan --scan-bound -3",
+    ],
+)
+def test_vacuous_verifications_exit_two(capsys, argv):
+    # Each of these used to print PASS and exit 0 after checking nothing.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ("n_max" in err or "no coprime pair" in err)
+
+
 @pytest.mark.parametrize("env", ["abc", "2.5", " "])
 def test_non_integer_jobs_env_exits_two(capsys, monkeypatch, env):
     monkeypatch.setenv("TORUSKNOT_JOBS", env)
@@ -386,6 +403,82 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
     assert len(cases) == 45  # 15 commands, each in three output modes
     for case in cases:
         assert transcripts[case] == golden["cases"][case], case
+
+
+# The package modules each command loads, besides torusknot.cli: every
+# command imports what it runs when it runs, and nothing at start-up.
+_ALEXANDER = {"alexander", "laurent"}
+_WIDTH = _ALEXANDER | {"hfk"}
+_DIAGRAM = {"braid", "diagram"}  # a diagram built from a braid word
+_BOUNDS = _WIDTH | _DIAGRAM | {"bounds"}
+_LOADS = {
+    "alexander": _ALEXANDER,
+    "hfk": _WIDTH,
+    "width": _WIDTH,
+    "scan": _WIDTH,
+    "braid-eq": {"braid"},
+    "verify-lemmas": {"braid"},
+    "turaev-genus": _DIAGRAM,
+    "dalt": _DIAGRAM,
+    "states": _DIAGRAM,
+    "bounds": _BOUNDS,
+    "verify-paper": _BOUNDS | {"verify"},
+}
+
+
+def _expected_modules(case: str) -> list[str]:
+    words = case.split()
+    if "--pd" in words:
+        names = {"diagram"}
+    elif "--help" in words:  # only verify-paper's arguments need a module
+        names = _LOADS["verify-paper"] if words[0] == "verify-paper" else set()
+    else:
+        names = _LOADS[words[0]]
+    return sorted(f"torusknot.{name}" for name in names | {"cli"})
+
+
+_RECORD_LOADS = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("torusknot."))
+
+import torusknot
+after = {"import torusknot": loaded()}
+import torusknot.cli
+after["import torusknot.cli"] = loaded()
+from test_cli import _transcript  # imports more of the package; purged below
+cases, pd_path = json.loads(sys.argv[1]), sys.argv[2]
+for case in cases:
+    for name in loaded():
+        if name != "torusknot.cli":
+            del sys.modules[name]
+    _transcript(case, pd_path)
+    after[case] = loaded()
+print(json.dumps(after))
+"""
+
+
+def test_each_command_loads_only_what_it_uses(tmp_path):
+    # One golden case per command (the output mode loads nothing), and every
+    # --help; each runs after the other package modules are unloaded.
+    cases = _TRANSCRIPT_COMMANDS + [c for c in _TRANSCRIPT_CASES if "--help" in c]
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", _RECORD_LOADS, json.dumps(cases), _write_pd(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    after = json.loads(done.stdout)
+    assert after.pop("import torusknot") == []
+    assert after.pop("import torusknot.cli") == ["torusknot.cli"]
+    assert len(after) == 34  # 22 commands and 12 --help cases
+    for case in cases:
+        assert after[case] == _expected_modules(case), case
 
 
 if __name__ == "__main__":

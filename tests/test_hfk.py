@@ -179,6 +179,19 @@ def test_scan_q_range_partition():
     assert sorted(lo[1] + hi[1], key=lambda v: (v.q, v.p)) == full[1]
 
 
+@pytest.mark.parametrize(
+    "bound,q_range", [(-5, None), (0, None), (3, None), (40, (20, 20)), (40, (50, 60))]
+)
+def test_scan_refuses_a_range_without_coprime_pairs(bound, q_range):
+    with pytest.raises(ValueError, match="no coprime pair"):
+        scan_conjecture(bound, q_range)
+
+
+def test_smallest_scan_checks_one_pair():
+    assert scan_conjecture(4) == (1, [])
+    assert scan_conjecture(40, (23, 24))[0] == coprime_pair_count(24) - coprime_pair_count(23)
+
+
 def test_parallel_scan_matches_serial(monkeypatch):
     monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)  # a real pool, even this small
     for jobs in (1, 2, 3):
