@@ -1,6 +1,8 @@
 """Certified bound brackets for Turaev genus and dealternating number."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from torusknot.bounds import (
     bounds_report,
     known_dealternating_upper,
 )
+from torusknot.braid import UnsupportedTorusFamily, lemma_word
 from torusknot.hfk import width_torus
 
 
@@ -112,3 +115,49 @@ def test_upper_source_names_a_diagram():
     assert dealt.upper_source in ("tabulated diagram", "standard closure")
     turaev, _ = bounds(2, 9)
     assert turaev.upper_source == "standard closure"
+
+
+# ----------------------------------------------------------------------
+# golden families: lemma_word and known_dealternating_upper on a grid
+
+_FAMILIES_GOLDEN_PATH = Path(__file__).with_name("families_golden.json")
+_GRID = [(p, q) for p in range(1, 9) for q in range(1, 61)]
+# the tabulated families T(p, pn + r), by (p, r)
+_FAMILY_KEYS = [(4, r) for r in range(4)] + [(5, r) for r in range(5)] + [(6, 0), (6, 1)]
+
+
+def _family_record(p: int, q: int) -> dict:
+    """lemma_word and known_dealternating_upper of (p, q), as JSON values."""
+    try:
+        word = lemma_word(p, q).as_text()
+    except UnsupportedTorusFamily as err:
+        word = {"error": type(err).__name__, "message": str(err)}
+    known = known_dealternating_upper(p, q)
+    if known is not None:
+        known = {
+            "value": known.value,
+            "needs_pd_import": known.needs_pd_import,
+            "note": known.note,
+        }
+    return {"lemma_word": word, "known_upper": known}
+
+
+def test_families_match_golden():
+    golden = json.loads(_FAMILIES_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert len(golden) == len(_GRID) == 480
+    for p, q in _GRID:
+        assert _family_record(p, q) == golden[f"{p},{q}"], (p, q)
+    # the grid holds every tabulated family for n = 1..6
+    for p, r in _FAMILY_KEYS:
+        for n in range(1, 7):
+            assert isinstance(golden[f"{p},{p * n + r}"]["lemma_word"], str)
+
+
+if __name__ == "__main__":
+    # Re-record tests/families_golden.json from the current code:
+    #     PYTHONPATH=src python tests/test_bounds.py
+    # Only do this for a deliberate change of a tabulated family.
+    records = {f"{p},{q}": _family_record(p, q) for p, q in _GRID}
+    _FAMILIES_GOLDEN_PATH.write_text(
+        json.dumps(records, indent=1) + "\n", encoding="utf-8"
+    )
