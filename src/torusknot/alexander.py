@@ -141,15 +141,11 @@ class TorusFamily:
         offset = {"pn+1": 1, "pn-1": -1, "5n+2": 2, "5n+3": 3}[self.kind]
         return self.p * self.n + offset
 
-    @property
-    def params(self) -> tuple[int, int]:
-        return (self.p, self.q)
-
 
 def alexander_closed_form(family: TorusFamily) -> LaurentPolynomial:
     """Evaluate the family's explicit closed-form Alexander expansion.
 
-    Equal to ``alexander_torus(*family.params)`` on every family member; the
+    Equal to ``alexander_torus(family.p, family.q)`` on every family member; the
     closed forms are sparse sums whose term count grows linearly in n.  For
     n = 0 (members like (5, 2) or (5, 3) that sit below the first genuine
     family member) the rational formula's value is returned directly.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import BraidWord, UnsupportedTorusFamily, lemma_word, torus_braid_word
+from .braid import UnsupportedTorusFamily, _family, lemma_word, torus_braid_word
 from .diagram import (
     Diagram,
     closure_diagram,
@@ -88,30 +88,11 @@ def known_dealternating_upper(p: int, q: int) -> KnownUpper | None:
     diagrams generated here do not attain it.
     """
     a, b = min(p, q), max(p, q)
-    if a < 4 or a > 6:
+    family, n = _family(a, b)
+    if family is None:
         return None
-    n, r = divmod(b, a)
-    if n < 1:
-        return None
-    wrap = "attained by a hand-modified closure (import as a PD file)"
-    if a == 4:
-        if r in (0, 1):
-            return KnownUpper(2 * n + 1, True, wrap)
-        if r == 2:
-            return KnownUpper(2 * n + 2, True, wrap)
-        return KnownUpper(
-            2 * n + 2,
-            True,
-            "best known value; the hand-modified closure attains 2n+3, "
-            "one more than this",
-        )
-    if a == 5:
-        if r in (0, 1):
-            return KnownUpper(4 * n + 1, True, wrap)
-        return KnownUpper(4 * n + r, True, wrap)
-    if r in (0, 1):
-        return KnownUpper(6 * n + 2, False, "attained by the tabulated diagram")
-    return None
+    x, y = family.known_upper
+    return KnownUpper(x * n + y, family.needs_pd_import, family.note)
 
 
 def _candidate_diagrams(p: int, q: int) -> list[tuple[str, Diagram]]:

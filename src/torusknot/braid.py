@@ -32,7 +32,7 @@ twist on the current strand count.  A word that would grow past
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ParseError",
@@ -275,14 +275,7 @@ def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
     >>> underlying_permutation(parse_braid("(123)^5", 4))
     (4, 1, 2, 3)
     """
-    p = word.strands
-    strand_at = list(range(p))
-    for g in word.letters:
-        strand_at[g - 1], strand_at[g] = strand_at[g], strand_at[g - 1]
-    pi = [0] * p
-    for pos, s in enumerate(strand_at):
-        pi[s] = pos + 1
-    return tuple(pi)
+    return tuple(v + 1 for v in _perm0(word.letters, word.strands))
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
@@ -525,97 +518,112 @@ def torus_braid_word(p: int, q: int) -> BraidWord:
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
-def _w(p: int, *chunks: "Sequence[int] | int") -> BraidWord:
-    letters: list[int] = []
-    for chunk in chunks:
-        if isinstance(chunk, int):
-            letters.append(chunk)
-        else:
-            letters.extend(chunk)
-    return BraidWord(p, tuple(letters))
+class _Family(NamedTuple):
+    """One row of the family table ``_FAMILIES``; its fields are described there."""
+
+    word: tuple[tuple[str, int, int], ...]
+    relation: str
+    s_b: tuple[int, int]
+    g_t: tuple[int, int]
+    dealternating: tuple[int, int]
+    known_upper: tuple[int, int]
+    needs_pd_import: bool
+    note: str
 
 
-def _digits(text: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in text)
+_BY_IMPORT = "attained by a hand-modified closure (import as a PD file)"
+_BY_TABLE = "attained by the tabulated diagram"
+
+# The tabulated families T(p, pn + r), n >= 1, keyed by (p, r), in the order
+# verify_lemmas checks them.  In each row:
+# * word rewrites the torus word as chunks (text, a, b): the letters of text,
+#   in the parse_braid grammar, written a*n + b times, chunk after chunk;
+# * relation is "equal" when word equals the torus word as a braid, and
+#   "cyclic" when it does up to cyclic rotation (the closures still agree);
+# * s_b, g_t and dealternating are the all-B circle count, Turaev genus and
+#   dealternating number of the closure of word, and known_upper is the best
+#   known dealternating upper bound of T(p, q), each a pair (a, b) for a*n + b;
+# * needs_pd_import says no diagram built here attains known_upper, and note
+#   says what does.
+_FAMILIES: dict[tuple[int, int], _Family] = {
+    (4, 0): _Family(
+        (("1", 2, 0), ("3", 2, 0), ("2132", 2, 0)),
+        "equal", (8, -2), (2, 0), (4, 0), (2, 1), True, _BY_IMPORT,
+    ),
+    (4, 1): _Family(
+        (("1", 2, 0), ("3", 2, 0), ("2132", 2, -1), ("2131213", 0, 1)),
+        "equal", (8, 1), (2, 0), (4, 0), (2, 1), True, _BY_IMPORT,
+    ),
+    (4, 2): _Family(
+        (("1", 2, 2), ("3", 2, 0), ("2132", 2, 1)),
+        "equal", (8, 2), (2, 1), (4, 2), (2, 2), True, _BY_IMPORT,
+    ),
+    (4, 3): _Family(
+        (("1", 2, 2), ("3", 2, 0), ("2132", 2, 0), ("2131213", 0, 1)),
+        "equal", (8, 5), (2, 1), (4, 2), (2, 2), True,
+        "best known value; the hand-modified closure attains 2n+3, one more than this",
+    ),
+    (5, 0): _Family(
+        (("2311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
+         ("{gamma}43", 0, 1)),
+        "equal", (12, -3), (4, 0), (4, 2), (4, 1), True, _BY_IMPORT,
+    ),
+    (5, 1): _Family(
+        (("1323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
+         ("{gamma}343", 0, 1)),
+        "equal", (12, 1), (4, 0), (4, 2), (4, 1), True, _BY_IMPORT,
+    ),
+    (5, 2): _Family(
+        (("1231323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
+         ("{gamma}3433", 0, 1)),
+        "equal", (12, 3), (4, 1), (4, 3), (4, 2), True, _BY_IMPORT,
+    ),
+    (5, 3): _Family(
+        (("12131231323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1),
+         ("{beta}", 1, -1), ("{gamma}3433", 0, 1)),
+        "cyclic", (12, 5), (4, 2), (4, 4), (4, 3), True, _BY_IMPORT,
+    ),
+    (5, 4): _Family(
+        (("2311", 0, 1), ("{alpha}", 1, 0), ("234", 0, 1), ("{beta}", 1, 0),
+         ("311231422", 0, 1)),
+        "equal", (12, 7), (4, 3), (4, 7), (4, 4), True, _BY_IMPORT,
+    ),
+    (6, 0): _Family(
+        (("2", 0, 1), ("{zeta}323", 1, -1), ("{zeta}234", 0, 1), ("{eta}343", 1, -1),
+         ("{eta}43", 0, 1)),
+        "equal", (18, -4), (6, 0), (6, 2), (6, 2), False, _BY_TABLE,
+    ),
+    (6, 1): _Family(
+        (("1323", 0, 1), ("{zeta}323", 1, -1), ("{zeta}234", 0, 1),
+         ("{eta}343", 1, -1), ("{eta}3435", 0, 1)),
+        "equal", (18, 1), (6, 0), (6, 2), (6, 2), False, _BY_TABLE,
+    ),
+}
+
+
+def _family(p: int, q: int) -> tuple[_Family | None, int]:
+    """The table row of T(p, q) (None outside the table) and its n = q // p."""
+    n, r = divmod(q, p) if p >= 1 else (0, 0)
+    return (_FAMILIES.get((p, r)) if n >= 1 else None), n
 
 
 def lemma_word(p: int, q: int) -> BraidWord:
     """The tabulated rewriting of the (p, q) torus word, p in {4, 5, 6}.
 
     These are the words whose closures have small all-B Kauffman state
-    counts; each equals the standard torus word as a braid (the (5, 5n+3)
-    entry up to cyclic rotation), which :func:`verify_lemmas` checks.
-    Requires q >= p (so n = q // p >= 1); on six strands only q = 6n and
-    q = 6n+1 are tabulated.  Raises UnsupportedTorusFamily otherwise.
+    counts; each equals the standard torus word as a braid, or up to cyclic
+    rotation where its family's relation is ``"cyclic"``, which
+    :func:`verify_lemmas` checks.  Requires q >= p (so n = q // p >= 1) and
+    a tabulated residue q % p; raises UnsupportedTorusFamily otherwise.
     """
-    n, r = divmod(q, p)
-    if p not in (4, 5, 6) or n < 1 or (p == 6 and r > 1):
+    family, n = _family(p, q)
+    if family is None:
         raise UnsupportedTorusFamily(
             f"no tabulated rewriting for the ({p}, {q}) torus word"
         )
     _check_length((p - 1) * q)  # a rewriting is as long as the torus word
-    if p == 4:
-        block = _digits("2132")
-        if r == 0:
-            return _w(4, [1] * (2 * n), [3] * (2 * n), block * (2 * n))
-        if r == 1:
-            return _w(
-                4,
-                [1] * (2 * n),
-                [3] * (2 * n),
-                block * (2 * n - 1),
-                _digits("2131213"),
-            )
-        if r == 2:
-            return _w(4, [1] * (2 * n + 2), [3] * (2 * n), block * (2 * n + 1))
-        return _w(
-            4,
-            [1] * (2 * n + 2),
-            [3] * (2 * n),
-            block * (2 * n),
-            _digits("2131213"),
-        )
-    if p == 5:
-        alpha = _FIXED_MACROS["alpha"]
-        beta = _FIXED_MACROS["beta"]
-        gamma = _FIXED_MACROS["gamma"]
-        if r == 0:
-            return _w(
-                5, _digits("2311"), alpha * (n - 1), _digits("234"),
-                beta * (n - 1), gamma, _digits("43"),
-            )
-        if r == 1:
-            return _w(
-                5, _digits("1323311"), alpha * (n - 1), _digits("234"),
-                beta * (n - 1), gamma, _digits("343"),
-            )
-        if r == 2:
-            return _w(
-                5, _digits("1231323311"), alpha * (n - 1), _digits("234"),
-                beta * (n - 1), gamma, _digits("3433"),
-            )
-        if r == 3:
-            return _w(
-                5, _digits("12131231323311"), alpha * (n - 1), _digits("234"),
-                beta * (n - 1), gamma, _digits("3433"),
-            )
-        return _w(
-            5, _digits("2311"), alpha * n, _digits("234"),
-            beta * n, _digits("311231422"),
-        )
-    zeta = _FIXED_MACROS["zeta"]
-    eta = _FIXED_MACROS["eta"]
-    zeta_link = zeta + _digits("323")
-    eta_link = eta + _digits("343")
-    if r == 0:
-        return _w(
-            6, 2, zeta_link * (n - 1), zeta, _digits("234"),
-            eta_link * (n - 1), eta, _digits("43"),
-        )
-    return _w(
-        6, _digits("1323"), zeta_link * (n - 1), zeta, _digits("234"),
-        eta_link * (n - 1), eta, _digits("3435"),
-    )
+    text = "".join(f"({chunk})^{a * n + b}" for chunk, a, b in family.word)
+    return parse_braid(text, p)
 
 
 @dataclass(frozen=True)
@@ -630,46 +638,27 @@ class LemmaCheck:
     passed: bool
 
 
-def _lemma_cases(n: int) -> Iterator[tuple[int, int]]:
-    for p, residues in ((4, range(4)), (5, range(5)), (6, range(2))):
-        for r in residues:
-            yield p, p * n + r
-
-
 def verify_lemmas(n_max: int = 4) -> list[LemmaCheck]:
     """Check every tabulated rewriting against the torus word for n = 1..n_max.
 
-    The (5, 5n+3) identity is checked up to cyclic rotation (that is how it
-    holds); all others on the nose.  Each check also confirms the two words
-    have the same length and underlying permutation before running the
-    normal-form comparison.  ``n_max`` below 1 is a ``ValueError``: it
-    would check nothing.
+    A family whose relation is ``"cyclic"`` is checked up to cyclic rotation
+    (that is how it holds), all others on the nose; either comparison
+    rejects words of different length or permutation before any normal
+    form.  ``n_max`` below 1 is a ``ValueError``: it would check nothing;
+    one whose longest word is above the cap is a ``WordTooLong``, raised
+    before any check runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}: no identity to check")
+    _check_length(max((p - 1) * (p * n_max + r) for p, r in _FAMILIES))
     results: list[LemmaCheck] = []
     for n in range(1, n_max + 1):
-        for p, q in _lemma_cases(n):
+        for (p, r), family in _FAMILIES.items():
+            q = p * n + r
             torus = torus_braid_word(p, q)
-            rewritten = lemma_word(p, q)
-            cyclic = p == 5 and q % 5 == 3
-            consistent = len(torus.letters) == len(rewritten.letters) and (
-                cyclic or underlying_permutation(torus) == underlying_permutation(rewritten)
-            )
-            if not consistent:
-                passed = False
-            elif cyclic:
-                passed = cyclically_equal(rewritten, torus)
-            else:
-                passed = words_equal(rewritten, torus)
+            same = cyclically_equal if family.relation == "cyclic" else words_equal
+            passed = same(lemma_word(p, q), torus)
             results.append(
-                LemmaCheck(
-                    p=p,
-                    q=q,
-                    n=n,
-                    relation="cyclic" if cyclic else "equal",
-                    crossings=len(torus.letters),
-                    passed=passed,
-                )
+                LemmaCheck(p, q, n, family.relation, len(torus.letters), passed)
             )
     return results

@@ -546,6 +546,11 @@ def _check_planar(diagram: Diagram) -> None:
         )
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: json.loads reads true and false as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def import_pd(text: str) -> Diagram:
     """Parse the PD JSON format; raises MalformedPDCode on any defect.
 
@@ -562,10 +567,10 @@ def import_pd(text: str) -> Diagram:
     if not isinstance(rows, list):
         raise MalformedPDCode('"crossings" must be a list')
     strands = obj.get("strands")
-    if strands is not None and (not isinstance(strands, int) or strands < 1):
+    if strands is not None and (not _is_int(strands) or strands < 1):
         raise MalformedPDCode('"strands" must be a positive integer')
     circles = obj.get("circles", 0)
-    if not isinstance(circles, int) or circles < 0:
+    if not _is_int(circles) or circles < 0:
         raise MalformedPDCode('"circles" must be a nonnegative integer')
     signs: list[str] = []
     where: dict[int, list[int]] = {}
@@ -573,7 +578,7 @@ def import_pd(text: str) -> Diagram:
         if (
             not isinstance(row, list)
             or len(row) != 5
-            or not all(isinstance(e, int) for e in row[:4])
+            or not all(_is_int(e) for e in row[:4])
             or row[4] not in ("+", "-")
         ):
             raise MalformedPDCode(

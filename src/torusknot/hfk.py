@@ -303,7 +303,8 @@ def scan_conjecture(
     Returns (number of pairs checked, violations), violations ordered by
     (q, p).  An empty violation list over the full range is the conjecture
     holding below the bound.  A range with no coprime pair is a
-    ``ValueError``: the scan would check nothing.
+    ``ValueError``: the scan would check nothing.  A range whose largest
+    knot T(q-1, q) is above the size cap raises KnotTooLarge at once.
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, each
@@ -312,6 +313,9 @@ def scan_conjecture(
     one fixed order, so the result is identical for every worker count.
     """
     q_lo, q_hi = q_range if q_range is not None else (3, bound)
+    q_max = min(q_hi, bound) - 1
+    if q_max >= max(q_lo, 3):  # refuse a too-large knot before listing any pair
+        _check_torus_size(q_max - 1, q_max)
     pairs = [
         (p, q)
         for q in range(max(q_lo, 3), min(q_hi, bound))

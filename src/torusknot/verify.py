@@ -32,6 +32,7 @@ from .alexander import (
 )
 from .bounds import bounds, known_dealternating_upper
 from .braid import (
+    _FAMILIES,
     BraidWord,
     lemma_word,
     normal_form,
@@ -292,28 +293,11 @@ def check_braid_lemmas(failures: list[str], n_max: int = 4) -> str:
 # 7. state counts and Turaev genus of the tabulated diagrams
 
 
-# The tabulated diagram of T(p, pn + r), by (p, r): its all-B circle count
-# s_B, Turaev genus g_T and dealternating number are a*n + b, given as
-# ((a, b) for s_B, (a, b) for g_T, (a, b) for the dealternating number).
-_TABULATED = {
-    (4, 0): ((8, -2), (2, 0), (4, 0)),
-    (4, 1): ((8, 1), (2, 0), (4, 0)),
-    (4, 2): ((8, 2), (2, 1), (4, 2)),
-    (4, 3): ((8, 5), (2, 1), (4, 2)),
-    (5, 0): ((12, -3), (4, 0), (4, 2)),
-    (5, 1): ((12, 1), (4, 0), (4, 2)),
-    (5, 2): ((12, 3), (4, 1), (4, 3)),
-    (5, 3): ((12, 5), (4, 2), (4, 4)),
-    (5, 4): ((12, 7), (4, 3), (4, 7)),
-    (6, 0): ((18, -4), (6, 0), (6, 2)),
-    (6, 1): ((18, 1), (6, 0), (6, 2)),
-}
-
-
 def _tabulated_diagrams():
     """(p, r, q, s_B, g_T, dealternating number) for n = 1..4."""
     for n in range(1, 5):
-        for (p, r), formulas in _TABULATED.items():
+        for (p, r), family in _FAMILIES.items():
+            formulas = (family.s_b, family.g_t, family.dealternating)
             yield (p, r, p * n + r, *(a * n + b for a, b in formulas))
 
 

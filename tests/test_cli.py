@@ -1,6 +1,7 @@
 """Command-line interface: output documents and exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -203,6 +204,17 @@ def test_non_planar_pd_exits_two(capsys, tmp_path):
         assert "not planar" in err
 
 
+@pytest.mark.parametrize("field", ["label", "strands", "circles"])
+def test_boolean_in_pd_exits_two(capsys, tmp_path, field):
+    from test_diagram import _with_true
+
+    pd_file = tmp_path / "bool.json"
+    pd_file.write_text(_with_true(field))
+    code, out, err = run(capsys, "turaev-genus", "--pd", str(pd_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -231,9 +243,15 @@ def test_compact_json_single_line(capsys):
         "states --torus 100000 100001 --assignment all-A",
         "turaev-genus --tabulated 4 40000000001",
         "bounds 4 40000000000",
+        "scan --bound 100000",
+        "verify-paper --only conjecture-scan --scan-bound 100000",
+        "verify-lemmas --n-max 100000",
     ],
 )
 def test_oversized_inputs_exit_two_before_allocating(capsys, argv):
+    # Import what the commands load first: the peak below is the input's alone.
+    for name in ("alexander", "bounds", "braid", "diagram", "hfk", "verify"):
+        importlib.import_module(f"torusknot.{name}")
     tracemalloc.start()
     try:
         code = main(argv.split())

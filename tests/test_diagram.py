@@ -252,6 +252,25 @@ def test_pd_import_validates_labels():
         import_pd(json.dumps(bad))
 
 
+def _with_true(field: str) -> str:
+    """The PD code of the T(2,3) closure with one integer replaced by true."""
+    code = json.loads(export_pd(closure_diagram(torus_braid_word(2, 3))))
+    if field == "label":
+        assert code["crossings"][0][2] == 1
+        code["crossings"][0][2] = True  # equal to 1, so it would pair with 1
+    else:
+        code[field] = True
+    return json.dumps(code)
+
+
+@pytest.mark.parametrize("field", ["label", "strands", "circles"])
+def test_pd_import_rejects_booleans(field):
+    # json reads true as a bool, a subclass of int: it must not pass as 1.
+    assert "true" in _with_true(field)
+    with pytest.raises(MalformedPDCode):
+        import_pd(_with_true(field))
+
+
 def test_pd_import_rejects_non_planar_codes():
     # One crossing whose two arcs join opposite slots: one face, not c + 2 = 3.
     with pytest.raises(MalformedPDCode, match="not planar"):
