@@ -204,15 +204,18 @@ def test_non_planar_pd_exits_two(capsys, tmp_path):
         assert "not planar" in err
 
 
-@pytest.mark.parametrize("field", ["label", "strands", "circles"])
-def test_boolean_in_pd_exits_two(capsys, tmp_path, field):
+@pytest.mark.parametrize(
+    "field,named",
+    [("label", "crossing 0"), ("strands", '"strands"'), ("circles", '"circles"')],
+)
+def test_boolean_in_pd_exits_two(capsys, tmp_path, field, named):
     from test_diagram import _with_true
 
     pd_file = tmp_path / "bool.json"
     pd_file.write_text(_with_true(field))
-    code, out, err = run(capsys, "turaev-genus", "--pd", str(pd_file))
+    code, out, err = run(capsys, "dalt", "--pd", str(pd_file))
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and named in err
 
 
 def test_usage_errors_exit_two(capsys):
