@@ -1,6 +1,8 @@
 """Alexander polynomials of torus knots: rational formula and closed forms."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from torusknot.alexander import (
     alexander_torus,
     normalize_torus_params,
 )
+from torusknot.hfk import width_formula
 from torusknot.laurent import LaurentPolynomial
 
 from _oracles import semigroup_alexander_terms
@@ -133,3 +136,54 @@ def test_zero_n_falls_back_to_rational():
     assert alexander_closed_form(TorusFamily("pn+1", 7, 0)) == LaurentPolynomial.one()
     assert alexander_closed_form(TorusFamily("5n+3", 5, 0)) == alexander_torus(5, 3)
     assert alexander_closed_form(TorusFamily("5n+2", 5, 0)) == alexander_torus(5, 2)
+
+
+# ----------------------------------------------------------------------
+# golden closed forms: width_formula and TorusFamily.q on a grid
+
+_CLOSED_FORMS_GOLDEN_PATH = Path(__file__).with_name("closed_forms_golden.json")
+_WIDTH_GRID = [
+    (p, q) for p in range(1, 13) for q in range(p + 1, 121) if math.gcd(p, q) == 1
+]
+_FAMILY_GRID = [
+    (kind, p, n)
+    for kind in ("pn+1", "pn-1", "5n+2", "5n+3", "qn+1")
+    for p in range(1, 8)
+    for n in range(0, 4)
+]
+
+
+def _outcome(compute):
+    """compute() as a JSON value, or the ValueError it raises."""
+    try:
+        return compute()
+    except ValueError as err:
+        return {"error": type(err).__name__, "message": str(err)}
+
+
+def _closed_forms_record() -> dict:
+    return {
+        "width_formula": {
+            f"{p},{q}": _outcome(lambda: width_formula(p, q)) for p, q in _WIDTH_GRID
+        },
+        "family_q": {
+            f"{kind},{p},{n}": _outcome(lambda: TorusFamily(kind, p, n).q)
+            for kind, p, n in _FAMILY_GRID
+        },
+    }
+
+
+def test_closed_forms_match_golden():
+    golden = json.loads(_CLOSED_FORMS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert len(golden["width_formula"]) == len(_WIDTH_GRID)
+    assert len(golden["family_q"]) == len(_FAMILY_GRID) == 140
+    assert _closed_forms_record() == golden
+
+
+if __name__ == "__main__":
+    # Re-record tests/closed_forms_golden.json from the current code:
+    #     PYTHONPATH=src python tests/test_alexander.py
+    # Only do this for a deliberate change of a closed-form family.
+    _CLOSED_FORMS_GOLDEN_PATH.write_text(
+        json.dumps(_closed_forms_record(), indent=1) + "\n", encoding="utf-8"
+    )
