@@ -11,11 +11,13 @@ the shape t^m - 1, so they hit the fast residue-class division path.  A knot
 with p * q above ``MAX_TORUS_PRODUCT`` raises KnotTooLarge before anything is
 allocated.
 
-Four infinite families close to explicit sparse sums (plus two special
-five-strand families); ``alexander_closed_form`` evaluates those sums
-directly.  The two computations agree on every family member — the test
-suite cross-checks them against each other and against an independent
-numerical-semigroup expansion.
+Four families close to explicit sparse sums: T(p, pn+1) and T(p, pn-1) for
+any p, and T(5, 5n+2) and T(5, 5n+3).  One table, ``_CLOSED_FORMS``, holds
+each family's offset, strand count, expansion and knot Floer width;
+``alexander_closed_form`` evaluates the expansions directly.  The two
+computations agree on every family member — the test suite cross-checks them
+against each other and against an independent numerical-semigroup
+expansion.
 """
 
 from __future__ import annotations
@@ -102,9 +104,6 @@ def alexander_torus(p: int, q: int) -> LaurentPolynomial:
     return quot.shift(-(genus_double // 2))
 
 
-_FAMILY_KINDS = ("pn+1", "pn-1", "5n+2", "5n+3")
-
-
 @dataclass(frozen=True)
 class TorusFamily:
     """One member of a closed-form family of torus knots.
@@ -125,10 +124,13 @@ class TorusFamily:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in _CLOSED_FORMS:
             raise UnsupportedFamily(f"unknown family kind {self.kind!r}")
-        if self.kind in ("5n+2", "5n+3") and self.p != 5:
-            raise UnsupportedFamily(f"family {self.kind} requires p = 5, got {self.p}")
+        strands = _CLOSED_FORMS[self.kind][1]
+        if strands is not None and self.p != strands:
+            raise UnsupportedFamily(
+                f"family {self.kind} requires p = {strands}, got {self.p}"
+            )
         if self.p < 2:
             raise UnsupportedFamily(f"family strand count must be >= 2, got {self.p}")
         if self.n < 0:
@@ -138,131 +140,99 @@ class TorusFamily:
 
     @property
     def q(self) -> int:
-        offset = {"pn+1": 1, "pn-1": -1, "5n+2": 2, "5n+3": 3}[self.kind]
-        return self.p * self.n + offset
+        return self.p * self.n + _CLOSED_FORMS[self.kind][0]
 
 
 def alexander_closed_form(family: TorusFamily) -> LaurentPolynomial:
     """Evaluate the family's explicit closed-form Alexander expansion.
 
-    Equal to ``alexander_torus(family.p, family.q)`` on every family member; the
-    closed forms are sparse sums whose term count grows linearly in n.  For
-    n = 0 (members like (5, 2) or (5, 3) that sit below the first genuine
-    family member) the rational formula's value is returned directly.
+    Equal to ``alexander_torus(family.p, family.q)`` on every family member,
+    n = 0 included; the closed forms are sparse sums whose term count grows
+    linearly in n.
     """
-    p, n, kind = family.p, family.n, family.kind
-    if n == 0:
-        return alexander_torus(p, family.q)
-    if kind == "pn+1":
-        return _closed_pn_plus(p, n) if p % 2 else _closed_even_plus(p, n)
-    if kind == "pn-1":
-        return _closed_pn_minus(p, n) if p % 2 else _closed_even_minus(p, n)
-    if kind == "5n+2":
-        return _closed_5n2(n)
-    return _closed_5n3(n)
+    return _CLOSED_FORMS[family.kind][2](family.p, family.n)
+
+
+def _symmetric(constant: int, half: list[tuple[int, int]]) -> LaurentPolynomial:
+    """constant + sum of c * (t^e + t^{-e}) over the (e, c) in ``half``."""
+    mirrored = [(-e, c) for e, c in half]
+    return LaurentPolynomial.from_terms([(0, constant), *half, *mirrored])
 
 
 def _closed_pn_plus(p: int, n: int) -> LaurentPolynomial:
-    """Odd p = 2k+1, q = pn+1:
-    1 + sum_{e=+-1} sum_{i=1..k} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j]-i)} (t^{ei}-1).
+    """q = pn+1, with k = p // 2, and c = 0 for odd p, c = kn for even p:
+    sum_{e=+-1} sum_{i=1..(p-1)//2} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j]-c-i)} (t^{ei}-1)
+    + 1 for odd p, + sum_{e=+-1} sum_{i=1..n} (-1)^{n-i} t^{eik} + (-1)^n for even p.
     """
-    k = p // 2
-    terms: list[tuple[int, int]] = [(0, 1)]
-    for eps in (1, -1):
-        for i in range(1, k + 1):
-            for j in range(n):
-                base = eps * (p * ((k - i + 1) * n - j) - i)
-                terms.append((base + eps * i, 1))
-                terms.append((base, -1))
-    return LaurentPolynomial.from_terms(terms)
+    k, odd = p // 2, p % 2 == 1
+    c = 0 if odd else k * n
+    half = [] if odd else [(i * k, (-1) ** (n - i)) for i in range(1, n + 1)]
+    for i in range(1, (p + 1) // 2):
+        for j in range(n):
+            base = p * ((k - i + 1) * n - j) - c - i
+            half += [(base + i, 1), (base, -1)]
+    return _symmetric(1 if odd else (-1) ** n, half)
 
 
 def _closed_pn_minus(p: int, n: int) -> LaurentPolynomial:
-    """Odd p = 2k+1, q = pn-1:
-    1 + sum_{e=+-1} sum_{i=1..k} sum_{j=0..n-1} t^{e p[(k-i+1)n-j-1]} (t^{ei}-1).
+    """q = pn-1, with k = p // 2, and c = 0 for odd p, c = kn for even p:
+    sum_{e=+-1} sum_{i=1..(p-1)//2} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j-1]-c)} (t^{ei}-1)
+    + 1 for odd p, + sum_{e=+-1} sum_{i=1..n-1} (-1)^{n-i-1} t^{eik} + (-1)^{n-1}
+    for even p.
     """
-    k = p // 2
-    terms: list[tuple[int, int]] = [(0, 1)]
-    for eps in (1, -1):
-        for i in range(1, k + 1):
-            for j in range(n):
-                base = eps * p * ((k - i + 1) * n - j - 1)
-                terms.append((base + eps * i, 1))
-                terms.append((base, -1))
-    return LaurentPolynomial.from_terms(terms)
+    k, odd = p // 2, p % 2 == 1
+    c = 0 if odd else k * n
+    half = [] if odd else [(i * k, (-1) ** (n - i - 1)) for i in range(1, n)]
+    for i in range(1, (p + 1) // 2):
+        for j in range(n):
+            base = p * ((k - i + 1) * n - j - 1) - c
+            half += [(base + i, 1), (base, -1)]
+    return _symmetric(1 if odd else (-1) ** (n - 1), half)
 
 
-def _closed_even_plus(p: int, n: int) -> LaurentPolynomial:
-    """Even p = 2k, q = pn+1:
-    sum_{e=+-1} sum_{i=1..k-1} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j]-kn-i)} (t^{ei}-1)
-    + sum_{e=+-1} sum_{i=1..n} (-1)^{n-i} t^{eik} + (-1)^n.
-    """
-    k = p // 2
-    terms: list[tuple[int, int]] = [(0, (-1) ** n)]
-    for eps in (1, -1):
-        for i in range(1, k):
-            for j in range(n):
-                base = eps * (p * ((k - i + 1) * n - j) - k * n - i)
-                terms.append((base + eps * i, 1))
-                terms.append((base, -1))
-        for i in range(1, n + 1):
-            terms.append((eps * i * k, (-1) ** (n - i)))
-    return LaurentPolynomial.from_terms(terms)
-
-
-def _closed_even_minus(p: int, n: int) -> LaurentPolynomial:
-    """Even p = 2k, q = pn-1:
-    sum_{e=+-1} sum_{i=1..k-1} sum_{j=0..n-1} t^{e(p[(k-i)n-j-1]+kn)} (t^{ei}-1)
-    + sum_{e=+-1} sum_{i=1..n-1} (-1)^{n-i-1} t^{eik} + (-1)^{n-1}.
-    """
-    k = p // 2
-    terms: list[tuple[int, int]] = [(0, (-1) ** (n - 1))]
-    for eps in (1, -1):
-        for i in range(1, k):
-            for j in range(n):
-                base = eps * (p * ((k - i) * n - j - 1) + k * n)
-                terms.append((base + eps * i, 1))
-                terms.append((base, -1))
-        for i in range(1, n):
-            terms.append((eps * i * k, (-1) ** (n - i - 1)))
-    return LaurentPolynomial.from_terms(terms)
-
-
-def _closed_5n2(n: int) -> LaurentPolynomial:
+def _closed_5n2(p: int, n: int) -> LaurentPolynomial:
     """(5, 5n+2):
     1 + sum_e sum_{j=0..n} t^{e(10n-5j+1)} (t^e - 1)
       + sum_e sum_{j=0..n-1} t^{e(5n-5j-4)} (t^{4e} - t^{3e} + t^e - 1).
     """
-    terms: list[tuple[int, int]] = [(0, 1)]
-    for eps in (1, -1):
-        for j in range(n + 1):
-            base = eps * (10 * n - 5 * j + 1)
-            terms.append((base + eps, 1))
-            terms.append((base, -1))
-        for j in range(n):
-            base = eps * (5 * n - 5 * j - 4)
-            terms.append((base + 4 * eps, 1))
-            terms.append((base + 3 * eps, -1))
-            terms.append((base + eps, 1))
-            terms.append((base, -1))
-    return LaurentPolynomial.from_terms(terms)
+    half: list[tuple[int, int]] = []
+    for j in range(n + 1):
+        base = 10 * n - 5 * j + 1
+        half += [(base + 1, 1), (base, -1)]
+    for j in range(n):
+        base = 5 * n - 5 * j - 4
+        half += [(base + 4, 1), (base + 3, -1), (base + 1, 1), (base, -1)]
+    return _symmetric(1, half)
 
 
-def _closed_5n3(n: int) -> LaurentPolynomial:
+def _closed_5n3(p: int, n: int) -> LaurentPolynomial:
     """(5, 5n+3):
     1 + sum_e sum_{j=0..n-1} t^{e(10n-5j+3)} (t^e - 1)
       + sum_e sum_{j=0..n} t^{e(5n-5j)} (t^{4e} - t^{3e} + t^e - 1).
     """
-    terms: list[tuple[int, int]] = [(0, 1)]
-    for eps in (1, -1):
-        for j in range(n):
-            base = eps * (10 * n - 5 * j + 3)
-            terms.append((base + eps, 1))
-            terms.append((base, -1))
-        for j in range(n + 1):
-            base = eps * (5 * n - 5 * j)
-            terms.append((base + 4 * eps, 1))
-            terms.append((base + 3 * eps, -1))
-            terms.append((base + eps, 1))
-            terms.append((base, -1))
-    return LaurentPolynomial.from_terms(terms)
+    half: list[tuple[int, int]] = []
+    for j in range(n):
+        base = 10 * n - 5 * j + 3
+        half += [(base + 1, 1), (base, -1)]
+    for j in range(n + 1):
+        base = 5 * n - 5 * j
+        half += [(base + 4, 1), (base + 3, -1), (base + 1, 1), (base, -1)]
+    return _symmetric(1, half)
+
+
+# The closed-form families T(p, pn + r), by kind.  Row format:
+#     kind: (r, strands, expansion, width)
+# strands is the one p the kind allows, or None for any p >= 2;
+# expansion(p, n) is the Alexander polynomial of the member with index n,
+# and width(p, n) its knot Floer width.
+_CLOSED_FORMS = {
+    "pn+1": (1, None, _closed_pn_plus, lambda p, n: n * ((p - 1) ** 2 // 4) + 1),
+    "pn-1": (
+        -1,
+        None,
+        _closed_pn_minus,
+        lambda p, n: n * ((p - 1) ** 2 // 4) - (p - 1) // 2 + 1,
+    ),
+    "5n+2": (2, 5, _closed_5n2, lambda p, n: 4 * n + 1),
+    "5n+3": (3, 5, _closed_5n3, lambda p, n: 4 * n + 2),
+}

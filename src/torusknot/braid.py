@@ -25,14 +25,16 @@ The word grammar accepted by :func:`parse_braid`::
 
 Whitespace is ignored; exponents are nonnegative; named macros expand to
 fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the full
-twist on the current strand count.  A word that would grow past
-``MAX_WORD_LETTERS`` letters raises WordTooLong before it is built.
+twist on the current strand count.  An exponent takes every digit that
+follows it: ``(1)^32`` is 32 letters, while ``(1)^3 2`` is ``1112``.  A word
+that would grow past ``MAX_WORD_LETTERS`` letters raises WordTooLong before it
+is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "ParseError",
@@ -168,19 +170,14 @@ DEFAULT_MACROS: dict[str, "tuple[int, ...] | Callable[[int], tuple[int, ...]]"] 
 }
 
 
-def parse_braid(
-    text: str,
-    strands: int,
-    macros: Mapping[str, "tuple[int, ...] | Callable[[int], tuple[int, ...]]"] | None = None,
-) -> BraidWord:
+def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse braid-word text into a BraidWord on ``strands`` strands.
 
     >>> parse_braid("(123)^2 1^3", 4).as_text()
     '123123111'
     """
-    table = DEFAULT_MACROS if macros is None else macros
     try:
-        letters, pos = _parse_word(text, 0, strands, table)
+        letters, pos = _parse_word(text, 0, strands)
     except RecursionError:
         raise ParseError("word nested too deeply to parse") from None
     pos = _skip_ws(text, pos)
@@ -195,18 +192,18 @@ def _skip_ws(s: str, i: int) -> int:
     return i
 
 
-def _parse_word(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int], int]:
+def _parse_word(s: str, i: int, strands: int) -> tuple[list[int], int]:
     out: list[int] = []
     while True:
         i = _skip_ws(s, i)
         if i >= len(s) or s[i] == ")":
             return out, i
-        term, i = _parse_term(s, i, strands, table)
+        term, i = _parse_term(s, i, strands)
         _check_length(len(out) + len(term))
         out.extend(term)
 
 
-def _parse_term(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int], int]:
+def _parse_term(s: str, i: int, strands: int) -> tuple[list[int], int]:
     ch = s[i]
     if ch.isdigit():
         g = int(ch)
@@ -221,9 +218,9 @@ def _parse_term(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int]
         if close < 0:
             raise ParseError(f"unclosed macro brace at offset {i}")
         name = s[i + 1 : close].strip()
-        if name not in table:
+        if name not in DEFAULT_MACROS:
             raise UnknownMacro(f"unknown macro {name!r} at offset {i}")
-        expansion = table[name]
+        expansion = DEFAULT_MACROS[name]
         if callable(expansion):
             expansion = expansion(strands)
         for g in expansion:
@@ -234,7 +231,7 @@ def _parse_term(s: str, i: int, strands: int, table: Mapping) -> tuple[list[int]
         base = list(expansion)
         i = close + 1
     elif ch == "(":
-        inner, i = _parse_word(s, i + 1, strands, table)
+        inner, i = _parse_word(s, i + 1, strands)
         i = _skip_ws(s, i)
         if i >= len(s) or s[i] != ")":
             raise ParseError(f"unclosed parenthesis at offset {i}")

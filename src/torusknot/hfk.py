@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .alexander import _check_torus_size, normalize_torus_params
+from .alexander import _CLOSED_FORMS, _check_torus_size, normalize_torus_params
 from .laurent import LaurentPolynomial
 
 if TYPE_CHECKING:
@@ -84,6 +84,8 @@ class Staircase:
                 f"a staircase with k = {self.k} needs {self.k + 1} steps "
                 f"starting at 0, got {self.s}"
             )
+        if any(a >= b for a, b in zip(self.s, self.s[1:])):
+            raise ValueError(f"staircase steps must strictly increase, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -268,16 +270,10 @@ def width_formula(p: int, q: int) -> int:
     p, q = normalize_torus_params(p, q)
     if p == 1:
         return 1
-    n, r = divmod(q, p)
-    quarter = ((p - 1) ** 2) // 4
-    if r == 1:
-        return n * quarter + 1
-    if r == p - 1:
-        return (n + 1) * quarter - (p - 1) // 2 + 1
-    if p == 5 and r == 2:
-        return 4 * n + 1
-    if p == 5 and r == 3:
-        return 4 * n + 2
+    for r, strands, _, width in _CLOSED_FORMS.values():
+        n, rest = divmod(q - r, p)
+        if rest == 0 and strands in (None, p):
+            return width(p, n)
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .alexander import (
+    _CLOSED_FORMS,
     NotCoprime,
     TorusFamily,
+    UnsupportedFamily,
     alexander_closed_form,
     alexander_torus,
 )
@@ -57,7 +59,7 @@ from .hfk import (
     width_formula,
     width_torus,
 )
-from .laurent import LaurentPolynomial, NonExactDivision
+from .laurent import LaurentPolynomial
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 
@@ -212,14 +214,11 @@ def _closed_form_families() -> list[TorusFamily]:
     families: list[TorusFamily] = []
     for p in range(2, 13):
         for n in range(0, 21):
-            for kind in ("pn+1", "pn-1"):
-                q = p * n + (1 if kind == "pn+1" else -1)
-                if q < 1 or math.gcd(p, q) != 1:
-                    continue
-                families.append(TorusFamily(kind, p, n))
-    for n in range(0, 21):
-        families.append(TorusFamily("5n+2", 5, n))
-        families.append(TorusFamily("5n+3", 5, n))
+            for kind in _CLOSED_FORMS:
+                try:
+                    families.append(TorusFamily(kind, p, n))
+                except UnsupportedFamily:
+                    pass  # p or n outside the kind's range
     return families
 
 

@@ -132,10 +132,19 @@ def test_family_validation():
         TorusFamily("pn+1", 1, 3)  # p < 2
 
 
-def test_zero_n_falls_back_to_rational():
-    assert alexander_closed_form(TorusFamily("pn+1", 7, 0)) == LaurentPolynomial.one()
-    assert alexander_closed_form(TorusFamily("5n+3", 5, 0)) == alexander_torus(5, 3)
-    assert alexander_closed_form(TorusFamily("5n+2", 5, 0)) == alexander_torus(5, 2)
+def test_zero_n_closed_forms_need_no_rational_formula(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError(f"alexander_torus({p}, {q}) called")
+
+    monkeypatch.setattr(alexander, "alexander_torus", refuse)
+    members = [TorusFamily("pn+1", p, 0) for p in range(2, 13)]
+    members += [TorusFamily("5n+2", 5, 0), TorusFamily("5n+3", 5, 0)]
+    assert len(members) == 13  # the n = 0 instances of verify's closed-forms check
+    for family in members:
+        expected = semigroup_alexander_terms(family.p, family.q)
+        assert alexander_closed_form(family) == LaurentPolynomial.from_terms(
+            expected
+        ), f"{family.kind} p={family.p}"
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,11 @@ def test_parse_macros():
     assert parse_braid("2 {gamma} 2", 5).as_text() == "2311231123112"
 
 
+def test_exponent_takes_every_following_digit():
+    assert parse_braid("(1)^32", 2).letters == (1,) * 32
+    assert parse_braid("(1)^3 2", 3).as_text() == "1112"
+
+
 def test_parse_macro_power():
     assert parse_braid("{alpha}^2", 5).letters == (3, 2, 3, 3, 1, 1) * 2
 

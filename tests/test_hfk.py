@@ -69,7 +69,9 @@ def test_big_coefficients_are_not_lspace_form(c):
         extract_staircase(LaurentPolynomial(-1, [1, c, 1]))
 
 
-@pytest.mark.parametrize("k,s", [(2, (0, 1)), (1, (1, 2)), (0, ())])
+@pytest.mark.parametrize(
+    "k,s", [(2, (0, 1)), (1, (1, 2)), (0, ()), (2, (0, 3, 1)), (2, (0, 2, 2))]
+)
 def test_malformed_staircase_rejected(k, s):
     with pytest.raises(ValueError):
         Staircase(k, s)
