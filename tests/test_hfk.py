@@ -1,6 +1,10 @@
 """Knot Floer staircases, widths, and the width-jump scan."""
 
+import json
 import math
+import random
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,38 @@ def test_semigroup_kernel_matches_rational_formula():
             assert hfk._torus_steps(p, q).tolist() == list(stair.s), (p, q)
             assert width_torus(p, q) == delta_sequence(stair), (p, q)
             assert width_torus(q, p) == width_torus(p, q)
+
+
+# ----------------------------------------------------------------------
+# golden widths: the width kernel in one call and knot by knot
+
+_WIDTHS_GOLDEN_PATH = Path(__file__).with_name("widths_golden.json")
+_WIDTHS_GRID = [(1, q) for q in range(1, 151)] + [
+    (p, q) for q in range(3, 151) for p in range(2, q) if math.gcd(p, q) == 1
+]
+
+
+def _widths_record() -> dict:
+    return {f"{p},{q}": list(astuple(width_torus(p, q))) for p, q in _WIDTHS_GRID}
+
+
+def _load_widths_golden() -> dict:
+    golden = json.loads(_WIDTHS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert list(golden) == [f"{p},{q}" for p, q in _WIDTHS_GRID]
+    return golden
+
+
+def test_widths_kernel_matches_golden_in_one_call():
+    """The kernel on every golden knot at once, shuffled, some knots twice."""
+    golden = _load_widths_golden()
+    rng = random.Random(20240613)
+    knots = _WIDTHS_GRID + rng.sample(_WIDTHS_GRID, 300)
+    rng.shuffle(knots)
+    assert hfk._widths(knots) == [golden[f"{p},{q}"][2] for p, q in knots]
+
+
+def test_widths_match_golden_knot_by_knot():
+    assert _widths_record() == _load_widths_golden()
 
 
 # ----------------------------------------------------------------------
@@ -236,3 +272,15 @@ def test_scan_clamps_jobs_to_cpu_count(monkeypatch, inline_pool, cpus, jobs, poo
     monkeypatch.setattr(hfk.os, "cpu_count", lambda: cpus)
     assert scan_conjecture(30, jobs=jobs) == scan_conjecture(30)
     assert inline_pool == ([] if pool_size is None else [pool_size])
+
+
+if __name__ == "__main__":
+    # Re-record tests/widths_golden.json from the current code:
+    #     PYTHONPATH=src python tests/test_hfk.py
+    # Only do this for a deliberate change of the width of some knot.
+    _WIDTHS_GOLDEN_PATH.write_text(
+        "{\n"
+        + ",\n".join(f' "{key}": {json.dumps(v)}' for key, v in _widths_record().items())
+        + "\n}\n",
+        encoding="utf-8",
+    )
