@@ -17,17 +17,18 @@ Generators with negative Alexander grading follow from the symmetry
 The delta grading delta_l = s_l - m_l obeys the analogous descending
 recursion, and the homological width is max(delta) - min(delta) + 1.
 
-For the (p, q) torus knot, :func:`width_torus` reads the staircase straight
-off the numerical semigroup <p, q>.  With g = (p-1)(q-1)/2,
+For torus knots the staircase comes straight off the numerical semigroup
+<p, q>: with g = (p-1)(q-1)/2,
 
     Delta(t) * t^g = (1 - t) * sum_{x in <p,q>} t^x    (truncated at t^{2g}),
 
-and x lies in <p, q> iff x >= q * ((x * q^-1) mod p), so the coefficients
-over 0..2g are one integer-array expression inS[x] - inS[x-1]; there is no
-polynomial division.  The same L-space-form checks as for a user-supplied
-polynomial (:func:`extract_staircase`) run on that array, and the delta
-recursion is a reversed cumulative sum over the steps, so a width is a
-handful of O(pq) numpy array operations.
+so there is no polynomial division.  One kernel takes a batch of knots that
+share p: a broadcast compare against a small threshold table per knot lays
+out their coefficients, one row per knot; the L-space-form checks of
+:func:`extract_staircase` run once on the whole table, and the delta
+recursion is one cumulative sum over the steps of all rows, reduced per row.
+A batch costs a fixed few dozen numpy calls plus work linear in its size;
+:func:`width_torus` is a batch of one.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 serially or in a process pool, and checks the jumps in one fixed order.
@@ -138,35 +139,38 @@ class ConjectureViolation:
     expected_jump: int
 
 
-def _lspace_steps(min_exponent: int, coefficients: np.ndarray) -> np.ndarray:
-    """The steps s_0..s_k of a trimmed dense coefficient array, checked.
+def _lspace_steps(table: np.ndarray, low: int) -> tuple:
+    """The checked staircase steps of each row of ``table``.
 
-    ``coefficients[i]`` is the coefficient of t^(min_exponent + i), and the
-    first and last entries are nonzero unless the array is empty.  Raises
-    NotLSpaceForm unless every coefficient is 0 or +-1, the polynomial is
-    palindromic, the constant coefficient is nonzero, the signs alternate
-    along the support and the leading coefficient is +1.  By the symmetry,
-    alternation over the nonnegative half is alternation over the support.
+    Row r holds the coefficients of t^low, t^(low+1), ... of one polynomial.
+    Returns (i, c, first, last): the terms c * t^s with s >= 0, at
+    i = r * (1 - low) + s in row-major order, and each row's first and last
+    index in them.  Raises NotLSpaceForm unless each row is nonzero, +-1,
+    palindromic, with a nonzero constant term, signs alternating along the
+    support (by the symmetry, along its nonnegative half) and leading +1.
     """
-    if coefficients.size == 0:
-        raise NotLSpaceForm("the zero polynomial has no staircase")
-    if coefficients.min() < -1 or coefficients.max() > 1:
+    import numpy as np
+
+    if table.min() < -1 or table.max() > 1:  # a zero row passes this and the next
         raise NotLSpaceForm("coefficients must all be +-1")
-    if (
-        min_exponent != -(min_exponent + coefficients.size - 1)
-        or not (coefficients == coefficients[::-1]).all()
-    ):
+    if low != -(low + table.shape[1] - 1) or np.count_nonzero(table != table[:, ::-1]):
         raise NotLSpaceForm("polynomial is not palindromic")
-    upper = coefficients[-min_exponent:]
-    if upper[0] == 0:
+    upper = table[:, -low:].ravel()
+    if np.count_nonzero(upper[:: 1 - low]) < len(table):
+        if np.count_nonzero(table.any(axis=1)) < len(table):
+            raise NotLSpaceForm("the zero polynomial has no staircase")
         raise NotLSpaceForm("constant coefficient must be nonzero")
-    s = upper.nonzero()[0]
-    signs = upper[s]
-    if (signs[1:] == signs[:-1]).any():
+    (i,) = upper.nonzero()
+    c = upper[i]
+    bounds = i.searchsorted(np.arange(0, len(upper) + 1, 1 - low))
+    last = bounds[1:] - 1
+    repeats = c[1:] == c[:-1]
+    repeats[last[:-1]] = False  # a row's last term and the next row's first
+    if np.count_nonzero(repeats):
         raise NotLSpaceForm("signs must alternate along the support")
-    if signs[-1] != 1:
+    if np.count_nonzero(c[last] != 1):
         raise NotLSpaceForm("leading coefficient must be +1")
-    return s
+    return i, c, bounds[:-1], last
 
 
 def extract_staircase(delta: LaurentPolynomial) -> Staircase:
@@ -182,42 +186,52 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     """
     import numpy as np
 
-    count = len(delta.coefficients)
-    try:
-        coefficients = np.fromiter(delta.coefficients, np.int64, count)
+    try:  # the zero polynomial as 0 * t^0
+        coefficients = np.fromiter(delta.coefficients or (0,), np.int64)
     except OverflowError:  # beyond int64, so certainly not +-1
         raise NotLSpaceForm("coefficients must all be +-1") from None
-    s = _lspace_steps(delta.min_exponent, coefficients)
+    s = _lspace_steps(coefficients[None], delta.min_exponent)[0]
     return Staircase(k=len(s) - 1, s=tuple(s.tolist()))
 
 
-def _torus_steps(p: int, q: int) -> np.ndarray:
-    """Checked staircase steps of T(p, q), 1 <= p <= q coprime, from <p, q>.
+def _walk(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Prefix sums P with delta_l = s[z] + P[z] - P[l], z the last step of l's row.
 
-    x is in <p, q> iff x >= q * ((x * q^-1) mod p): the right side is the
-    least element of <p, q> congruent to x mod p.  With x < pq and
-    q^-1 < p <= sqrt(pq), the products stay below (pq)^1.5, far inside int64
-    for any array that fits in memory.
+    Down from step l to l-1, delta grows by c[l] * (s[l] - s[l-1] - 1), the
+    recursion with the parity of k - l read off the alternating signs; as
+    c[l-1] = -c[l], that is the step of cumsum(c * (2s - 1)) - c * s.  A new
+    row, or a shift of s, only adds a constant to a row's P.
     """
     import numpy as np
 
-    top = (p - 1) * (q - 1)  # 2g, the conductor of <p, q>
-    x = np.arange(top + 1)
-    in_semigroup = (x >= q * (x * pow(q, -1, p) % p)).view(np.int8)
-    coefficients = in_semigroup.copy()  # inS[x] - inS[x-1], with inS[-1] = 0
-    coefficients[1:] -= in_semigroup[:-1]
-    return _lspace_steps(-(top // 2), coefficients)
+    cs = c * s
+    return np.add.accumulate(cs + cs - c) - cs
 
 
-def _descending_sums(odd_step: np.ndarray, even_step: np.ndarray) -> np.ndarray:
-    """Evaluate v_k = 0, v_l = v_{l+1} + w_l with w_l chosen by parity of k-l.
+def _torus_spreads(p: int, qs: list[int]) -> tuple:
+    """(delta_max, delta_min) arrays of T(p, q), q in ``qs``, 1 <= p <= q.
 
-    ``odd_step[l]`` / ``even_step[l]`` (l = 0..k-1) give w_l for k-l odd /
-    even; returns v_0..v_{k-1}, leaving v_k = 0 implicit.
+    The coefficient of t^e is inS[e+g] - inS[e+g-1].  A row of the table
+    holds t^-G..t^G, G the largest genus g; write e + G = a*p + c for row a
+    and column c, and y = c + g - G.  As q * (y * q^-1 mod p) is the least
+    element of <p, q> congruent to y, e + g = a*p + y is in <p, q> iff
+    a*p >= q * (y * q^-1 mod p) - y.  Column c = -1 tests e + g - 1 for
+    c = 0.  No x < 0 is in <p, q> and every x past 2g is: padding has no term.
     """
-    w = even_step.copy()
-    w[-1::-2] = odd_step[-1::-2]
-    return w[::-1].cumsum()[::-1]
+    import numpy as np
+
+    top = (p - 1) * (max(qs) - 1) // 2
+    columns = [qs, [pow(q, -1, p) for q in qs], [(p - 1) * (q - 1) // 2 for q in qs]]
+    q, inverse, genus = np.array(columns)[:, :, None]
+    y = np.arange(-1 - top, p - top) + genus
+    threshold = q * (inverse * y % p) - y
+    member = (np.arange(0, 2 * top + 1, p)[:, None] >= threshold[:, None, :]).view(np.int8)
+    table = (member[..., 1:] - member[..., :-1]).reshape(len(qs), -1)[:, : 2 * top + 1]
+    i, c, first, last = _lspace_steps(table, -top)
+    walk = _walk(i, c)
+    peak = genus[:, 0] + walk[last]  # the top step's delta, s_k + P_k
+    low = np.minimum.reduceat(walk, first)
+    return peak - low, peak - np.maximum.reduceat(walk, first)
 
 
 def hfk_from_staircase(stair: Staircase) -> HFKTable:
@@ -229,24 +243,15 @@ def hfk_from_staircase(stair: Staircase) -> HFKTable:
     import numpy as np
 
     s = np.asarray(stair.s, dtype=np.int64)
-    diffs = s[1:] - s[:-1]
-    m = _descending_sums(-2 * diffs + 1, np.full(len(diffs), -1, dtype=np.int64))
-    return HFKTable(k=stair.k, s=stair.s, m=(*m.tolist(), 0))
-
-
-def _width_report(s: np.ndarray) -> WidthReport:
-    """Spread of the delta gradings delta_l = s_l - m_l over steps ``s``."""
-    diffs = s[1:] - s[:-1]
-    v = _descending_sums(diffs - 1, 1 - diffs)  # delta_l - s_k for l < k
-    dmax, dmin = int(s[-1] + v.max(initial=0)), int(s[-1] + v.min(initial=0))
-    return WidthReport(delta_max=dmax, delta_min=dmin, width=dmax - dmin + 1)
+    walk = _walk(s, (-1) ** np.arange(stair.k, -1, -1))  # signs (-1)^(k-l)
+    return HFKTable(k=stair.k, s=stair.s, m=tuple((s - s[-1] - walk[-1] + walk).tolist()))
 
 
 def delta_sequence(stair: Staircase) -> WidthReport:
     """Delta gradings delta_l = s_l - m_l and the width of their spread."""
-    import numpy as np
-
-    return _width_report(np.asarray(stair.s, dtype=np.int64))
+    table = hfk_from_staircase(stair)
+    deltas = [s - m for s, m in zip(table.s, table.m)]
+    return WidthReport(max(deltas), min(deltas), max(deltas) - min(deltas) + 1)
 
 
 def width_torus(p: int, q: int) -> WidthReport:
@@ -257,7 +262,8 @@ def width_torus(p: int, q: int) -> WidthReport:
     """
     p, q = normalize_torus_params(p, q)
     _check_torus_size(p, q)
-    return _width_report(_torus_steps(p, q))
+    dmax, dmin = (int(spread[0]) for spread in _torus_spreads(p, [q]))
+    return WidthReport(dmax, dmin, dmax - dmin + 1)
 
 
 def width_formula(p: int, q: int) -> int:
@@ -278,14 +284,33 @@ def width_formula(p: int, q: int) -> int:
 
 
 # A scan whose kernels total fewer entries than this runs serially: below it,
-# starting a pool cost more than it saved (2 cores: the bound-50 scan, 4.3e5
-# entries, took 36 ms serially and 64 ms with 2 workers; the two broke even
-# near 2e6 entries, about bound 72; bound 250 has 2.9e8).
-_SERIAL_BELOW = 2_000_000
+# starting a pool cost more than it saved (2 cores: bound 50, 4.3e5 entries,
+# took 11 ms serially and 28 ms with 2 workers; they broke even near 5e6
+# entries, about bound 90; bound 250, 2.9e8 entries, took 2.3 s and 1.2 s).
+_SERIAL_BELOW = 5_000_000
+
+
+# Table entries in one batch of the width kernel; fixed, as peak memory grows with it.
+_BATCH_ENTRIES = 16_384
 
 
 def _widths(knots: list[tuple[int, int]]) -> list[int]:
-    return [width_torus(p, q).width for p, q in knots]
+    """Widths of the normalized ``knots`` in order, by batches of consecutive
+    knots that share p, each within about ``_BATCH_ENTRIES`` table entries."""
+    batches: list[tuple[int, list[int]]] = []
+    for p, q in knots:
+        fits = batches and (len(qs) + 1) * p * max(q, q_max) <= _BATCH_ENTRIES
+        if fits and batches[-1][0] == p:
+            qs.append(q)
+            q_max = max(q_max, q)
+        else:
+            qs, q_max = [q], q
+            batches.append((p, qs))
+    widths: list[int] = []
+    for p, qs in batches:
+        dmax, dmin = _torus_spreads(p, qs)
+        widths += (dmax - dmin + 1).tolist()
+    return widths
 
 
 def scan_conjecture(

@@ -86,16 +86,16 @@ def test_malformed_staircase_rejected(k, s):
 
 
 def test_semigroup_kernel_matches_rational_formula():
-    """Staircase and width of every coprime 2 <= p < q < 120, computed from
-    <p, q>, equal those read off the divided-out Alexander polynomial."""
-    for q in range(3, 120):
-        for p in range(2, q):
-            if math.gcd(p, q) != 1:
-                continue
-            stair = extract_staircase(alexander_torus(p, q))
-            assert hfk._torus_steps(p, q).tolist() == list(stair.s), (p, q)
-            assert width_torus(p, q) == delta_sequence(stair), (p, q)
-            assert width_torus(q, p) == width_torus(p, q)
+    """Delta spreads of every coprime 2 <= p < q < 120, computed from <p, q>
+    in one batch per p, equal those read off the divided-out Alexander
+    polynomial."""
+    for p in range(2, 119):
+        qs = [q for q in range(p + 1, 120) if math.gcd(p, q) == 1]
+        dmax, dmin = hfk._torus_spreads(p, qs)
+        for q, spread in zip(qs, zip(dmax.tolist(), dmin.tolist())):
+            want = delta_sequence(extract_staircase(alexander_torus(p, q)))
+            assert spread == (want.delta_max, want.delta_min), (p, q)
+            assert width_torus(p, q) == want == width_torus(q, p), (p, q)
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +193,16 @@ def test_width_formula_outside_families():
     assert width_formula(6, 7) == 7
 
 
+@pytest.mark.parametrize(
+    "p,q", [(2047, 2048), (1024, 4095), (3, 1398100), (2, 2097151)]
+)
+def test_widths_at_the_size_cap(p, q):
+    """Knots with p * q at most 2^22 and a closed form: no dtype of the
+    kernel may wrap on the largest tables it accepts."""
+    assert p * q <= 2**22
+    assert width_torus(p, q).width == width_formula(p, q)
+
+
 def test_unknot_and_two_strand_widths():
     assert width_torus(1, 1).width == 1
     assert width_torus(2, 3).width == 1
@@ -237,14 +247,14 @@ def test_parallel_scan_matches_serial(monkeypatch):
 
 
 def test_scan_computes_each_width_once(monkeypatch):
-    calls = []
-    real = hfk.width_torus
+    calls = []  # every knot of every batch the width kernel gets
+    real = hfk._torus_spreads
 
-    def counted(p, q):
-        calls.append((p, q))
-        return real(p, q)
+    def counted(p, qs):
+        calls.extend((p, q) for q in qs)
+        return real(p, qs)
 
-    monkeypatch.setattr(hfk, "width_torus", counted)
+    monkeypatch.setattr(hfk, "_torus_spreads", counted)
     checked, _ = scan_conjecture(40)
     assert len(calls) == len(set(calls)) == checked
     calls.clear()
@@ -258,7 +268,7 @@ def test_small_scans_run_serially(monkeypatch, inline_pool):
     assert scan_conjecture(50, jobs=2) == scan_conjecture(50)
     assert inline_pool == []
     # bound 250 still uses the pool; a stand-in width keeps this test fast
-    monkeypatch.setattr(hfk, "width_torus", lambda p, q: WidthReport(0, 0, 1))
+    monkeypatch.setattr(hfk, "_widths", lambda knots: [1] * len(knots))
     scan_conjecture(250, jobs=2)
     assert inline_pool == [2]
 
