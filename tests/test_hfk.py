@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -61,6 +62,41 @@ def test_staircase_of_4_5():
 def test_non_staircase_polynomials_rejected(terms):
     with pytest.raises(NotLSpaceForm):
         extract_staircase(LaurentPolynomial.from_terms(terms))
+
+
+_T25 = [1, -1, 1, -1, 1]  # T(2,5): t^-2 - t^-1 + 1 - t + t^2
+_T23 = [0, 1, -1, 1, 0]  # the trefoil, padded to t^-2..t^2
+
+
+def test_lspace_steps_of_a_batch():
+    """Steps of every row, row-major; the trefoil row ends in +1 and the
+    next row's nonnegative half starts with +1, which is no sign repeat."""
+    import numpy as np
+
+    table = np.array([_T25, _T23, _T25], dtype=np.int8)
+    i, c, first, last = hfk._lspace_steps(table, -2)
+    assert i.tolist() == [0, 1, 2, 3, 4, 6, 7, 8]
+    assert c.tolist() == [1, -1, 1, -1, 1, 1, -1, 1]
+    assert (first.tolist(), last.tolist()) == ([0, 3, 5], [2, 4, 7])
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([0, 0, 0, 0, 0], "the zero polynomial has no staircase"),
+        ([1, 0, 2, 0, 1], "coefficients must all be +-1"),
+        ([1, -1, 1, 0, 0], "polynomial is not palindromic"),
+        ([0, 1, 0, 1, 0], "constant coefficient must be nonzero"),
+        ([1, 1, -1, 1, 1], "signs must alternate along the support"),
+        ([-1, 1, -1, 1, -1], "leading coefficient must be +1"),
+    ],
+)
+def test_lspace_steps_names_the_failed_check_of_any_row(row, message):
+    import numpy as np
+
+    for rows in ([row, _T25], [_T23, row], [_T25, row, _T23]):
+        with pytest.raises(NotLSpaceForm, match=re.escape(message)):
+            hfk._lspace_steps(np.array(rows, dtype=np.int8), -2)
 
 
 @pytest.mark.parametrize("c", [2**70, -(2**70), 2**63, 2])
