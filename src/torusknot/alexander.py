@@ -51,7 +51,7 @@ class KnotTooLarge(ValueError):
     """Raised, before anything is allocated, for p * q above MAX_TORUS_PRODUCT."""
 
 
-# alexander_torus holds about p*q coefficients and width_torus (p-1)(q-1)+1;
+# alexander_torus holds about p*q coefficients (width_torus only a list of p);
 # the cap leaves room for the width-jump scan up to bound 2048.
 MAX_TORUS_PRODUCT = 2**22
 
@@ -60,10 +60,11 @@ def normalize_torus_params(p: int, q: int) -> tuple[int, int]:
     """Validate and order torus-knot parameters: both positive, coprime, p <= q.
 
     The (p, q) and (q, p) torus knots are isotopic, so all invariants here
-    normalize to p <= q first.
+    normalize to p <= q first.  Booleans are ints to Python, but not
+    parameters: ``True`` is refused rather than read as 1.
     """
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise TypeError("torus parameters must be integers")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (p, q)):
+        raise TypeError(f"torus parameters must be integers, got ({p!r}, {q!r})")
     if p < 1 or q < 1:
         raise ValueError(f"torus parameters must be positive, got ({p}, {q})")
     if math.gcd(p, q) != 1:

@@ -17,18 +17,38 @@ Generators with negative Alexander grading follow from the symmetry
 The delta grading delta_l = s_l - m_l obeys the analogous descending
 recursion, and the homological width is max(delta) - min(delta) + 1.
 
-For torus knots the staircase comes straight off the numerical semigroup
-<p, q>: with g = (p-1)(q-1)/2,
+For torus knots the width needs no staircase at all.  Let S = <p, q> be
+the numerical semigroup, p <= q coprime, g = (p-1)(q-1)/2, and
 
-    Delta(t) * t^g = (1 - t) * sum_{x in <p,q>} t^x    (truncated at t^{2g}),
+    h(x) = 2 #(S n [0, x)) - x.
 
-so there is no polynomial division.  One kernel takes a batch of knots that
-share p: a broadcast compare against a small threshold table per knot lays
-out their coefficients, one row per knot; the L-space-form checks of
-:func:`extract_staircase` run once on the whole table, and the delta
-recursion is one cumulative sum over the steps of all rows, reduced per row.
-A batch costs a fixed few dozen numpy calls plus work linear in its size;
-:func:`width_torus` is a batch of one.
+As Delta(t) * t^g = (1 - t) * sum_{x in S} t^x (truncated at t^{2g}), the
+generators sit at x = s + g where a run or a gap of S starts, and h rises
+along runs and falls along gaps.  Between generators a distance d apart the
+delta recursion moves by d - 1 the way h moves by d, so a generator has
+delta g + h(x) where a run starts and g + h(x) - 1 where a gap starts.  As
+h is least where a run starts, delta_min = g + min h; delta_max = g, the
+delta of the top generator; and width = 1 - min h.
+
+The least element of S congruent to x mod p is q * (x * q^-1 mod p), so p
+consecutive integers hold one element of each class, and the class of b*q
+(0 <= b < p) has an element of S in [x, x+p) iff b*q < x + p.  Hence
+
+    h(x+p) - h(x) = 2 min(p, max(0, ceil((x+p)/q))) - p,
+
+which never decreases as x grows: it is negative exactly for
+x < L = q(ceil(p/2) - 1) - p + 1.  So h(x) > h(x+p) below L and
+h(x) <= h(x+p) from L on, and min h is attained on the p integers
+[L, L+p).  :func:`_torus_width` starts from h(L), counted with
+
+    #(S n [0, x)) = sum_{0 <= b < p, b*q < x} ceil((x - b*q)/p),
+
+and walks the window, whose members of S are the ceil(p/2) window elements
+of the classes of b*q < L + p: O(p) Python-int work per knot, no arrays.
+
+Each call certifies its result: it recounts h at the argmin and at the
+argmin +- p with the sum above, and raises RuntimeError naming T(p, q) if
+the walked minimum disagrees with its recount or a neighbour lies lower.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 serially or in a process pool, and checks the jumps in one fixed order.
@@ -44,6 +64,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .alexander import _CLOSED_FORMS, _check_torus_size, normalize_torus_params
@@ -139,38 +160,33 @@ class ConjectureViolation:
     expected_jump: int
 
 
-def _lspace_steps(table: np.ndarray, low: int) -> tuple:
-    """The checked staircase steps of each row of ``table``.
+def _lspace_steps(coefficients: np.ndarray, low: int) -> np.ndarray:
+    """The checked steps s_0 < ... < s_k of sum_i coefficients[i] * t^(low+i).
 
-    Row r holds the coefficients of t^low, t^(low+1), ... of one polynomial.
-    Returns (i, c, first, last): the terms c * t^s with s >= 0, at
-    i = r * (1 - low) + s in row-major order, and each row's first and last
-    index in them.  Raises NotLSpaceForm unless each row is nonzero, +-1,
-    palindromic, with a nonzero constant term, signs alternating along the
-    support (by the symmetry, along its nonnegative half) and leading +1.
+    Raises NotLSpaceForm unless the polynomial is nonzero, +-1, palindromic,
+    with a nonzero constant term, signs alternating along the support (by
+    the symmetry, along its nonnegative half) and leading +1.
     """
     import numpy as np
 
-    if table.min() < -1 or table.max() > 1:  # a zero row passes this and the next
+    if coefficients.min() < -1 or coefficients.max() > 1:
         raise NotLSpaceForm("coefficients must all be +-1")
-    if low != -(low + table.shape[1] - 1) or np.count_nonzero(table != table[:, ::-1]):
+    if low != -(low + len(coefficients) - 1) or np.count_nonzero(
+        coefficients != coefficients[::-1]
+    ):
         raise NotLSpaceForm("polynomial is not palindromic")
-    upper = table[:, -low:].ravel()
-    if np.count_nonzero(upper[:: 1 - low]) < len(table):
-        if np.count_nonzero(table.any(axis=1)) < len(table):
+    upper = coefficients[-low:]
+    if not upper[0]:  # a palindrome with a zero middle, or zero everywhere
+        if not coefficients.any():
             raise NotLSpaceForm("the zero polynomial has no staircase")
         raise NotLSpaceForm("constant coefficient must be nonzero")
-    (i,) = upper.nonzero()
-    c = upper[i]
-    bounds = i.searchsorted(np.arange(0, len(upper) + 1, 1 - low))
-    last = bounds[1:] - 1
-    repeats = c[1:] == c[:-1]
-    repeats[last[:-1]] = False  # a row's last term and the next row's first
-    if np.count_nonzero(repeats):
+    (s,) = upper.nonzero()
+    c = upper[s]
+    if np.count_nonzero(c[1:] == c[:-1]):
         raise NotLSpaceForm("signs must alternate along the support")
-    if np.count_nonzero(c[last] != 1):
+    if c[-1] != 1:
         raise NotLSpaceForm("leading coefficient must be +1")
-    return i, c, bounds[:-1], last
+    return s
 
 
 def extract_staircase(delta: LaurentPolynomial) -> Staircase:
@@ -190,52 +206,17 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
         coefficients = np.fromiter(delta.coefficients or (0,), np.int64)
     except OverflowError:  # beyond int64, so certainly not +-1
         raise NotLSpaceForm("coefficients must all be +-1") from None
-    s = _lspace_steps(coefficients[None], delta.min_exponent)[0]
+    s = _lspace_steps(coefficients, delta.min_exponent)
     return Staircase(k=len(s) - 1, s=tuple(s.tolist()))
-
-
-def _walk(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Prefix sums P with delta_l = s[z] + P[z] - P[l], z the last step of l's row.
-
-    Down from step l to l-1, delta grows by c[l] * (s[l] - s[l-1] - 1), the
-    recursion with the parity of k - l read off the alternating signs; as
-    c[l-1] = -c[l], that is the step of cumsum(c * (2s - 1)) - c * s.  A new
-    row, or a shift of s, only adds a constant to a row's P.
-    """
-    import numpy as np
-
-    cs = c * s
-    return np.add.accumulate(cs + cs - c) - cs
-
-
-def _torus_spreads(p: int, qs: list[int]) -> tuple:
-    """(delta_max, delta_min) arrays of T(p, q), q in ``qs``, 1 <= p <= q.
-
-    The coefficient of t^e is inS[e+g] - inS[e+g-1].  A row of the table
-    holds t^-G..t^G, G the largest genus g; write e + G = a*p + c for row a
-    and column c, and y = c + g - G.  As q * (y * q^-1 mod p) is the least
-    element of <p, q> congruent to y, e + g = a*p + y is in <p, q> iff
-    a*p >= q * (y * q^-1 mod p) - y.  Column c = -1 tests e + g - 1 for
-    c = 0.  No x < 0 is in <p, q> and every x past 2g is: padding has no term.
-    """
-    import numpy as np
-
-    top = (p - 1) * (max(qs) - 1) // 2
-    columns = [qs, [pow(q, -1, p) for q in qs], [(p - 1) * (q - 1) // 2 for q in qs]]
-    q, inverse, genus = np.array(columns)[:, :, None]
-    y = np.arange(-1 - top, p - top) + genus
-    threshold = q * (inverse * y % p) - y
-    member = (np.arange(0, 2 * top + 1, p)[:, None] >= threshold[:, None, :]).view(np.int8)
-    table = (member[..., 1:] - member[..., :-1]).reshape(len(qs), -1)[:, : 2 * top + 1]
-    i, c, first, last = _lspace_steps(table, -top)
-    walk = _walk(i, c)
-    peak = genus[:, 0] + walk[last]  # the top step's delta, s_k + P_k
-    low = np.minimum.reduceat(walk, first)
-    return peak - low, peak - np.maximum.reduceat(walk, first)
 
 
 def hfk_from_staircase(stair: Staircase) -> HFKTable:
     """Maslov gradings of the staircase generators (l = 0..k half).
+
+    Down from step l to l-1, delta grows by c_l * (s_l - s_{l-1} - 1), the
+    recursion with the parity of k - l read off the signs c_l = (-1)^(k-l);
+    as c_{l-1} = -c_l, that is the step of walk = cumsum(c * (2s - 1)) - c * s,
+    so m_l = s_l - delta_l = s_l - s_k - walk_k + walk_l.
 
     >>> hfk_from_staircase(Staircase(1, (0, 1))).generators()
     [(1, 0, 1), (0, -1, 1), (-1, -2, 1)]
@@ -243,7 +224,9 @@ def hfk_from_staircase(stair: Staircase) -> HFKTable:
     import numpy as np
 
     s = np.asarray(stair.s, dtype=np.int64)
-    walk = _walk(s, (-1) ** np.arange(stair.k, -1, -1))  # signs (-1)^(k-l)
+    c = (-1) ** np.arange(stair.k, -1, -1)
+    cs = c * s
+    walk = np.add.accumulate(cs + cs - c) - cs
     return HFKTable(k=stair.k, s=stair.s, m=tuple((s - s[-1] - walk[-1] + walk).tolist()))
 
 
@@ -254,6 +237,34 @@ def delta_sequence(stair: Staircase) -> WidthReport:
     return WidthReport(max(deltas), min(deltas), max(deltas) - min(deltas) + 1)
 
 
+def _semigroup_count(p: int, q: int, x: int) -> int:
+    """#(<p, q> n [0, x)): the class of b*q (b < p) has ceil((x - bq)/p) there."""
+    return sum((x - y + p - 1) // p for y in range(0, min(x, p * q), q))
+
+
+def _torus_width(p: int, q: int) -> int:
+    """Width of T(p, q), 1 <= p <= q coprime, as 1 - min h, certified.
+
+    Walks h over the window [L, L+p) that holds its minimum (see the module
+    docstring), then recounts h at the argmin and at the argmin +- p.
+    """
+    low = q * ((p + 1) // 2 - 1) - p + 1
+    step = [-1] * p
+    for y in range(0, low + p, q):  # classes with an element of <p, q> in the window
+        step[(y - low) % p] = 1
+    walk = list(accumulate(step[:-1], initial=2 * _semigroup_count(p, q, low) - low))
+    least = min(walk)
+    at = low + walk.index(least)
+    for x in (at - p, at, at + p):
+        h = 2 * _semigroup_count(p, q, x) - x
+        if h < least or (x == at and h != least):
+            raise RuntimeError(
+                f"width certificate of T({p},{q}) failed: the walk gives min h = "
+                f"{least} at {at}, a recount gives h({x}) = {h}"
+            )
+    return 1 - least
+
+
 def width_torus(p: int, q: int) -> WidthReport:
     """Homological width of the (p, q) torus knot.
 
@@ -262,8 +273,8 @@ def width_torus(p: int, q: int) -> WidthReport:
     """
     p, q = normalize_torus_params(p, q)
     _check_torus_size(p, q)
-    dmax, dmin = (int(spread[0]) for spread in _torus_spreads(p, [q]))
-    return WidthReport(dmax, dmin, dmax - dmin + 1)
+    genus, width = (p - 1) * (q - 1) // 2, _torus_width(p, q)
+    return WidthReport(genus, genus + 1 - width, width)
 
 
 def width_formula(p: int, q: int) -> int:
@@ -283,34 +294,17 @@ def width_formula(p: int, q: int) -> int:
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 
-# A scan whose kernels total fewer entries than this runs serially: below it,
-# starting a pool cost more than it saved (2 cores: bound 50, 4.3e5 entries,
-# took 11 ms serially and 28 ms with 2 workers; they broke even near 5e6
-# entries, about bound 90; bound 250, 2.9e8 entries, took 2.3 s and 1.2 s).
-_SERIAL_BELOW = 5_000_000
-
-
-# Table entries in one batch of the width kernel; fixed, as peak memory grows with it.
-_BATCH_ENTRIES = 16_384
+# A scan whose knots' p sum to less than this runs serially: a width costs
+# O(p), and below it starting a pool cost more than it saved (2 cores, best of
+# 5 in each of 3 runs: bound 80, sum 5.1e4, took 27-33 ms serially and 35-36 ms
+# with 2 workers; they broke even between bound 90 and 110, sums 7.3e4 and
+# 1.3e5; bound 120, 1.7e5, took 82-101 ms and 61-72 ms).
+_SERIAL_BELOW = 150_000
 
 
 def _widths(knots: list[tuple[int, int]]) -> list[int]:
-    """Widths of the normalized ``knots`` in order, by batches of consecutive
-    knots that share p, each within about ``_BATCH_ENTRIES`` table entries."""
-    batches: list[tuple[int, list[int]]] = []
-    for p, q in knots:
-        fits = batches and (len(qs) + 1) * p * max(q, q_max) <= _BATCH_ENTRIES
-        if fits and batches[-1][0] == p:
-            qs.append(q)
-            q_max = max(q_max, q)
-        else:
-            qs, q_max = [q], q
-            batches.append((p, qs))
-    widths: list[int] = []
-    for p, qs in batches:
-        dmax, dmin = _torus_spreads(p, qs)
-        widths += (dmax - dmin + 1).tolist()
-    return widths
+    """Widths of the normalized ``knots``, in order."""
+    return [_torus_width(p, q) for p, q in knots]
 
 
 def scan_conjecture(
@@ -329,8 +323,8 @@ def scan_conjecture(
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, each
-    worker taking every jobs-th knot, unless the knots' kernels total fewer
-    than ``_SERIAL_BELOW`` entries; the check itself always runs here in
+    worker taking every jobs-th knot, unless the knots' p total less than
+    ``_SERIAL_BELOW``; the check itself always runs here in
     one fixed order, so the result is identical for every worker count.
     """
     q_lo, q_hi = q_range if q_range is not None else (3, bound)
@@ -352,7 +346,7 @@ def scan_conjecture(
     previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
     knots = sorted(set(pairs).union(knot for knot in previous if knot[0] > 1))
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(knots)))
-    if sum((p - 1) * (q - 1) + 1 for p, q in knots) < _SERIAL_BELOW:
+    if sum(p for p, _ in knots) < _SERIAL_BELOW:
         jobs = 1
     if jobs == 1:
         widths = _widths(knots)

@@ -15,7 +15,7 @@ from torusknot.alexander import (
     alexander_torus,
     normalize_torus_params,
 )
-from torusknot.hfk import width_formula
+from torusknot.hfk import width_formula, width_torus
 from torusknot.laurent import LaurentPolynomial
 
 from _oracles import semigroup_alexander_terms
@@ -58,6 +58,15 @@ def test_parameter_normalization():
 def test_non_coprime_rejected(p, q):
     with pytest.raises(NotCoprime):
         alexander_torus(p, q)
+
+
+@pytest.mark.parametrize("p,q", [(True, 3), (3, True), (False, 1), (2.0, 3), ("2", 3)])
+def test_non_integer_parameters_rejected(p, q):
+    # True is an int to Python: it must not pass as 1 and make T(1, 3).
+    with pytest.raises(TypeError, match="must be integers"):
+        normalize_torus_params(p, q)
+    with pytest.raises(TypeError, match="must be integers"):
+        width_torus(p, q)
 
 
 @pytest.mark.parametrize("p,q", [(0, 3), (-2, 5), (3, 0)])

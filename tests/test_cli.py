@@ -390,9 +390,10 @@ def test_golden_transcript(case, golden, monkeypatch, tmp_path):
     assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
 
 
-# Commands that never compute a staircase or a width, so never load numpy.
+# Commands that never compute a staircase, so never load numpy.
 _NUMPY_FREE = (
     "alexander", "braid-eq", "dalt", "turaev-genus", "states", "verify-lemmas",
+    "width", "bounds", "scan",
 )
 _NUMPY_BLOCKED = """
 import json, sys
@@ -421,7 +422,7 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     transcripts = json.loads(done.stdout)
-    assert len(cases) == 45  # 15 commands, each in three output modes
+    assert len(cases) == 57  # 19 commands, each in three output modes
     for case in cases:
         assert transcripts[case] == golden["cases"][case], case
 

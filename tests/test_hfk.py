@@ -68,16 +68,13 @@ _T25 = [1, -1, 1, -1, 1]  # T(2,5): t^-2 - t^-1 + 1 - t + t^2
 _T23 = [0, 1, -1, 1, 0]  # the trefoil, padded to t^-2..t^2
 
 
-def test_lspace_steps_of_a_batch():
-    """Steps of every row, row-major; the trefoil row ends in +1 and the
-    next row's nonnegative half starts with +1, which is no sign repeat."""
+def test_lspace_steps_of_one_polynomial():
+    """The steps of one polynomial, from its coefficients and lowest power."""
     import numpy as np
 
-    table = np.array([_T25, _T23, _T25], dtype=np.int8)
-    i, c, first, last = hfk._lspace_steps(table, -2)
-    assert i.tolist() == [0, 1, 2, 3, 4, 6, 7, 8]
-    assert c.tolist() == [1, -1, 1, -1, 1, 1, -1, 1]
-    assert (first.tolist(), last.tolist()) == ([0, 3, 5], [2, 4, 7])
+    assert hfk._lspace_steps(np.array(_T25), -2).tolist() == [0, 1, 2]
+    assert extract_staircase(LaurentPolynomial(-2, _T25)) == Staircase(2, (0, 1, 2))
+    assert extract_staircase(LaurentPolynomial(-2, _T23)) == Staircase(1, (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -92,11 +89,9 @@ def test_lspace_steps_of_a_batch():
     ],
 )
 def test_lspace_steps_names_the_failed_check_of_any_row(row, message):
-    import numpy as np
-
-    for rows in ([row, _T25], [_T23, row], [_T25, row, _T23]):
-        with pytest.raises(NotLSpaceForm, match=re.escape(message)):
-            hfk._lspace_steps(np.array(rows, dtype=np.int8), -2)
+    """``row`` holds the coefficients of t^-2..t^2 of one polynomial."""
+    with pytest.raises(NotLSpaceForm, match=re.escape(message)):
+        extract_staircase(LaurentPolynomial(-2, row))
 
 
 @pytest.mark.parametrize("c", [2**70, -(2**70), 2**63, 2])
@@ -122,16 +117,28 @@ def test_malformed_staircase_rejected(k, s):
 
 
 def test_semigroup_kernel_matches_rational_formula():
-    """Delta spreads of every coprime 2 <= p < q < 120, computed from <p, q>
-    in one batch per p, equal those read off the divided-out Alexander
-    polynomial."""
+    """Delta spreads of every coprime 2 <= p < q < 120, walked over <p, q>
+    knot by knot, equal those read off the divided-out Alexander polynomial."""
     for p in range(2, 119):
-        qs = [q for q in range(p + 1, 120) if math.gcd(p, q) == 1]
-        dmax, dmin = hfk._torus_spreads(p, qs)
-        for q, spread in zip(qs, zip(dmax.tolist(), dmin.tolist())):
+        for q in range(p + 1, 120):
+            if math.gcd(p, q) != 1:
+                continue
             want = delta_sequence(extract_staircase(alexander_torus(p, q)))
-            assert spread == (want.delta_max, want.delta_min), (p, q)
+            assert hfk._torus_width(p, q) == want.width, (p, q)
             assert width_torus(p, q) == want == width_torus(q, p), (p, q)
+
+
+@pytest.mark.parametrize("x,shift", [(2, 1), (4, 1), (4, -1), (0, -2), (8, -1)])
+def test_width_certificate_catches_a_wrong_count(monkeypatch, x, shift):
+    """T(4,5) walks h over [2, 6) from h(2), with least h(4) = -2 and
+    neighbours h(0) = 0 and h(8) = -2.  A count that is off at the start, at
+    the argmin or at a neighbour fails the certificate, which names the knot."""
+    real = hfk._semigroup_count
+    monkeypatch.setattr(
+        hfk, "_semigroup_count", lambda p, q, y: real(p, q, y) + shift * (y == x)
+    )
+    with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,5)")):
+        width_torus(5, 4)
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +290,14 @@ def test_parallel_scan_matches_serial(monkeypatch):
 
 
 def test_scan_computes_each_width_once(monkeypatch):
-    calls = []  # every knot of every batch the width kernel gets
-    real = hfk._torus_spreads
+    calls = []  # every knot the width kernel gets
+    real = hfk._torus_width
 
-    def counted(p, qs):
-        calls.extend((p, q) for q in qs)
-        return real(p, qs)
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
 
-    monkeypatch.setattr(hfk, "_torus_spreads", counted)
+    monkeypatch.setattr(hfk, "_torus_width", counted)
     checked, _ = scan_conjecture(40)
     assert len(calls) == len(set(calls)) == checked
     calls.clear()
