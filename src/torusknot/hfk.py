@@ -54,9 +54,8 @@ the walked minimum disagrees with its recount or a neighbour lies lower.
 serially or in a process pool, and checks the jumps in one fixed order.
 Small scans run serially, because starting the pool costs more than they do.
 
-numpy is imported by the functions that use it, on their first call, not
-when this module is imported: code that never computes a staircase or a
-width never loads it.
+numpy is imported by the staircase functions, on their first call, not
+when this module is imported: widths and scans never load it.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import floordiv
 from typing import TYPE_CHECKING
 
 from .alexander import _CLOSED_FORMS, _check_torus_size, normalize_torus_params
@@ -239,7 +239,8 @@ def delta_sequence(stair: Staircase) -> WidthReport:
 
 def _semigroup_count(p: int, q: int, x: int) -> int:
     """#(<p, q> n [0, x)): the class of b*q (b < p) has ceil((x - bq)/p) there."""
-    return sum((x - y + p - 1) // p for y in range(0, min(x, p * q), q))
+    top = x + p - 1  # (top - bq) // p is that ceiling, and at least 1 iff bq < x
+    return sum(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
 
 
 def _torus_width(p: int, q: int) -> int:

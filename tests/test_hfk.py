@@ -240,8 +240,8 @@ def test_width_formula_outside_families():
     "p,q", [(2047, 2048), (1024, 4095), (3, 1398100), (2, 2097151)]
 )
 def test_widths_at_the_size_cap(p, q):
-    """Knots with p * q at most 2^22 and a closed form: no dtype of the
-    kernel may wrap on the largest tables it accepts."""
+    """Knots with p * q at most 2^22 and a closed form: the largest knots
+    the cap accepts, with p from 2 to 2047."""
     assert p * q <= 2**22
     assert width_torus(p, q).width == width_formula(p, q)
 
