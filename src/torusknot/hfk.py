@@ -297,9 +297,9 @@ def width_formula(p: int, q: int) -> int:
 
 # A scan whose knots' p sum to less than this runs serially: a width costs
 # O(p), and below it starting a pool cost more than it saved (2 cores, best of
-# 5 in each of 3 runs: bound 80, sum 5.1e4, took 27-33 ms serially and 35-36 ms
-# with 2 workers; they broke even between bound 90 and 110, sums 7.3e4 and
-# 1.3e5; bound 120, 1.7e5, took 82-101 ms and 61-72 ms).
+# 5 in each of 2 runs: bound 90, sum 7.3e4, took 31-40 ms serially and 36-44 ms
+# with 2 workers; they broke even between bound 100 and 120, sums 9.9e4 and
+# 1.7e5; bound 140, 2.8e5, took 105-141 ms and 89-102 ms).
 _SERIAL_BELOW = 150_000
 
 
