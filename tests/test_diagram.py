@@ -1,13 +1,20 @@
 """Closed-braid diagrams, Kauffman states, Turaev genus, dealternating numbers."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusknot.braid import BraidWord, lemma_word, torus_braid_word
+from torusknot.braid import (
+    BraidWord,
+    UnsupportedTorusFamily,
+    lemma_word,
+    torus_braid_word,
+)
 from torusknot.diagram import (
     DisconnectedDiagram,
     MalformedPDCode,
@@ -299,4 +306,72 @@ def test_dealternating_on_imported_diagram():
     assert (
         dealternating_number_diagram(again).minimum_changes
         == dealternating_number_diagram(d).minimum_changes
+    )
+
+
+# ----------------------------------------------------------------------
+# golden diagrams: state counts, Turaev genus and dealternating numbers
+
+_DIAGRAMS_GOLDEN_PATH = Path(__file__).with_name("diagrams_golden.json")
+# the grid the bounds workload walks
+_BOUNDS_GRID = [(p, q) for p in range(2, 10) for q in range(2, 121)]
+
+
+def _closure_record(word: BraidWord) -> list:
+    """[s_A, s_B, g_T, dealternating minimum, witness digest] of a closure."""
+    d = closure_diagram(word)
+    report = dealternating_number_diagram(d)
+    witness = ",".join(map(str, report.witness)).encode()
+    return [
+        all_a(d).component_count,
+        all_b(d).component_count,
+        turaev_genus_diagram(d),
+        report.minimum_changes,
+        hashlib.sha256(witness).hexdigest()[:12],
+    ]
+
+
+def _mixed_states() -> list[list]:
+    """[strands, word, assignment, circles] of seeded closures and smoothings."""
+    rng = random.Random(2017)
+    rows = []
+    for _ in range(300):
+        strands = rng.randint(2, 7)
+        letters = tuple(rng.randint(1, strands - 1) for _ in range(rng.randint(1, 40)))
+        assignment = "".join(rng.choice("AB") for _ in letters)
+        d = closure_diagram(BraidWord(strands, letters))
+        count = state_components(d, assignment).component_count
+        rows.append([strands, BraidWord(strands, letters).as_text(), assignment, count])
+    return rows
+
+
+def _diagrams_record() -> dict:
+    closures = {}
+    for p, q in _BOUNDS_GRID:
+        entry = {"standard": _closure_record(torus_braid_word(p, q))}
+        try:
+            entry["tabulated"] = _closure_record(lemma_word(p, q))
+        except UnsupportedTorusFamily:
+            pass
+        closures[f"{p},{q}"] = entry
+    return {"closures": closures, "states": _mixed_states()}
+
+
+def test_diagrams_match_golden():
+    golden = json.loads(_DIAGRAMS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert len(golden["closures"]) == len(_BOUNDS_GRID) == 952
+    assert _diagrams_record() == golden
+
+
+if __name__ == "__main__":
+    # Re-record tests/diagrams_golden.json from the current code:
+    #     PYTHONPATH=src python tests/test_diagram.py
+    # Only do this for a deliberate change of a diagram invariant.
+    record = _diagrams_record()
+    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in record["closures"].items()]
+    states = [f"  {json.dumps(row)}" for row in record["states"]]
+    _DIAGRAMS_GOLDEN_PATH.write_text(
+        '{"closures": {\n' + ",\n".join(lines) + '\n},\n"states": [\n'
+        + ",\n".join(states) + "\n]}\n",
+        encoding="utf-8",
     )
