@@ -48,11 +48,11 @@ class UnsupportedFamily(ValueError):
 
 
 class KnotTooLarge(ValueError):
-    """Raised, before anything is allocated, for p * q above MAX_TORUS_PRODUCT."""
+    """Raised, before anything is allocated, for a knot above a size cap."""
 
 
-# alexander_torus holds about p*q coefficients (width_torus only a list of p);
-# the cap leaves room for the width-jump scan up to bound 2048.
+# alexander_torus holds about p*q coefficients; the cap leaves room for the
+# width-jump scan up to bound 2048.  width_torus has a cap of its own.
 MAX_TORUS_PRODUCT = 2**22
 
 

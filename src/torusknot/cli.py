@@ -282,12 +282,10 @@ def _verify_lemmas(args: argparse.Namespace) -> _Output:
     "turaev-genus", "Turaev genus of a closed-braid or PD diagram", *_DIAGRAM_SOURCE
 )
 def _turaev_genus(args: argparse.Namespace) -> _Output:
-    from .diagram import all_a, all_b, turaev_genus_diagram
+    from .diagram import _turaev_counts
 
     diagram = _diagram_from_args(args)
-    genus = turaev_genus_diagram(diagram)
-    s_a = all_a(diagram).component_count
-    s_b = all_b(diagram).component_count
+    genus, s_a, s_b = _turaev_counts(diagram)
     document = {
         "crossings": len(diagram.signs),
         "s_A": s_a,

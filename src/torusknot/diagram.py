@@ -24,6 +24,12 @@ circles, the Turaev surface has genus
 
 defined for connected diagrams.
 
+Counts are orbit walks: following the arc from end e to its partner, then a
+turn at that crossing, permutes the ends.  With the smoothing join as the
+turn each state circle is two orbits, one per direction; with the next slot
+(s + 1) mod 4 as the turn each orbit is a face.  Connected pieces come from
+a stack search over the crossings along the arcs.
+
 The minimum number of crossing changes making a diagram alternating is
 decided exactly: along every component the passes must alternate over/under,
 which pins the relative flip state of consecutive crossings; the resulting
@@ -69,27 +75,6 @@ class DisconnectedDiagram(ValueError):
 
 class InconsistentConstraints(ValueError):
     """No set of crossing changes can make the diagram alternating."""
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def roots(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
 class Diagram:
@@ -245,7 +230,41 @@ class KauffmanState:
     component_count: int
 
 
-_SMOOTHING_JOINS = {"A": ((0, 1), (2, 3)), "B": ((0, 3), (1, 2))}
+# A smoothing joins end e to e ^ mask: A pairs slots 0-1 and 2-3, B 0-3 and 1-2.
+_JOIN_MASK = {"A": 1, "B": 3}
+
+
+def _orbits(step: list[int]) -> int:
+    """Number of cycles of the permutation ``step`` of the ends."""
+    seen = bytearray(len(step))
+    count = 0
+    for start in range(len(step)):
+        if not seen[start]:
+            count += 1
+            end = start
+            while not seen[end]:
+                seen[end] = 1
+                end = step[end]
+    return count
+
+
+def _pieces(diagram: Diagram) -> int:
+    """Connected pieces of the crossings, by a stack search along the arcs."""
+    crossing = [far >> 2 for far in diagram._partner]  # where each end's arc leads
+    seen = bytearray(diagram.n_crossings)
+    pieces = 0
+    for root in range(diagram.n_crossings):
+        if not seen[root]:
+            pieces += 1
+            seen[root] = 1
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                for d in crossing[4 * c : 4 * c + 4]:
+                    if not seen[d]:
+                        seen[d] = 1
+                        stack.append(d)
+    return pieces
 
 
 def state_components(diagram: Diagram, assignment: Iterable[str]) -> KauffmanState:
@@ -253,22 +272,17 @@ def state_components(diagram: Diagram, assignment: Iterable[str]) -> KauffmanSta
 
     ``assignment`` gives 'A' or 'B' per crossing, in crossing order.  The
     all-A state of a braid closure recovers the braid strands, e.g. 4
-    circles for a closed 4-strand braid.
+    circles for a closed 4-strand braid.  The circles are half the orbits
+    of "follow the arc from end e, then the smoothing join": one per direction.
     """
     choice = tuple(assignment)
     if len(choice) != diagram.n_crossings:
-        raise ValueError(
-            f"need {diagram.n_crossings} smoothings, got {len(choice)}"
-        )
+        raise ValueError(f"need {diagram.n_crossings} smoothings, got {len(choice)}")
     if any(x not in ("A", "B") for x in choice):
         raise ValueError("smoothings must be 'A' or 'B'")
-    uf = _UnionFind(4 * diagram.n_crossings)
-    for u, v in diagram.arcs:
-        uf.union(u, v)
-    for c, x in enumerate(choice):
-        for s, t in _SMOOTHING_JOINS[x]:
-            uf.union(4 * c + s, 4 * c + t)
-    return KauffmanState(choice, uf.roots() + diagram.free_circles)
+    mask = [_JOIN_MASK[x] for x in choice]
+    step = [far ^ mask[far >> 2] for far in diagram._partner]
+    return KauffmanState(choice, _orbits(step) // 2 + diagram.free_circles)
 
 
 def all_a(diagram: Diagram) -> KauffmanState:
@@ -281,31 +295,10 @@ def all_b(diagram: Diagram) -> KauffmanState:
     return state_components(diagram, "B" * diagram.n_crossings)
 
 
-def _is_connected(diagram: Diagram) -> bool:
-    if diagram.n_crossings == 0:
-        return diagram.free_circles == 1
-    if diagram.free_circles:
-        return False
-    uf = _UnionFind(4 * diagram.n_crossings)
-    for u, v in diagram.arcs:
-        uf.union(u, v)
-    for c in range(diagram.n_crossings):
-        uf.union(4 * c, 4 * c + 1)
-        uf.union(4 * c, 4 * c + 2)
-        uf.union(4 * c, 4 * c + 3)
-    return uf.roots() == 1
-
-
-def turaev_genus_diagram(diagram: Diagram) -> int:
-    """Genus of the Turaev surface of a connected diagram.
-
-    (2 + c - s_A - s_B) / 2; raises DisconnectedDiagram when the projection
-    is not connected (the surface is defined component-by-component only).
-    """
-    if not _is_connected(diagram):
-        raise DisconnectedDiagram(
-            "the Turaev surface needs a connected diagram"
-        )
+def _turaev_counts(diagram: Diagram) -> tuple[int, int, int]:
+    """(g_T, s_A, s_B) of a connected diagram; see turaev_genus_diagram."""
+    if diagram.free_circles + _pieces(diagram) != 1:  # one piece or one circle
+        raise DisconnectedDiagram("the Turaev surface needs a connected diagram")
     c = diagram.n_crossings
     s_a = all_a(diagram).component_count
     s_b = all_b(diagram).component_count
@@ -316,7 +309,16 @@ def turaev_genus_diagram(diagram: Diagram) -> int:
             f"2 + c - s_A - s_B = {doubled} (c = {c}, s_A = {s_a}, s_B = {s_b}) "
             "is not a nonnegative even number: the diagram is not planar"
         )
-    return doubled // 2
+    return doubled // 2, s_a, s_b
+
+
+def turaev_genus_diagram(diagram: Diagram) -> int:
+    """Genus of the Turaev surface of a connected diagram.
+
+    (2 + c - s_A - s_B) / 2; raises DisconnectedDiagram when the projection
+    is not connected (the surface is defined component-by-component only).
+    """
+    return _turaev_counts(diagram)[0]
 
 
 # ----------------------------------------------------------------------
@@ -522,27 +524,15 @@ def _check_planar(diagram: Diagram) -> None:
     The counterclockwise slot order at each crossing is a rotation system.
     Its faces are the orbits of "follow the arc from end e to its partner,
     then turn to the next slot (s + 1) mod 4"; by Euler's formula a planar
-    4-valent graph with c vertices has c + 2 faces per connected component.
+    4-valent graph with c vertices has c + 2 faces per connected piece, and
+    the pieces come from a stack search over the crossings.
     """
-    n = diagram.n_crossings
-    pieces = _UnionFind(n)
-    for u, v in diagram.arcs:
-        pieces.union(u // 4, v // 4)
-    faces = 0
-    seen = [False] * (4 * n)
-    for start in range(4 * n):
-        if seen[start]:
-            continue
-        faces += 1
-        end = start
-        while not seen[end]:
-            seen[end] = True
-            far = diagram._partner[end]
-            end = far - far % 4 + (far + 1) % 4
-    if faces != n + 2 * pieces.roots():
+    faces = _orbits([far - far % 4 + (far + 1) % 4 for far in diagram._partner])
+    want = diagram.n_crossings + 2 * _pieces(diagram)
+    if faces != want:
         raise MalformedPDCode(
             f"the crossings and arcs bound {faces} faces, not "
-            f"{n + 2 * pieces.roots()}: the diagram is not planar"
+            f"{want}: the diagram is not planar"
         )
 
 

@@ -67,7 +67,8 @@ from itertools import accumulate, repeat
 from operator import floordiv
 from typing import TYPE_CHECKING
 
-from .alexander import _CLOSED_FORMS, _check_torus_size, normalize_torus_params
+from .alexander import _CLOSED_FORMS, KnotTooLarge, _check_torus_size
+from .alexander import normalize_torus_params
 from .laurent import LaurentPolynomial
 
 if TYPE_CHECKING:
@@ -243,6 +244,9 @@ def _semigroup_count(p: int, q: int, x: int) -> int:
     return sum(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
 
 
+_MAX_WIDTH_BITS = 2**21  # T(65535, 65536) is the largest T(p, p+1) width_torus takes
+
+
 def _torus_width(p: int, q: int) -> int:
     """Width of T(p, q), 1 <= p <= q coprime, as 1 - min h, certified.
 
@@ -273,7 +277,12 @@ def width_torus(p: int, q: int) -> WidthReport:
     3
     """
     p, q = normalize_torus_params(p, q)
-    _check_torus_size(p, q)
+    bits = (p * q).bit_length()  # the walk holds p values of h, each within +-p*q
+    if p * bits > _MAX_WIDTH_BITS:
+        raise KnotTooLarge(
+            f"the width walk of T({p},{q}) holds {p} integers of {bits} bits, "
+            f"above the cap of {_MAX_WIDTH_BITS} bits"
+        )
     genus, width = (p - 1) * (q - 1) // 2, _torus_width(p, q)
     return WidthReport(genus, genus + 1 - width, width)
 

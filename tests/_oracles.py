@@ -49,3 +49,50 @@ def coprime_pair_count(bound: int) -> int:
             if math.gcd(p, q) == 1:
                 count += 1
     return count
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def roots(self) -> int:
+        return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
+
+
+def union_find_state_circles(
+    crossings: int, arcs, assignment: str, free_circles: int = 0
+) -> int:
+    """Circles of a Kauffman state, by union-find over the string-ends.
+
+    End ``4*c + slot`` of crossing c is joined to its arc partner and, by the
+    smoothing, to a neighbouring slot: A joins slots 0-1 and 2-3, B joins
+    0-3 and 1-2.  The circles are the classes, plus the free circles.
+    """
+    uf = _UnionFind(4 * crossings)
+    for u, v in arcs:
+        uf.union(u, v)
+    for c, x in enumerate(assignment):
+        for s, t in {"A": ((0, 1), (2, 3)), "B": ((0, 3), (1, 2))}[x]:
+            uf.union(4 * c + s, 4 * c + t)
+    return uf.roots() + free_circles
+
+
+def union_find_pieces(crossings: int, arcs) -> int:
+    """Connected pieces of the crossings joined by arcs between their ends."""
+    uf = _UnionFind(crossings)
+    for u, v in arcs:
+        uf.union(u // 4, v // 4)
+    return uf.roots()

@@ -266,6 +266,16 @@ def test_oversized_inputs_exit_two_before_allocating(capsys, argv):
     assert peak < 2**20  # bytes: the refusal comes before any big allocation
 
 
+def test_width_above_the_alexander_cap_answers(capsys):
+    # The Alexander cap (p * q <= 2^22) no longer applies to widths.
+    from torusknot.hfk import width_formula
+
+    code, out, err = run(capsys, "width", "3000", "3001", "--json", "--compact")
+    assert code == 0 and err == ""
+    assert json.loads(out)["width"] == width_formula(3000, 3001)
+    assert run(capsys, "alexander", "3000", "3001")[0] == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import union_find_pieces, union_find_state_circles
 from torusknot.braid import (
     BraidWord,
     UnsupportedTorusFamily,
     lemma_word,
     torus_braid_word,
 )
+from torusknot import diagram as diagram_module
 from torusknot.diagram import (
+    Diagram,
     DisconnectedDiagram,
     MalformedPDCode,
     all_a,
@@ -103,6 +106,67 @@ def test_single_smoothing_flip_changes_count_by_one(pw, data):
     before = state_components(d, assignment).component_count
     after = state_components(d, flipped).component_count
     assert abs(after - before) == 1
+
+
+# ----------------------------------------------------------------------
+# orbit walks against the union-find oracle
+
+
+def _random_closure(rng: random.Random, strands: tuple[int, int], length: int):
+    p = rng.randint(*strands)
+    return closure_diagram(
+        BraidWord(p, tuple(rng.randint(1, p - 1) for _ in range(length)))
+    )
+
+
+def _oracle_circles(d, assignment: str) -> int:
+    return union_find_state_circles(d.n_crossings, d.arcs, assignment, d.free_circles)
+
+
+def test_state_components_match_oracle_on_random_closures():
+    rng = random.Random(15)
+    for _ in range(400):
+        d = _random_closure(rng, (3, 6), rng.randint(0, 40))
+        assignment = "".join(rng.choice("AB") for _ in range(d.n_crossings))
+        got = state_components(d, assignment).component_count
+        assert got == _oracle_circles(d, assignment), export_pd(d)
+
+
+def test_state_components_match_oracle_on_every_assignment():
+    rng = random.Random(16)
+    words = [torus_braid_word(2, 5), torus_braid_word(3, 4), torus_braid_word(4, 3)]
+    words += [BraidWord(4, (1, 3, 1, 3)), BraidWord(5, (2, 2))]
+    diagrams = [closure_diagram(w) for w in words]
+    diagrams += [_random_closure(rng, (2, 6), c) for c in range(1, 11)]
+    for d in diagrams:
+        c = d.n_crossings
+        assert c <= 10
+        for mask in range(1 << c):
+            assignment = "".join("B" if mask >> i & 1 else "A" for i in range(c))
+            got = state_components(d, assignment).component_count
+            assert got == _oracle_circles(d, assignment), (export_pd(d), assignment)
+
+
+def test_state_components_match_oracle_after_pd_roundtrip():
+    rng = random.Random(17)
+    for _ in range(200):
+        d = import_pd(export_pd(_random_closure(rng, (2, 6), rng.randint(1, 30))))
+        assignment = "".join(rng.choice("AB") for _ in range(d.n_crossings))
+        got = state_components(d, assignment).component_count
+        assert got == _oracle_circles(d, assignment), export_pd(d)
+
+
+def test_face_and_piece_counts_of_random_closures():
+    rng = random.Random(18)
+    for _ in range(300):
+        d = _random_closure(rng, (2, 7), rng.randint(0, 30))
+        partner = d._partner
+        faces = diagram_module._orbits(
+            [far - far % 4 + (far + 1) % 4 for far in partner]
+        )
+        pieces = diagram_module._pieces(d)
+        assert pieces == union_find_pieces(d.n_crossings, d.arcs)
+        assert faces == d.n_crossings + 2 * pieces, export_pd(d)
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +344,14 @@ def test_pd_import_rejects_booleans(field):
 
 def test_pd_import_rejects_non_planar_codes():
     # One crossing whose two arcs join opposite slots: one face, not c + 2 = 3.
-    with pytest.raises(MalformedPDCode, match="not planar"):
+    with pytest.raises(MalformedPDCode, match="bound 1 faces, not 3: .* not planar"):
         import_pd(json.dumps({"crossings": [[1, 2, 1, 2, "+"]]}))
+    # The same crossing built directly, past import_pd.
+    direct = Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
+    with pytest.raises(MalformedPDCode, match="bound 1 faces, not 3"):
+        diagram_module._check_planar(direct)
+    with pytest.raises(MalformedPDCode, match=r"= 1 \(c = 1, s_A = 1, s_B = 1\)"):
+        turaev_genus_diagram(direct)
     # The planar kink: arcs join neighbouring slots.
     assert import_pd(json.dumps({"crossings": [[1, 1, 2, 2, "+"]]})).n_crossings == 1
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from torusknot import hfk
-from torusknot.alexander import alexander_torus
+from torusknot.alexander import KnotTooLarge, alexander_torus
 from torusknot.hfk import (
     NotLSpaceForm,
     Staircase,
@@ -241,9 +241,23 @@ def test_width_formula_outside_families():
 )
 def test_widths_at_the_size_cap(p, q):
     """Knots with p * q at most 2^22 and a closed form: the largest knots
-    the cap accepts, with p from 2 to 2047."""
+    the Alexander cap accepts, with p from 2 to 2047."""
     assert p * q <= 2**22
     assert width_torus(p, q).width == width_formula(p, q)
+
+
+def test_width_cap_bounds_the_walk(monkeypatch):
+    # T(3000, 3001) is above the Alexander cap, but its walk holds only
+    # 3000 integers of (3000 * 3001).bit_length() = 24 bits.
+    assert 3000 * 3001 > 2**22
+    assert width_torus(3000, 3001).width == width_formula(3000, 3001) == 2248501
+    monkeypatch.setattr(hfk, "_MAX_WIDTH_BITS", 3000 * 24)
+    assert width_torus(3000, 3001).width == 2248501
+    monkeypatch.setattr(hfk, "_MAX_WIDTH_BITS", 3000 * 24 - 1)
+    with pytest.raises(
+        KnotTooLarge, match="holds 3000 integers of 24 bits, above the cap of 71999 bits"
+    ):
+        width_torus(3001, 3000)
 
 
 def test_unknot_and_two_strand_widths():

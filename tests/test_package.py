@@ -1,5 +1,7 @@
 """The package namespace: its exported names, loaded on first use."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -132,3 +134,20 @@ def test_import_torusknot_loads_no_submodule():
     )
     assert before == []
     assert after == ["torusknot.alexander", "torusknot.hfk", "torusknot.laurent"]
+
+
+def test_tracer_targets_resolve_to_package_callables(monkeypatch):
+    # bench/tracer.py reports a target it cannot find as missing instead of
+    # failing, so a rename here would silently blank a per-layer metric.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, module_name, attribute, _ in tracer.TARGETS:
+        assert module_name.startswith("torusknot."), name
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{name}: {module_name}.{attribute} is not a callable"
