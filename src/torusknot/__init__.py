@@ -2,7 +2,7 @@
 
 The package computes, with integer arithmetic throughout:
 
-* Alexander polynomials of torus knots (rational formula and per-family
+* Alexander polynomials of torus knots (the Lam-Leung grid and per-family
   closed forms) -- :mod:`torusknot.alexander` on top of
   :mod:`torusknot.laurent`;
 * knot Floer staircase complexes, their delta-grading widths, and the

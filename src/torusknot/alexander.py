@@ -1,23 +1,26 @@
 """Alexander polynomials of torus knots, exactly.
 
-The (p,q) torus knot's Alexander polynomial is computed from the rational
-expression
+With g = (p-1)(q-1)/2, the (p,q) torus knot's Alexander polynomial is
 
-    Delta(t) = t^{-(p-1)(q-1)/2} * (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
+    Delta(t) * t^g = (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
-evaluated with exact Laurent-polynomial division, then normalized to the
-symmetric form Delta(t) == Delta(1/t).  Both divisions are by polynomials of
-the shape t^m - 1, so they hit the fast residue-class division path.  A knot
-with p * q above ``MAX_TORUS_PRODUCT`` raises KnotTooLarge before anything is
-allocated.
+normalized to the symmetric form Delta(t) == Delta(1/t).  Nothing is
+divided: the quotient is read off the Lam-Leung grid ("On the cyclotomic
+polynomial Phi_pq(x)", Amer. Math. Monthly 1996).  Write
+(p-1)(q-1) = r*p + s*q with 0 <= s < p.  Then Delta(t) * t^g has +1 at
+i*p + j*q for 0 <= i <= r and 0 <= j <= s, and -1 at i*p + j*q - pq for
+r < i < q and s < j < p; every other coefficient is 0.  The derivation
+needs only gcd(p, q) = 1, which makes r and s unique and nonnegative, not
+that p or q is prime.  A knot with p * q above ``MAX_TORUS_PRODUCT`` raises
+KnotTooLarge before anything is allocated.
 
 Four families close to explicit sparse sums: T(p, pn+1) and T(p, pn-1) for
 any p, and T(5, 5n+2) and T(5, 5n+3).  One table, ``_CLOSED_FORMS``, holds
 each family's offset, strand count, expansion and knot Floer width;
 ``alexander_closed_form`` evaluates the expansions directly.  The two
 computations agree on every family member — the test suite cross-checks them
-against each other and against an independent numerical-semigroup
-expansion.
+against each other, against the rational formula above evaluated by exact
+division, and against an independent numerical-semigroup expansion.
 """
 
 from __future__ import annotations
@@ -81,11 +84,6 @@ def _check_torus_size(p: int, q: int) -> None:
         )
 
 
-def _t_power_minus_one(m: int) -> LaurentPolynomial:
-    """The polynomial t**m - 1."""
-    return LaurentPolynomial.from_terms([(m, 1), (0, -1)])
-
-
 def alexander_torus(p: int, q: int) -> LaurentPolynomial:
     """Alexander polynomial of the (p, q) torus knot, symmetric form.
 
@@ -94,15 +92,19 @@ def alexander_torus(p: int, q: int) -> LaurentPolynomial:
     """
     p, q = normalize_torus_params(p, q)
     _check_torus_size(p, q)
-    if p == 1:
+    if p == 1:  # the unknot; the grid would still allocate q - 1 entries
         return LaurentPolynomial.one()
     genus_double = (p - 1) * (q - 1)  # always even for coprime p, q
-    # (t^pq - 1) / (t^q - 1) is the sparse 1 + t^q + ... + t^((p-1)q).  Taking
-    # it first keeps the product cheap and leaves the dense division with only
-    # p <= q residue classes.
-    sparse = _t_power_minus_one(p * q).exact_div(_t_power_minus_one(q))
-    quot = (sparse * _t_power_minus_one(1)).exact_div(_t_power_minus_one(p))
-    return quot.shift(-(genus_double // 2))
+    s = (pow(q, -1, p) - 1) % p  # s*q = (p-1)(q-1) = 1 - q (mod p)
+    r = (genus_double - s * q) // p
+    # The grid's terms with one j lie p apart: one slice per j < p <= q.
+    c = [0] * (genus_double + 1)
+    plus, minus = [1] * (r + 1), [-1] * (q - 1 - r)
+    for j in range(s + 1):
+        c[j * q : j * q + r * p + 1 : p] = plus
+    for j in range(s + 1, p):
+        c[(r + 1) * p + j * q - p * q : j * q - p + 1 : p] = minus
+    return LaurentPolynomial._raw(-(genus_double // 2), c)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,6 @@ the walked minimum disagrees with its recount or a neighbour lies lower.
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 serially or in a process pool, and checks the jumps in one fixed order.
 Small scans run serially, because starting the pool costs more than they do.
-
-numpy is imported by the staircase functions, on their first call, not
-when this module is imported: widths and scans never load it.
 """
 
 from __future__ import annotations
@@ -63,16 +60,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import floordiv
-from typing import TYPE_CHECKING
+from itertools import accumulate, compress, cycle, repeat
+from operator import add, floordiv, mul, sub
 
-from .alexander import _CLOSED_FORMS, KnotTooLarge, _check_torus_size
+from .alexander import _CLOSED_FORMS, MAX_TORUS_PRODUCT, KnotTooLarge
 from .alexander import normalize_torus_params
 from .laurent import LaurentPolynomial
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "NotLSpaceForm",
@@ -161,54 +154,35 @@ class ConjectureViolation:
     expected_jump: int
 
 
-def _lspace_steps(coefficients: np.ndarray, low: int) -> np.ndarray:
-    """The checked steps s_0 < ... < s_k of sum_i coefficients[i] * t^(low+i).
-
-    Raises NotLSpaceForm unless the polynomial is nonzero, +-1, palindromic,
-    with a nonzero constant term, signs alternating along the support (by
-    the symmetry, along its nonnegative half) and leading +1.
-    """
-    import numpy as np
-
-    if coefficients.min() < -1 or coefficients.max() > 1:
-        raise NotLSpaceForm("coefficients must all be +-1")
-    if low != -(low + len(coefficients) - 1) or np.count_nonzero(
-        coefficients != coefficients[::-1]
-    ):
-        raise NotLSpaceForm("polynomial is not palindromic")
-    upper = coefficients[-low:]
-    if not upper[0]:  # a palindrome with a zero middle, or zero everywhere
-        if not coefficients.any():
-            raise NotLSpaceForm("the zero polynomial has no staircase")
-        raise NotLSpaceForm("constant coefficient must be nonzero")
-    (s,) = upper.nonzero()
-    c = upper[s]
-    if np.count_nonzero(c[1:] == c[:-1]):
-        raise NotLSpaceForm("signs must alternate along the support")
-    if c[-1] != 1:
-        raise NotLSpaceForm("leading coefficient must be +1")
-    return s
-
-
 def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     """Read the staircase steps off an L-space-form Alexander polynomial.
 
     Requirements checked (NotLSpaceForm otherwise): the polynomial is
     palindromic, every nonzero coefficient is +-1, the constant coefficient is
-    nonzero, the signs strictly alternate along the support, and the leading
-    coefficient is +1.
+    nonzero, the signs strictly alternate along the support (by the symmetry,
+    along its nonnegative half), and the leading coefficient is +1.
 
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
     Staircase(k=1, s=(0, 1))
     """
-    import numpy as np
-
-    try:  # the zero polynomial as 0 * t^0
-        coefficients = np.fromiter(delta.coefficients or (0,), np.int64)
-    except OverflowError:  # beyond int64, so certainly not +-1
-        raise NotLSpaceForm("coefficients must all be +-1") from None
-    s = _lspace_steps(coefficients, delta.min_exponent)
-    return Staircase(k=len(s) - 1, s=tuple(s.tolist()))
+    coefficients = delta.coefficients or (0,)  # the zero polynomial as 0 * t^0
+    low = delta.min_exponent
+    if min(coefficients) < -1 or max(coefficients) > 1:
+        raise NotLSpaceForm("coefficients must all be +-1")
+    if low != -(low + len(coefficients) - 1) or coefficients != coefficients[::-1]:
+        raise NotLSpaceForm("polynomial is not palindromic")
+    upper = coefficients[-low:]
+    if not upper[0]:  # a palindrome with a zero middle, or zero everywhere
+        if not any(coefficients):
+            raise NotLSpaceForm("the zero polynomial has no staircase")
+        raise NotLSpaceForm("constant coefficient must be nonzero")
+    s = tuple(compress(range(len(upper)), upper))
+    c = list(compress(upper, upper))
+    if c[::2].count(c[0]) + c[1::2].count(-c[0]) != len(c):
+        raise NotLSpaceForm("signs must alternate along the support")
+    if c[-1] != 1:
+        raise NotLSpaceForm("leading coefficient must be +1")
+    return Staircase(k=len(s) - 1, s=s)
 
 
 def hfk_from_staircase(stair: Staircase) -> HFKTable:
@@ -216,19 +190,16 @@ def hfk_from_staircase(stair: Staircase) -> HFKTable:
 
     Down from step l to l-1, delta grows by c_l * (s_l - s_{l-1} - 1), the
     recursion with the parity of k - l read off the signs c_l = (-1)^(k-l);
-    as c_{l-1} = -c_l, that is the step of walk = cumsum(c * (2s - 1)) - c * s,
-    so m_l = s_l - delta_l = s_l - s_k - walk_k + walk_l.
+    so delta is one running sum down from delta_k = s_k - m_k = s_k, and
+    m_l = s_l - delta_l.
 
     >>> hfk_from_staircase(Staircase(1, (0, 1))).generators()
     [(1, 0, 1), (0, -1, 1), (-1, -2, 1)]
     """
-    import numpy as np
-
-    s = np.asarray(stair.s, dtype=np.int64)
-    c = (-1) ** np.arange(stair.k, -1, -1)
-    cs = c * s
-    walk = np.add.accumulate(cs + cs - c) - cs
-    return HFKTable(k=stair.k, s=stair.s, m=tuple((s - s[-1] - walk[-1] + walk).tolist()))
+    s = stair.s
+    gaps = map(sub, s[:0:-1], map(add, s[-2::-1], repeat(1)))  # s_l - s_{l-1} - 1
+    delta = list(accumulate(map(mul, cycle((1, -1)), gaps), initial=s[-1]))
+    return HFKTable(k=stair.k, s=s, m=tuple(map(sub, s, reversed(delta))))
 
 
 def delta_sequence(stair: Staircase) -> WidthReport:
@@ -339,8 +310,14 @@ def scan_conjecture(
     """
     q_lo, q_hi = q_range if q_range is not None else (3, bound)
     q_max = min(q_hi, bound) - 1
-    if q_max >= max(q_lo, 3):  # refuse a too-large knot before listing any pair
-        _check_torus_size(q_max - 1, q_max)
+    # Refuse a too-large scan before listing any pair.  The cap is the
+    # Alexander one: the width walk's would admit bound 60000, ~1.1e9 pairs.
+    if q_max >= max(q_lo, 3) and (q_max - 1) * q_max > MAX_TORUS_PRODUCT:
+        raise KnotTooLarge(
+            f"a scan to bound {bound} would list the coprime pairs up to "
+            f"T({q_max - 1},{q_max}), whose p * q = {(q_max - 1) * q_max} is "
+            f"above the cap of {MAX_TORUS_PRODUCT}"
+        )
     pairs = [
         (p, q)
         for q in range(max(q_lo, 3), min(q_hi, bound))

@@ -255,20 +255,19 @@ def check_conjecture_scan(failures: list[str], bound: int = 250, jobs: int = 1) 
 
 
 # ----------------------------------------------------------------------
-# 5. closed forms vs rational formula
+# 5. closed forms vs the Lam-Leung grid
 
 
 @_check("closed-forms")
 def check_closed_forms(failures: list[str]) -> str:
-    """Every closed-form family equals the rational formula, n <= 20."""
+    """Every closed-form family equals the Lam-Leung grid, n <= 20."""
     families = _closed_form_families()
     for family in families:
         closed = alexander_closed_form(family)
-        rational = alexander_torus(family.p, family.q)
-        if closed != rational:
+        if closed != alexander_torus(family.p, family.q):
             failures.append(
                 f"{family.kind} p={family.p} n={family.n}: closed form "
-                f"differs from rational formula"
+                f"differs from the Lam-Leung grid"
             )
     return f"{len(families)} family instances, exact match"
 

@@ -2,11 +2,33 @@
 
 Nothing here imports the package's own polynomial pipeline logic; these
 are deliberately different algorithms so the tests are not circular.
+The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
+below the Alexander grid it checks.
 """
 
 from __future__ import annotations
 
 import math
+
+from torusknot.laurent import LaurentPolynomial
+
+
+def rational_alexander(p: int, q: int) -> LaurentPolynomial:
+    """Alexander polynomial of T(p,q), coprime, by exact division:
+
+        t^-g (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)),  g = (p-1)(q-1)/2.
+
+    The four-term numerator is divided by t^p - 1 first: only two of its p
+    residue classes are nonzero, so that division is cheap.
+    """
+    if math.gcd(p, q) != 1:
+        raise ValueError("coprime parameters required")
+    numerator = LaurentPolynomial.from_terms(
+        [(p * q + 1, 1), (p * q, -1), (1, -1), (0, 1)]
+    )
+    quotient = numerator.exact_div(LaurentPolynomial.from_terms([(p, 1), (0, -1)]))
+    quotient = quotient.exact_div(LaurentPolynomial.from_terms([(q, 1), (0, -1)]))
+    return quotient.shift(-(p - 1) * (q - 1) // 2)
 
 
 def semigroup_alexander_terms(p: int, q: int) -> dict[int, int]:

@@ -1,4 +1,5 @@
-"""Alexander polynomials of torus knots: rational formula and closed forms."""
+"""Alexander polynomials of torus knots: the Lam-Leung grid, the rational
+formula and closed forms."""
 
 import json
 import math
@@ -18,7 +19,7 @@ from torusknot.alexander import (
 from torusknot.hfk import width_formula, width_torus
 from torusknot.laurent import LaurentPolynomial
 
-from _oracles import semigroup_alexander_terms
+from _oracles import rational_alexander, semigroup_alexander_terms
 
 GOLDEN = {
     (2, 3): "t^{-1}-1+t",
@@ -85,6 +86,19 @@ def test_matches_semigroup_oracle():
             assert alexander_torus(p, q) == expected, f"T({p},{q})"
 
 
+def test_grid_matches_rational_formula():
+    """The grid against exact division, every coprime 1 <= p < q < 200."""
+    for q in range(2, 200):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                assert alexander_torus(p, q) == rational_alexander(p, q), (p, q)
+
+
+def test_grid_matches_rational_formula_at_the_size_cap():
+    assert 2047 * 2048 <= alexander.MAX_TORUS_PRODUCT
+    assert alexander_torus(2048, 2047) == rational_alexander(2047, 2048)
+
+
 def test_symmetry_and_evaluation_properties():
     for p, q in ((3, 5), (4, 7), (5, 8), (6, 11)):
         delta = alexander_torus(p, q)
@@ -117,9 +131,9 @@ def test_closed_forms_match_rational_formula():
     count = 0
     for family in _families(12):
         count += 1
-        assert alexander_closed_form(family) == alexander_torus(
-            family.p, family.q
-        ), f"{family.kind} p={family.p} n={family.n}"
+        closed = alexander_closed_form(family)
+        assert closed == rational_alexander(family.p, family.q), family
+        assert closed == alexander_torus(family.p, family.q), family
     assert count > 200
 
 

@@ -247,6 +247,7 @@ def test_compact_json_single_line(capsys):
         "turaev-genus --tabulated 4 40000000001",
         "bounds 4 40000000000",
         "scan --bound 100000",
+        "scan --bound 60000",
         "verify-paper --only conjecture-scan --scan-bound 100000",
         "verify-lemmas --n-max 100000",
     ],
@@ -400,11 +401,9 @@ def test_golden_transcript(case, golden, monkeypatch, tmp_path):
     assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
 
 
-# Commands that never compute a staircase, so never load numpy.
-_NUMPY_FREE = (
-    "alexander", "braid-eq", "dalt", "turaev-genus", "states", "verify-lemmas",
-    "width", "bounds", "scan",
-)
+# The package needs only the standard library: every command runs with
+# numpy blocked.
+_NUMPY_FREE = _SUBCOMMANDS
 _NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None  # from here on, every numpy import raises ImportError
@@ -432,7 +431,7 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     transcripts = json.loads(done.stdout)
-    assert len(cases) == 57  # 19 commands, each in three output modes
+    assert len(cases) == 66  # 22 commands, each in three output modes
     for case in cases:
         assert transcripts[case] == golden["cases"][case], case
 

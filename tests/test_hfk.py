@@ -25,7 +25,7 @@ from torusknot.hfk import (
 )
 from torusknot.laurent import LaurentPolynomial
 
-from _oracles import coprime_pair_count
+from _oracles import coprime_pair_count, rational_alexander
 
 
 def _table(p, q):
@@ -64,15 +64,13 @@ def test_non_staircase_polynomials_rejected(terms):
         extract_staircase(LaurentPolynomial.from_terms(terms))
 
 
-_T25 = [1, -1, 1, -1, 1]  # T(2,5): t^-2 - t^-1 + 1 - t + t^2
-_T23 = [0, 1, -1, 1, 0]  # the trefoil, padded to t^-2..t^2
+_T25 = (1, -1, 1, -1, 1)  # T(2,5): t^-2 - t^-1 + 1 - t + t^2
+_T23 = (0, 1, -1, 1, 0)  # the trefoil, padded to t^-2..t^2
 
 
 def test_lspace_steps_of_one_polynomial():
     """The steps of one polynomial, from its coefficients and lowest power."""
-    import numpy as np
-
-    assert hfk._lspace_steps(np.array(_T25), -2).tolist() == [0, 1, 2]
+    assert extract_staircase(LaurentPolynomial(-2, _T25)).s == (0, 1, 2)
     assert extract_staircase(LaurentPolynomial(-2, _T25)) == Staircase(2, (0, 1, 2))
     assert extract_staircase(LaurentPolynomial(-2, _T23)) == Staircase(1, (0, 1))
 
@@ -96,8 +94,8 @@ def test_lspace_steps_names_the_failed_check_of_any_row(row, message):
 
 @pytest.mark.parametrize("c", [2**70, -(2**70), 2**63, 2])
 def test_big_coefficients_are_not_lspace_form(c):
-    # Python-int coefficients past int64 are a domain error, not an
-    # OverflowError from converting them to an array.
+    # Coefficients other than 0 and +-1, however large, are a domain error:
+    # the +-1 check comes first and compares Python ints exactly.
     with pytest.raises(NotLSpaceForm, match="must all be"):
         extract_staircase(LaurentPolynomial(0, [c]))
     with pytest.raises(NotLSpaceForm, match="must all be"):
@@ -113,17 +111,18 @@ def test_malformed_staircase_rejected(k, s):
 
 
 # ----------------------------------------------------------------------
-# the semigroup kernel against the rational-formula path
+# the semigroup kernel against the rational formula
 
 
 def test_semigroup_kernel_matches_rational_formula():
     """Delta spreads of every coprime 2 <= p < q < 120, walked over <p, q>
-    knot by knot, equal those read off the divided-out Alexander polynomial."""
+    knot by knot, equal those read off the Alexander polynomial divided out
+    of the rational formula (the test oracle, not the package's grid)."""
     for p in range(2, 119):
         for q in range(p + 1, 120):
             if math.gcd(p, q) != 1:
                 continue
-            want = delta_sequence(extract_staircase(alexander_torus(p, q)))
+            want = delta_sequence(extract_staircase(rational_alexander(p, q)))
             assert hfk._torus_width(p, q) == want.width, (p, q)
             assert width_torus(p, q) == want == width_torus(q, p), (p, q)
 
@@ -290,6 +289,18 @@ def test_scan_q_range_partition():
 def test_scan_refuses_a_range_without_coprime_pairs(bound, q_range):
     with pytest.raises(ValueError, match="no coprime pair"):
         scan_conjecture(bound, q_range)
+
+
+def test_scan_cap_names_the_bound_and_the_pair_list():
+    # The width walk's own cap would admit this scan and its ~1.1e9 pairs.
+    with pytest.raises(
+        KnotTooLarge,
+        match=re.escape(
+            "a scan to bound 60000 would list the coprime pairs up to "
+            "T(59998,59999), whose p * q = 3599820002 is above the cap of 4194304"
+        ),
+    ):
+        scan_conjecture(60000)
 
 
 def test_smallest_scan_checks_one_pair():
