@@ -34,13 +34,16 @@ The minimum number of crossing changes making a diagram alternating is
 decided exactly: along every component the passes must alternate over/under,
 which pins the relative flip state of consecutive crossings; the resulting
 GF(2) constraints split into connected components with exactly two
-solutions each, and the optimum picks the smaller side of each.
+solutions each; the optimum picks the smaller side of each, and its witness
+is replayed on the flipped pass bits.  A crossing change only rotates slots,
+so ``change_crossings`` trusts its input; ``Diagram(...)`` validates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -94,30 +97,34 @@ class Diagram:
         free_circles: int = 0,
         strands: int | None = None,
     ):
-        self.signs = tuple(signs)
-        self.arcs = tuple((int(u), int(v)) for u, v in arcs)
-        self.labels = tuple(int(x) for x in labels)
-        self.free_circles = int(free_circles)
-        self.strands = strands
-        n = len(self.signs)
-        if any(s not in "+-" for s in self.signs):
+        signs = tuple(signs)
+        arcs = tuple((int(u), int(v)) for u, v in arcs)
+        labels = tuple(int(x) for x in labels)
+        free_circles = int(free_circles)
+        n = len(signs)
+        if any(s not in "+-" for s in signs):
             raise MalformedPDCode("crossing signs must be '+' or '-'")
-        if len(self.labels) != len(self.arcs):
+        if len(labels) != len(arcs):
             raise MalformedPDCode("one label per arc required")
-        if self.free_circles < 0:
+        if free_circles < 0:
             raise MalformedPDCode("negative circle count")
         seen = [False] * (4 * n)
-        for u, v in self.arcs:
+        for u, v in arcs:
             for e in (u, v):
                 if not 0 <= e < 4 * n or seen[e]:
                     raise MalformedPDCode(f"end {e} is not matched exactly once")
                 seen[e] = True
         if not all(seen):
             raise MalformedPDCode("every crossing end must belong to an arc")
-        self._partner: list[int] = [0] * (4 * n)
-        for u, v in self.arcs:
-            self._partner[u] = v
-            self._partner[v] = u
+        self._fill(signs, arcs, labels, free_circles, strands)
+
+    def _fill(self, signs, arcs, labels, free_circles, strands) -> None:
+        """Set the fields from parts known to be consistent, unchecked."""
+        self.signs, self.arcs, self.labels = signs, arcs, labels
+        self.free_circles, self.strands = free_circles, strands
+        self._partner: list[int] = [0] * (4 * len(signs))
+        for u, v in arcs:
+            self._partner[u], self._partner[v] = v, u
         self._cycles: list[list[tuple[int, bool]]] | None = None
 
     # -- basics ---------------------------------------------------------
@@ -129,13 +136,9 @@ class Diagram:
     def pd_rows(self) -> list[list[object]]:
         """Per-crossing PD rows: [label slot0..slot3, sign]."""
         lab = [0] * (4 * self.n_crossings)
-        for i, (u, v) in enumerate(self.arcs):
-            lab[u] = self.labels[i]
-            lab[v] = self.labels[i]
-        return [
-            [lab[4 * c], lab[4 * c + 1], lab[4 * c + 2], lab[4 * c + 3], self.signs[c]]
-            for c in range(self.n_crossings)
-        ]
+        for (u, v), label in zip(self.arcs, self.labels):
+            lab[u] = lab[v] = label
+        return [lab[4 * c : 4 * c + 4] + [sign] for c, sign in enumerate(self.signs)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
@@ -334,38 +337,42 @@ def is_alternating(diagram: Diagram) -> bool:
     return True
 
 
+def _witness_alternates(cycles: list, witness: Iterable[int]) -> bool:
+    """Whether the passes alternate with the witness's pass bits flipped."""
+    flipped = set(witness)
+    for cycle in cycles:
+        bits = [bit ^ (c in flipped) for c, bit in cycle]
+        if bits[0] == bits[-1] or any(map(eq, bits, bits[1:])):
+            return False
+    return True
+
+
 def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
     """Switch over- and under-strand at the given crossings.
 
     A change re-aims the slot numbering at the new incoming under-strand:
     slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
     '-' crossing (which becomes '+'), keeping slot 0 on the incoming
-    under-strand.  Arc labels are preserved.
+    under-strand.  Labels are kept.  A rotation keeps a valid diagram valid,
+    so the result is not re-validated.  Ids must be ints, not bools.
     """
-    chosen = set(crossings)
+    chosen = tuple(crossings)
     n = diagram.n_crossings
-    for c in chosen:
+    for c in chosen:  # before deduplication, which would hide True behind 1
+        if not _is_int(c):
+            raise TypeError(f"crossing id {c!r} is not an int")
         if not 0 <= c < n:
             raise IndexError(f"no crossing {c} in a {n}-crossing diagram")
-
-    def remap(end: int) -> int:
-        c, slot = divmod(end, 4)
-        if c not in chosen:
-            return end
-        step = 1 if diagram.signs[c] == "+" else -1
-        return 4 * c + (slot + step) % 4
-
-    signs = [
-        ("-" if s == "+" else "+") if c in chosen else s
-        for c, s in enumerate(diagram.signs)
-    ]
-    return Diagram(
-        signs=signs,
-        arcs=[(remap(u), remap(v)) for u, v in diagram.arcs],
-        labels=diagram.labels,
-        free_circles=diagram.free_circles,
-        strands=diagram.strands,
-    )
+    signs = list(diagram.signs)
+    where = list(range(4 * n))  # old end -> new end
+    for c in set(chosen):
+        k, plus = 4 * c, signs[c] == "+"
+        signs[c] = "-" if plus else "+"
+        where[k : k + 4] = (k + 1, k + 2, k + 3, k) if plus else (k + 3, k, k + 1, k + 2)
+    arcs = tuple((where[u], where[v]) for u, v in diagram.arcs)
+    flip = Diagram.__new__(Diagram)  # skips __init__ and its checks
+    flip._fill(tuple(signs), arcs, diagram.labels, diagram.free_circles, diagram.strands)
+    return flip
 
 
 @dataclass(frozen=True)
@@ -393,8 +400,8 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     x_c1 xor x_c2 = t1 xor t2 xor 1.  Each connected block of these
     constraints has exactly two solutions (a set and its complement); the
     minimum takes the smaller side per block, preferring the side containing
-    the block's lowest crossing index on ties.  The returned witness is
-    verified to alternate before returning.
+    the block's lowest crossing index on ties.  The witness is replayed on
+    the pass cycles, its crossings' over/under bits flipped, before return.
 
     Raises InconsistentConstraints when no flip set alternates (impossible
     for braid closures; reachable for hand-written PD codes whose curves
@@ -403,8 +410,9 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     n = diagram.n_crossings
     if n == 0:
         return DaltReport(0, (), ())
+    cycles = diagram.pass_cycles()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cycle in diagram.pass_cycles():
+    for cycle in cycles:
         for (c1, b1), (c2, b2) in zip(cycle, cycle[1:] + cycle[:1]):
             parity = (b1 != b2) ^ 1
             if c1 == c2:
@@ -418,7 +426,6 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     value = [-1] * n
     blocks: list[ConstraintComponent] = []
     witness: list[int] = []
-    total = 0
     for seed in range(n):
         if value[seed] != -1:
             continue
@@ -442,13 +449,10 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         chosen = zeros if len(zeros) <= len(ones) else ones
         # the seed (lowest index in the block) has value 0, so ties pick
         # the side containing it
-        total += len(chosen)
         witness.extend(chosen)
-        blocks.append(
-            ConstraintComponent(tuple(sorted(members)), tuple(chosen))
-        )
-    report = DaltReport(total, tuple(sorted(witness)), tuple(blocks))
-    if not is_alternating(change_crossings(diagram, report.witness)):
+        blocks.append(ConstraintComponent(tuple(sorted(members)), tuple(chosen)))
+    report = DaltReport(len(witness), tuple(sorted(witness)), tuple(blocks))
+    if not _witness_alternates(cycles, report.witness):
         raise RuntimeError(
             f"witness {list(report.witness)} does not make the diagram alternate"
         )
@@ -471,23 +475,15 @@ def brute_force_dealternating(diagram: Diagram, limit: int = 14) -> int:
             continue
         ok = True
         for cycle in cycles:
-            previous = None
-            first = None
+            c, bit = cycle[-1]
+            previous = bit ^ (mask >> c & 1)  # the pass before the first, cyclically
             for c, bit in cycle:
                 eff = bit ^ (mask >> c & 1)
-                if first is None:
-                    first = eff
-                elif eff == previous:
+                if eff == previous:
                     ok = False
                     break
                 previous = eff
             if not ok:
-                break
-            if len(cycle) > 1 and previous == first:
-                ok = False
-                break
-            if len(cycle) == 1:
-                ok = False
                 break
         if ok:
             best = size

@@ -3,13 +3,15 @@
 Nothing here imports the package's own polynomial pipeline logic; these
 are deliberately different algorithms so the tests are not circular.
 The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
-below the Alexander grid it checks.
+below the Alexander grid it checks; the rebuilt crossing change goes
+through the validating ``Diagram`` constructor, not the trusted flip.
 """
 
 from __future__ import annotations
 
 import math
 
+from torusknot.diagram import Diagram
 from torusknot.laurent import LaurentPolynomial
 
 
@@ -118,3 +120,33 @@ def union_find_pieces(crossings: int, arcs) -> int:
     for u, v in arcs:
         uf.union(u // 4, v // 4)
     return uf.roots()
+
+
+def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
+    """Switch over- and under-strand at the given crossings, by rebuilding.
+
+    Slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
+    '-' crossing (which becomes '+'), keeping slot 0 on the incoming
+    under-strand; the result is a new ``Diagram`` that re-validates every
+    arc and label.
+    """
+    chosen = set(crossings)
+
+    def remap(end: int) -> int:
+        c, slot = divmod(end, 4)
+        if c not in chosen:
+            return end
+        step = 1 if diagram.signs[c] == "+" else -1
+        return 4 * c + (slot + step) % 4
+
+    signs = [
+        ("-" if s == "+" else "+") if c in chosen else s
+        for c, s in enumerate(diagram.signs)
+    ]
+    return Diagram(
+        signs=signs,
+        arcs=[(remap(u), remap(v)) for u, v in diagram.arcs],
+        labels=diagram.labels,
+        free_circles=diagram.free_circles,
+        strands=diagram.strands,
+    )

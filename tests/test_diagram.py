@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import union_find_pieces, union_find_state_circles
+from _oracles import (
+    rebuilt_change_crossings,
+    union_find_pieces,
+    union_find_state_circles,
+)
 from torusknot.braid import (
     BraidWord,
     UnsupportedTorusFamily,
@@ -210,8 +214,70 @@ def test_change_crossings_involution_and_signs():
 
 def test_change_crossings_bad_index():
     d = closure_diagram(torus_braid_word(2, 3))
-    with pytest.raises(IndexError):
-        change_crossings(d, (3,))
+    for bad in (3, -1):
+        with pytest.raises(IndexError, match=f"no crossing {bad} "):
+            change_crossings(d, (bad,))
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, "1", None])
+def test_change_crossings_rejects_non_integer_ids(bad):
+    d = closure_diagram(torus_braid_word(2, 3))
+    with pytest.raises(TypeError, match=f"crossing id {bad!r} is not an int"):
+        change_crossings(d, (bad,))
+    with pytest.raises(TypeError, match=f"crossing id {bad!r} "):
+        change_crossings(d, [0, bad, 2])  # even where a set would merge True into 1
+
+
+def _flip_cases(rng: random.Random, count: int):
+    """(diagram, flip set) pairs: positive closures on 2-6 strands, and
+    mixed-sign diagrams read back from their PD codes, each with a random
+    flip set that may repeat a crossing."""
+    for i in range(count):
+        d = _random_closure(rng, (2, 6), rng.randint(1, 24))
+        if i % 2:
+            mixed = [c for c in range(d.n_crossings) if rng.random() < 0.5]
+            d = import_pd(export_pd(rebuilt_change_crossings(d, mixed)))
+        n = d.n_crossings
+        yield d, [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
+
+
+def test_change_crossings_matches_rebuilt_oracle():
+    rng = random.Random(2017)
+    for d, flips in _flip_cases(rng, 300):
+        fast = change_crossings(d, flips)
+        want = rebuilt_change_crossings(d, flips)
+        assert fast.pd_rows() == want.pd_rows()
+        assert fast.arcs == want.arcs
+        assert fast.signs == want.signs
+        assert fast.labels == want.labels
+        assert fast.free_circles == want.free_circles
+        assert fast.strands == want.strands
+        assert fast.components() == want.components()
+        assert fast.pass_cycles() == want.pass_cycles()
+        # a flipped diagram flips again like one the constructor validated
+        again = rng.sample(range(d.n_crossings), rng.randint(0, d.n_crossings))
+        assert change_crossings(fast, again) == rebuilt_change_crossings(want, again)
+        assert all_a(fast) == all_a(want) and all_b(fast) == all_b(want)
+
+
+def test_witness_replay_matches_rebuilt_alternation():
+    """The solver's pass-bit replay decides what a rebuilt diagram decides."""
+    rng = random.Random(1996)
+    outcomes = set()
+    for d, flips in _flip_cases(rng, 400):
+        if rng.random() < 0.5:  # near a witness, so that both outcomes occur
+            witness = set(dealternating_number_diagram(d).witness)
+            flips = sorted(witness ^ set(flips[: rng.randint(0, 1)]))
+        replay = diagram_module._witness_alternates(d.pass_cycles(), flips)
+        assert replay == is_alternating(rebuilt_change_crossings(d, flips))
+        outcomes.add(replay)
+    assert outcomes == {True, False}
+    # Planar cycles have even length; built directly, an odd one never alternates.
+    loops = Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
+    assert [len(cycle) for cycle in loops.pass_cycles()] == [1, 1]
+    for flips in ((), (0,)):
+        assert not diagram_module._witness_alternates(loops.pass_cycles(), flips)
+        assert not is_alternating(rebuilt_change_crossings(loops, flips))
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ expect(MalformedPDCode, lambda: import_pd('{"crossings": [[1, 2, 1, 2, "+"]]}'),
 # The same crossing built directly, past import_pd's planarity check.
 non_planar = diagram.Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
 expect(MalformedPDCode, lambda: diagram.turaev_genus_diagram(non_planar), "turaev parity")
-diagram.is_alternating = lambda d: False
+diagram._witness_alternates = lambda cycles, witness: False
 expect(
     RuntimeError,
     lambda: diagram.dealternating_number_diagram(closure_diagram(torus_braid_word(3, 4))),
