@@ -34,16 +34,15 @@ The minimum number of crossing changes making a diagram alternating is
 decided exactly: along every component the passes must alternate over/under,
 which pins the relative flip state of consecutive crossings; the resulting
 GF(2) constraints split into connected components with exactly two
-solutions each; the optimum picks the smaller side of each, and its witness
-is replayed on the flipped pass bits.  A crossing change only rotates slots,
-so ``change_crossings`` trusts its input; ``Diagram(...)`` validates.
+solutions each, and the optimum picks the smaller side of each; its witness
+is checked on the flipped pass bits, with no flipped diagram built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import eq
+from operator import ne
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -136,9 +135,13 @@ class Diagram:
     def pd_rows(self) -> list[list[object]]:
         """Per-crossing PD rows: [label slot0..slot3, sign]."""
         lab = [0] * (4 * self.n_crossings)
-        for (u, v), label in zip(self.arcs, self.labels):
-            lab[u] = lab[v] = label
-        return [lab[4 * c : 4 * c + 4] + [sign] for c, sign in enumerate(self.signs)]
+        for i, (u, v) in enumerate(self.arcs):
+            lab[u] = self.labels[i]
+            lab[v] = self.labels[i]
+        return [
+            [lab[4 * c], lab[4 * c + 1], lab[4 * c + 2], lab[4 * c + 3], self.signs[c]]
+            for c in range(self.n_crossings)
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
@@ -340,11 +343,8 @@ def is_alternating(diagram: Diagram) -> bool:
 def _witness_alternates(cycles: list, witness: Iterable[int]) -> bool:
     """Whether the passes alternate with the witness's pass bits flipped."""
     flipped = set(witness)
-    for cycle in cycles:
-        bits = [bit ^ (c in flipped) for c, bit in cycle]
-        if bits[0] == bits[-1] or any(map(eq, bits, bits[1:])):
-            return False
-    return True
+    cycle_bits = ([bit ^ (c in flipped) for c, bit in cycle] for cycle in cycles)
+    return all(all(map(ne, b, b[-1:] + b[:-1])) for b in cycle_bits)  # cyclically
 
 
 def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
@@ -353,8 +353,7 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
     A change re-aims the slot numbering at the new incoming under-strand:
     slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
     '-' crossing (which becomes '+'), keeping slot 0 on the incoming
-    under-strand.  Labels are kept.  A rotation keeps a valid diagram valid,
-    so the result is not re-validated.  Ids must be ints, not bools.
+    under-strand.  Arc labels are preserved; the result is not re-validated.
     """
     chosen = tuple(crossings)
     n = diagram.n_crossings
@@ -410,9 +409,8 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     n = diagram.n_crossings
     if n == 0:
         return DaltReport(0, (), ())
-    cycles = diagram.pass_cycles()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cycle in cycles:
+    for cycle in diagram.pass_cycles():
         for (c1, b1), (c2, b2) in zip(cycle, cycle[1:] + cycle[:1]):
             parity = (b1 != b2) ^ 1
             if c1 == c2:
@@ -426,6 +424,7 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     value = [-1] * n
     blocks: list[ConstraintComponent] = []
     witness: list[int] = []
+    total = 0
     for seed in range(n):
         if value[seed] != -1:
             continue
@@ -449,10 +448,13 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         chosen = zeros if len(zeros) <= len(ones) else ones
         # the seed (lowest index in the block) has value 0, so ties pick
         # the side containing it
+        total += len(chosen)
         witness.extend(chosen)
-        blocks.append(ConstraintComponent(tuple(sorted(members)), tuple(chosen)))
-    report = DaltReport(len(witness), tuple(sorted(witness)), tuple(blocks))
-    if not _witness_alternates(cycles, report.witness):
+        blocks.append(
+            ConstraintComponent(tuple(sorted(members)), tuple(chosen))
+        )
+    report = DaltReport(total, tuple(sorted(witness)), tuple(blocks))
+    if not _witness_alternates(diagram.pass_cycles(), report.witness):
         raise RuntimeError(
             f"witness {list(report.witness)} does not make the diagram alternate"
         )
@@ -475,15 +477,23 @@ def brute_force_dealternating(diagram: Diagram, limit: int = 14) -> int:
             continue
         ok = True
         for cycle in cycles:
-            c, bit = cycle[-1]
-            previous = bit ^ (mask >> c & 1)  # the pass before the first, cyclically
+            previous = None
+            first = None
             for c, bit in cycle:
                 eff = bit ^ (mask >> c & 1)
-                if eff == previous:
+                if first is None:
+                    first = eff
+                elif eff == previous:
                     ok = False
                     break
                 previous = eff
             if not ok:
+                break
+            if len(cycle) > 1 and previous == first:
+                ok = False
+                break
+            if len(cycle) == 1:
+                ok = False
                 break
         if ok:
             best = size

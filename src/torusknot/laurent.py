@@ -320,29 +320,25 @@ def _padded(poly: LaurentPolynomial, lo: int, size: int) -> tuple[int, ...]:
 
 
 def _residue_class_div(num: tuple[int, ...], m: int) -> list[int]:
-    """Exact division by t**m - 1, by the recurrence q_e = q_{e-m} - a_e.
+    """Exact division by t**m - 1, one residue class mod m at a time.
 
-    Writing the dividend as sum a_e t^e, each quotient entry is minus a
-    prefix sum of the dividend's coefficients over one residue class mod m.
-    Run on to the top of the dividend, the recurrence must end in m zeros:
-    the division is exact iff every class sums to zero.  Short classes
-    (fewer than m entries) fill m entries at a time, long ones a class at a
-    time.  Raises NonExactDivision otherwise.
+    Writing the dividend as sum a_e t^e, the quotient of an exact division
+    satisfies q_e = q_{e-m} - a_e, so each quotient entry is minus a prefix
+    sum of the dividend's coefficients over one residue class mod m; the
+    division is exact iff every residue class sums to zero, and then minus
+    a prefix sum is the suffix sum a_{e+m} + a_{e+2m} + ... that follows it.
+    Raises NonExactDivision otherwise.
     """
-    if len(num) < m * m:
-        quot = list(map(neg, num[:m]))
-        for start in range(m, len(num), m):
-            quot += map(sub, quot[start - m : start], num[start : start + m])
-    else:
-        quot = [0] * len(num)
-        for r in range(m):
-            column = num[r::m]
-            if any(column):
-                quot[r::m] = map(neg, accumulate(column))
-    size = len(num) - m
-    if any(quot[size:]):
-        raise NonExactDivision("residue-class sums are nonzero")
-    del quot[size:]
+    quot = [0] * (len(num) - m)
+    for r in range(m):
+        column = num[r::m]
+        if not any(column):
+            continue
+        sums = list(accumulate(column[::-1]))  # suffix sums, last first
+        if sums.pop():
+            raise NonExactDivision("residue-class sums are nonzero")
+        sums.reverse()
+        quot[r::m] = sums
     return quot
 
 
