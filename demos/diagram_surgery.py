@@ -11,6 +11,7 @@ from torusknot import (
     closure_diagram,
     dealternating_number_diagram,
     export_pd,
+    import_pd,
     is_alternating,
     lemma_word,
     torus_braid_word,
@@ -40,7 +41,7 @@ for label, word in (
     d = closure_diagram(word)
     print(
         f"  {label:>18} {d.n_crossings:>4} "
-        f"{all_a(d).component_count:>4} {all_b(d).component_count:>4} "
+        f"{all_a(d):>4} {all_b(d):>4} "
         f"{turaev_genus_diagram(d):>4}"
     )
 
@@ -75,4 +76,6 @@ for p, q in ((4, 5), (5, 7), (6, 7)):
 
 print()
 print("Any diagram round-trips through the PD-code JSON format:")
-print("  " + export_pd(closure_diagram(torus_braid_word(2, 3))))
+d = closure_diagram(torus_braid_word(2, 3))
+print("  " + export_pd(d))
+print(f"  reads back as the same diagram: {import_pd(export_pd(d)) == d}")

@@ -14,9 +14,9 @@ from torusknot import (
 
 print("The staircase complex of T(4,5)")
 print("=" * 60)
-table = hfk_from_staircase(extract_staircase(alexander_torus(4, 5)))
+generators = hfk_from_staircase(extract_staircase(alexander_torus(4, 5)))
 print(f"  {'s':>4} {'m':>5} {'delta = s - m':>14}")
-for s, m, _rank in table.generators():
+for s, m, _rank in generators:
     print(f"  {s:>4} {m:>5} {s - m:>14}")
 report = width_torus(4, 5)
 print(f"  width = delta_max - delta_min + 1 = {report.delta_max} - {report.delta_min} + 1 = {report.width}")

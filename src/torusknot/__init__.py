@@ -55,14 +55,14 @@ _EXPORTS = {
         (
             "diagram",
             "ConstraintComponent DaltReport Diagram DisconnectedDiagram "
-            "InconsistentConstraints KauffmanState MalformedPDCode all_a all_b "
+            "InconsistentConstraints MalformedPDCode all_a all_b "
             "brute_force_dealternating change_crossings closure_diagram "
             "dealternating_number_diagram export_pd import_pd is_alternating "
             "state_components turaev_genus_diagram",
         ),
         (
             "hfk",
-            "ConjectureViolation HFKTable NotLSpaceForm Staircase WidthReport "
+            "ConjectureViolation NotLSpaceForm Staircase WidthReport "
             "delta_sequence extract_staircase hfk_from_staircase scan_conjecture "
             "scan_conjecture_parallel width_formula width_torus",
         ),

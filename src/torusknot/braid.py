@@ -107,13 +107,18 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
+        if type(self.letters) is not tuple:  # a list would leave the word unhashable
+            object.__setattr__(self, "letters", tuple(self.letters))
+        strands = self.strands
+        if type(strands) is not int:  # bools are ints to isinstance
+            raise TypeError(f"strand count {strands!r} is not an int")
+        if strands < 1:
             raise ValueError("strand count must be positive")
         for g in self.letters:
-            if not 1 <= g <= self.strands - 1:
-                raise IndexOutOfRange(
-                    f"generator {g} does not exist on {self.strands} strands"
-                )
+            if type(g) is not int or not 1 <= g < strands:
+                if type(g) is not int:  # a float would print as a letter
+                    raise TypeError(f"generator {g!r} is not an int")
+                raise IndexOutOfRange(f"generator {g} does not exist on {strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -184,7 +184,7 @@ def _hfk(args: argparse.Namespace) -> _Output:
     from .hfk import delta_sequence, extract_staircase, hfk_from_staircase
 
     stair = extract_staircase(alexander_torus(args.p, args.q))
-    generators = hfk_from_staircase(stair).generators()
+    generators = hfk_from_staircase(stair)
     report = delta_sequence(stair)
     document = {
         "p": args.p,
@@ -343,9 +343,9 @@ def _states(args: argparse.Namespace) -> _Output:
                 f"assignment must be all-A, all-B, or an A/B string of "
                 f"length {letter_count}"
             )
-    state = state_components(diagram, assignment)
-    document = {"assignment": assignment, "components": state.component_count}
-    return document, f"{state.component_count} components under {assignment}", 0
+    count = state_components(diagram, assignment)
+    document = {"assignment": assignment, "components": count}
+    return document, f"{count} components under {assignment}", 0
 
 
 @_command(

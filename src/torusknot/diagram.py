@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -50,7 +51,6 @@ __all__ = [
     "DisconnectedDiagram",
     "InconsistentConstraints",
     "Diagram",
-    "KauffmanState",
     "ConstraintComponent",
     "DaltReport",
     "closure_diagram",
@@ -96,17 +96,23 @@ class Diagram:
         free_circles: int = 0,
         strands: int | None = None,
     ):
-        signs = tuple(signs)
-        arcs = tuple((int(u), int(v)) for u, v in arcs)
-        labels = tuple(int(x) for x in labels)
-        free_circles = int(free_circles)
+        signs, arcs, labels = tuple(signs), tuple(map(tuple, arcs)), tuple(labels)
         n = len(signs)
-        if any(s not in "+-" for s in signs):
+        if not set(signs) <= {"+", "-"}:
             raise MalformedPDCode("crossing signs must be '+' or '-'")
+        if not set(map(len, arcs)) <= {2}:
+            raise MalformedPDCode("every arc must pair two ends")
+        # exact types: a bool is an int to isinstance, and a float is no end
+        if not set(map(type, chain(chain.from_iterable(arcs), labels))) <= {int}:
+            raise MalformedPDCode("ends and labels must be ints")
         if len(labels) != len(arcs):
             raise MalformedPDCode("one label per arc required")
-        if free_circles < 0:
-            raise MalformedPDCode("negative circle count")
+        if len(set(labels)) != len(labels):
+            raise MalformedPDCode("arc labels must be distinct")
+        if type(free_circles) is not int or free_circles < 0:
+            raise MalformedPDCode("the circle count must be a nonnegative int")
+        if strands is not None and (type(strands) is not int or strands < 1):
+            raise MalformedPDCode("strands must be None or a positive int")
         seen = [False] * (4 * n)
         for u, v in arcs:
             for e in (u, v):
@@ -228,14 +234,6 @@ def closure_diagram(word) -> Diagram:
 # Kauffman states
 
 
-@dataclass(frozen=True)
-class KauffmanState:
-    """A smoothing assignment and the circle count of the resulting state."""
-
-    assignment: tuple[str, ...]
-    component_count: int
-
-
 # A smoothing joins end e to e ^ mask: A pairs slots 0-1 and 2-3, B 0-3 and 1-2.
 _JOIN_MASK = {"A": 1, "B": 3}
 
@@ -273,7 +271,7 @@ def _pieces(diagram: Diagram) -> int:
     return pieces
 
 
-def state_components(diagram: Diagram, assignment: Iterable[str]) -> KauffmanState:
+def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
     """Count the circles of the Kauffman state given by ``assignment``.
 
     ``assignment`` gives 'A' or 'B' per crossing, in crossing order.  The
@@ -288,16 +286,16 @@ def state_components(diagram: Diagram, assignment: Iterable[str]) -> KauffmanSta
         raise ValueError("smoothings must be 'A' or 'B'")
     mask = [_JOIN_MASK[x] for x in choice]
     step = [far ^ mask[far >> 2] for far in diagram._partner]
-    return KauffmanState(choice, _orbits(step) // 2 + diagram.free_circles)
+    return _orbits(step) // 2 + diagram.free_circles
 
 
-def all_a(diagram: Diagram) -> KauffmanState:
-    """The all-A state."""
+def all_a(diagram: Diagram) -> int:
+    """The circle count of the all-A state."""
     return state_components(diagram, "A" * diagram.n_crossings)
 
 
-def all_b(diagram: Diagram) -> KauffmanState:
-    """The all-B state."""
+def all_b(diagram: Diagram) -> int:
+    """The circle count of the all-B state."""
     return state_components(diagram, "B" * diagram.n_crossings)
 
 
@@ -306,8 +304,7 @@ def _turaev_counts(diagram: Diagram) -> tuple[int, int, int]:
     if diagram.free_circles + _pieces(diagram) != 1:  # one piece or one circle
         raise DisconnectedDiagram("the Turaev surface needs a connected diagram")
     c = diagram.n_crossings
-    s_a = all_a(diagram).component_count
-    s_b = all_b(diagram).component_count
+    s_a, s_b = all_a(diagram), all_b(diagram)
     doubled = 2 + c - s_a - s_b
     if doubled % 2 or doubled < 0:
         # A connected planar diagram has s_A + s_B <= c + 2, of the parity of c.

@@ -13,9 +13,11 @@ Maslov grading m_l determined by m_k = 0 and, descending,
     m_l = m_{l+1} - 1                       if k - l is even (and > 0).
 
 Generators with negative Alexander grading follow from the symmetry
-(s, m) <-> (-s, m - 2s) and are never stored; only l = 0..k lives in memory.
-The delta grading delta_l = s_l - m_l obeys the analogous descending
-recursion, and the homological width is max(delta) - min(delta) + 1.
+(s, m) <-> (-s, m - 2s).  A staircase is its steps s alone; the generators
+are a list of (s, m, 1) triples, the upper half and then its mirror.  The
+delta grading delta_l = s_l - m_l obeys the analogous descending recursion,
+one running sum that both the generators and the width read, and the
+homological width is max(delta) - min(delta) + 1.
 
 For torus knots the width needs no staircase at all.  Let S = <p, q> be
 the numerical semigroup, p <= q coprime, g = (p-1)(q-1)/2, and
@@ -61,7 +63,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate, compress, cycle, repeat
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, lt, mul, sub
 
 from .alexander import _CLOSED_FORMS, MAX_TORUS_PRODUCT, KnotTooLarge
 from .alexander import normalize_torus_params
@@ -70,7 +72,6 @@ from .laurent import LaurentPolynomial
 __all__ = [
     "NotLSpaceForm",
     "Staircase",
-    "HFKTable",
     "WidthReport",
     "ConjectureViolation",
     "extract_staircase",
@@ -89,49 +90,24 @@ class NotLSpaceForm(ValueError):
 
 @dataclass(frozen=True)
 class Staircase:
-    """The nonnegative step heights 0 = s_0 < s_1 < ... < s_k."""
+    """The nonnegative step heights 0 = s_0 < s_1 < ... < s_k, as a tuple of ints."""
 
-    k: int
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.s) != self.k + 1 or not self.s or self.s[0] != 0:
-            raise ValueError(
-                f"a staircase with k = {self.k} needs {self.k + 1} steps "
-                f"starting at 0, got {self.s}"
-            )
-        if any(a >= b for a, b in zip(self.s, self.s[1:])):
-            raise ValueError(f"staircase steps must strictly increase, got {self.s}")
+        s = tuple(self.s)
+        if not set(map(type, s)) <= {int}:  # bools and floats are not steps
+            raise TypeError(f"staircase steps must be ints, got {s}")
+        if not s or s[0] != 0:
+            raise ValueError(f"a staircase needs steps starting at 0, got {s}")
+        if not all(map(lt, s, s[1:])):
+            raise ValueError(f"staircase steps must strictly increase, got {s}")
+        object.__setattr__(self, "s", s)
 
-
-@dataclass(frozen=True)
-class HFKTable:
-    """Generators of the staircase complex.
-
-    ``s`` and ``m`` hold the Alexander and Maslov gradings for l = 0..k only;
-    the full generator list (including the mirror half) is materialized by
-    :meth:`generators`.
-    """
-
-    k: int
-    s: tuple[int, ...]
-    m: tuple[int, ...]
-
-    def generators(self) -> list[tuple[int, int, int]]:
-        """All (alexander, maslov, rank) triples, by descending Alexander grading.
-
-        Ranks are always 1 for a staircase.  The negative-grading half is
-        produced on demand via the symmetry (s, m) -> (-s, m - 2s).
-        """
-        upper = [(s, m, 1) for s, m in zip(self.s, self.m)]
-        lower = [(-s, m - 2 * s, 1) for s, m in zip(self.s, self.m) if s > 0]
-        return sorted(upper + lower, key=lambda g: -g[0])
-
-    def euler_characteristic(self) -> LaurentPolynomial:
-        """sum over generators of (-1)^maslov * t^alexander."""
-        return LaurentPolynomial.from_terms(
-            [(s, (-1) ** (m % 2)) for s, m, _ in self.generators()]
-        )
+    @property
+    def k(self) -> int:
+        """The index of the top step."""
+        return len(self.s) - 1
 
 
 @dataclass(frozen=True)
@@ -163,7 +139,7 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     along its nonnegative half), and the leading coefficient is +1.
 
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
-    Staircase(k=1, s=(0, 1))
+    Staircase(s=(0, 1))
     """
     coefficients = delta.coefficients or (0,)  # the zero polynomial as 0 * t^0
     low = delta.min_exponent
@@ -182,31 +158,40 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
         raise NotLSpaceForm("signs must alternate along the support")
     if c[-1] != 1:
         raise NotLSpaceForm("leading coefficient must be +1")
-    return Staircase(k=len(s) - 1, s=s)
+    return Staircase(s)
 
 
-def hfk_from_staircase(stair: Staircase) -> HFKTable:
-    """Maslov gradings of the staircase generators (l = 0..k half).
+def _deltas(s: tuple[int, ...]) -> list[int]:
+    """Delta gradings delta_k, ..., delta_0 of the steps ``s``, top first.
 
     Down from step l to l-1, delta grows by c_l * (s_l - s_{l-1} - 1), the
     recursion with the parity of k - l read off the signs c_l = (-1)^(k-l);
-    so delta is one running sum down from delta_k = s_k - m_k = s_k, and
-    m_l = s_l - delta_l.
+    so delta is one running sum down from delta_k = s_k - m_k = s_k.
+    """
+    gaps = map(sub, s[:0:-1], map(add, s[-2::-1], repeat(1)))  # s_l - s_{l-1} - 1
+    return list(accumulate(map(mul, cycle((1, -1)), gaps), initial=s[-1]))
 
-    >>> hfk_from_staircase(Staircase(1, (0, 1))).generators()
+
+def hfk_from_staircase(stair: Staircase) -> list[tuple[int, int, int]]:
+    """All (alexander, maslov, rank) generators, by descending Alexander grading.
+
+    The Maslov grading of step l is m_l = s_l - delta_l; ranks are always 1.
+    The upper half is listed from the top step down, then its mirror under
+    (s, m) -> (-s, m - 2s), from s_1 on.
+
+    >>> hfk_from_staircase(Staircase((0, 1)))
     [(1, 0, 1), (0, -1, 1), (-1, -2, 1)]
     """
-    s = stair.s
-    gaps = map(sub, s[:0:-1], map(add, s[-2::-1], repeat(1)))  # s_l - s_{l-1} - 1
-    delta = list(accumulate(map(mul, cycle((1, -1)), gaps), initial=s[-1]))
-    return HFKTable(k=stair.k, s=s, m=tuple(map(sub, s, reversed(delta))))
+    top = stair.s[::-1]
+    upper = list(zip(top, map(sub, top, _deltas(stair.s)), repeat(1)))
+    return upper + [(-s, m - 2 * s, 1) for s, m, _ in upper[-2::-1]]
 
 
 def delta_sequence(stair: Staircase) -> WidthReport:
-    """Delta gradings delta_l = s_l - m_l and the width of their spread."""
-    table = hfk_from_staircase(stair)
-    deltas = [s - m for s, m in zip(table.s, table.m)]
-    return WidthReport(max(deltas), min(deltas), max(deltas) - min(deltas) + 1)
+    """The spread of the delta gradings delta_l = s_l - m_l, and its width."""
+    deltas = _deltas(stair.s)
+    high, low = max(deltas), min(deltas)
+    return WidthReport(high, low, high - low + 1)
 
 
 def _semigroup_count(p: int, q: int, x: int) -> int:
@@ -288,19 +273,17 @@ def _widths(knots: list[tuple[int, int]]) -> list[int]:
     return [_torus_width(p, q) for p, q in knots]
 
 
-def scan_conjecture(
-    bound: int, q_range: tuple[int, int] | None = None, *, jobs: int = 1
-) -> tuple[int, list[ConjectureViolation]]:
+def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureViolation]]:
     """Check the width jump width(p,q) - width(p,q-p) == floor((p-1)^2/4).
 
-    Scans all coprime pairs 1 < p < q < bound (optionally restricted to
-    q in [q_range)), comparing each width with the width of the previous
-    knot in its column; (p, q-p) pairs with q - p <= 1 have width 1.
-    Returns (number of pairs checked, violations), violations ordered by
-    (q, p).  An empty violation list over the full range is the conjecture
-    holding below the bound.  A range with no coprime pair is a
-    ``ValueError``: the scan would check nothing.  A range whose largest
-    knot T(q-1, q) is above the size cap raises KnotTooLarge at once.
+    Scans all coprime pairs 1 < p < q < bound, comparing each width with
+    the width of the previous knot in its column; (p, q-p) pairs with
+    q - p <= 1 have width 1.  Returns (number of pairs checked,
+    violations), violations ordered by (q, p).  An empty violation list is
+    the conjecture holding below the bound.  A bound with no coprime pair
+    below it is a ``ValueError``: the scan would check nothing.  A bound
+    whose largest knot T(q-1, q) is above the size cap raises KnotTooLarge
+    at once.
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, each
@@ -308,44 +291,35 @@ def scan_conjecture(
     ``_SERIAL_BELOW``; the check itself always runs here in
     one fixed order, so the result is identical for every worker count.
     """
-    q_lo, q_hi = q_range if q_range is not None else (3, bound)
-    q_max = min(q_hi, bound) - 1
+    q_max = bound - 1
     # Refuse a too-large scan before listing any pair.  The cap is the
     # Alexander one: the width walk's would admit bound 60000, ~1.1e9 pairs.
-    if q_max >= max(q_lo, 3) and (q_max - 1) * q_max > MAX_TORUS_PRODUCT:
+    if q_max >= 3 and (q_max - 1) * q_max > MAX_TORUS_PRODUCT:
         raise KnotTooLarge(
             f"a scan to bound {bound} would list the coprime pairs up to "
             f"T({q_max - 1},{q_max}), whose p * q = {(q_max - 1) * q_max} is "
             f"above the cap of {MAX_TORUS_PRODUCT}"
         )
     pairs = [
-        (p, q)
-        for q in range(max(q_lo, 3), min(q_hi, bound))
-        for p in range(2, q)
-        if math.gcd(p, q) == 1
+        (p, q) for q in range(3, bound) for p in range(2, q) if math.gcd(p, q) == 1
     ]
     if not pairs:
-        raise ValueError(
-            f"no coprime pair 1 < p < q < {bound}"
-            + (f" with q in [{q_lo}, {q_hi})" if q_range is not None else "")
-            + ": nothing to scan"
-        )
+        raise ValueError(f"no coprime pair 1 < p < q < {bound}: nothing to scan")
+    # A previous knot (p', q') with p' > 1 is coprime with q' < q: one of the
+    # pairs.  So the pairs are all the knots whose widths the check needs.
     previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
-    knots = sorted(set(pairs).union(knot for knot in previous if knot[0] > 1))
-    jobs = max(1, min(jobs, os.cpu_count() or 1, len(knots)))
-    if sum(p for p, _ in knots) < _SERIAL_BELOW:
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(pairs)))
+    if sum(p for p, _ in pairs) < _SERIAL_BELOW:
         jobs = 1
     if jobs == 1:
-        widths = _widths(knots)
+        width = dict(zip(pairs, _widths(pairs)))
     else:
         import multiprocessing
 
-        shares = [knots[i::jobs] for i in range(jobs)]
+        shares = [pairs[i::jobs] for i in range(jobs)]
         with multiprocessing.Pool(processes=jobs) as pool:
             parts = pool.map(_widths, shares)
-        knots = [knot for share in shares for knot in share]
-        widths = [w for part in parts for w in part]
-    width = dict(zip(knots, widths))
+        width = {knot: w for share, part in zip(shares, parts) for knot, w in zip(share, part)}
 
     violations: list[ConjectureViolation] = []
     for (p, q), prev in zip(pairs, previous):

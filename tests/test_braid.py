@@ -117,6 +117,28 @@ def test_braid_word_validation_and_ops():
         w * BraidWord(5, (1,))
 
 
+
+@pytest.mark.parametrize(
+    "strands,letters,bad",
+    [
+        (3, (1.0, 2), "generator 1.0"),  # would print as the word '1.02'
+        (3, (True, 2), "generator True"),
+        (3, (1, "2"), "generator '2'"),
+        (True, (), "strand count True"),
+        (3.0, (1,), "strand count 3.0"),
+    ],
+)
+def test_braid_word_rejects_non_int_letters_and_strands(strands, letters, bad):
+    with pytest.raises(TypeError, match=f"^{bad} is not an int$"):
+        BraidWord(strands, letters)
+
+
+def test_braid_word_stores_a_list_as_a_tuple():
+    w = BraidWord(3, [1, 2])
+    assert w.letters == (1, 2) and w == BraidWord(3, (1, 2))
+    assert hash(w) == hash(BraidWord(3, (1, 2)))
+    assert (w * w).as_text() == "1212"
+
 # ----------------------------------------------------------------------
 # permutations
 

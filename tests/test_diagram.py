@@ -59,15 +59,15 @@ def test_closure_of_empty_word_is_free_circles():
 
 def test_all_a_of_a_closure_counts_strands():
     for p, q in ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
-        assert all_a(closure_diagram(torus_braid_word(p, q))).component_count == p
-    assert all_a(closure_diagram(lemma_word(5, 7))).component_count == 5
+        assert all_a(closure_diagram(torus_braid_word(p, q))) == p
+    assert all_a(closure_diagram(lemma_word(5, 7))) == 5
 
 
 def test_two_strand_closures_are_alternating():
     for q in (2, 3, 5, 8):
         d = closure_diagram(torus_braid_word(2, q))
         assert is_alternating(d)
-        assert all_b(d).component_count == q
+        assert all_b(d) == q
         assert turaev_genus_diagram(d) == 0
 
 
@@ -78,9 +78,9 @@ def test_standard_many_strand_closures_are_not_alternating():
 
 def test_state_components_explicit_assignment():
     d = closure_diagram(torus_braid_word(2, 3))
-    assert state_components(d, "AAA").component_count == 2
-    assert state_components(d, "BBB").component_count == 3
-    assert state_components(d, "ABA").component_count == 1
+    assert state_components(d, "AAA") == 2
+    assert state_components(d, "BBB") == 3
+    assert state_components(d, "ABA") == 1
     with pytest.raises(ValueError):
         state_components(d, "AA")
     with pytest.raises(ValueError):
@@ -107,8 +107,8 @@ def test_single_smoothing_flip_changes_count_by_one(pw, data):
     i = data.draw(st.integers(0, len(letters) - 1))
     flipped = list(assignment)
     flipped[i] = "B" if flipped[i] == "A" else "A"
-    before = state_components(d, assignment).component_count
-    after = state_components(d, flipped).component_count
+    before = state_components(d, assignment)
+    after = state_components(d, flipped)
     assert abs(after - before) == 1
 
 
@@ -132,7 +132,7 @@ def test_state_components_match_oracle_on_random_closures():
     for _ in range(400):
         d = _random_closure(rng, (3, 6), rng.randint(0, 40))
         assignment = "".join(rng.choice("AB") for _ in range(d.n_crossings))
-        got = state_components(d, assignment).component_count
+        got = state_components(d, assignment)
         assert got == _oracle_circles(d, assignment), export_pd(d)
 
 
@@ -147,7 +147,7 @@ def test_state_components_match_oracle_on_every_assignment():
         assert c <= 10
         for mask in range(1 << c):
             assignment = "".join("B" if mask >> i & 1 else "A" for i in range(c))
-            got = state_components(d, assignment).component_count
+            got = state_components(d, assignment)
             assert got == _oracle_circles(d, assignment), (export_pd(d), assignment)
 
 
@@ -156,7 +156,7 @@ def test_state_components_match_oracle_after_pd_roundtrip():
     for _ in range(200):
         d = import_pd(export_pd(_random_closure(rng, (2, 6), rng.randint(1, 30))))
         assignment = "".join(rng.choice("AB") for _ in range(d.n_crossings))
-        got = state_components(d, assignment).component_count
+        got = state_components(d, assignment)
         assert got == _oracle_circles(d, assignment), export_pd(d)
 
 
@@ -188,8 +188,8 @@ def test_turaev_genus_euler_identity():
     for p, q in ((4, 5), (5, 6), (5, 8), (6, 7)):
         d = closure_diagram(lemma_word(p, q))
         c = d.n_crossings
-        s_a = all_a(d).component_count
-        s_b = all_b(d).component_count
+        s_a = all_a(d)
+        s_b = all_b(d)
         assert 2 * turaev_genus_diagram(d) == 2 + c - s_a - s_b
 
 
@@ -431,6 +431,68 @@ def test_pd_import_accepts_random_closures():
         assert import_pd(export_pd(d)) == d
 
 
+def test_pd_roundtrip_of_changed_crossings():
+    rng = random.Random(18)
+    for d, flips in _flip_cases(rng, 200):
+        changed = change_crossings(d, flips)
+        assert import_pd(export_pd(changed)) == changed
+
+
+def test_constructor_rejects_what_int_would_coerce():
+    d = closure_diagram(torus_braid_word(2, 3))
+    # int() would truncate these floats onto the closure, and True count as 1
+    with pytest.raises(MalformedPDCode, match="ends and labels must be ints"):
+        Diagram(
+            d.signs,
+            [(u + 0.9, v) for u, v in d.arcs],
+            [x + 0.5 for x in d.labels],
+            free_circles=True,
+        )
+    assert Diagram(d.signs, d.arcs, d.labels, strands=2) == d
+
+
+def _closure_parts(**change) -> dict:
+    """The T(2,3) closure's constructor arguments, arcs
+    ((2, 7), (1, 4), (6, 11), (5, 8), (10, 3), (9, 0)), with ``change`` applied."""
+    d = closure_diagram(torus_braid_word(2, 3))
+    parts = dict(signs=d.signs, arcs=d.arcs, labels=d.labels, strands=d.strands)
+    return {**parts, **change}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"arcs": ((2.0, 7), (1, 4), (6, 11), (5, 8), (10, 3), (9, 0))}, "ends and labels"),
+        ({"arcs": ((2, 7), (True, 4), (6, 11), (5, 8), (10, 3), (9, 0))}, "ends and labels"),
+        ({"labels": (1, 2, 3, 4, 5, 6.0)}, "ends and labels"),
+        ({"labels": (1, 2, 3, 4, 5, True)}, "ends and labels"),
+        ({"labels": (1, 2, 3, 4, 5, 5)}, "labels must be distinct"),
+        ({"arcs": ((2, 7, 1), (4,), (6, 11), (5, 8), (10, 3), (9, 0))}, "pair two ends"),
+        ({"free_circles": 1.0}, "circle count"),
+        ({"free_circles": True}, "circle count"),
+        ({"free_circles": -1}, "circle count"),
+        ({"strands": "x"}, "strands"),
+        ({"strands": -3}, "strands"),
+        ({"strands": 0}, "strands"),
+        ({"strands": True}, "strands"),
+        ({"strands": 2.0}, "strands"),
+        ({"signs": ("+", "", "+")}, "signs"),
+        ({"signs": ("+", "+-", "+")}, "signs"),
+    ],
+)
+def test_constructor_rejects_malformed_parts(change, message):
+    assert Diagram(**_closure_parts())  # the unchanged parts are a diagram
+    with pytest.raises(MalformedPDCode, match=message):
+        Diagram(**_closure_parts(**change))
+
+
+def test_exported_codes_of_checked_diagrams_import():
+    # every diagram the constructor accepts exports a code import_pd reads
+    for strands in (None, 1, 7):
+        d = Diagram(**_closure_parts(strands=strands))
+        assert import_pd(export_pd(d)) == d
+
+
 def test_pd_import_rejects_non_json():
     with pytest.raises(ValueError):
         import_pd("not json at all {")
@@ -459,8 +521,8 @@ def _closure_record(word: BraidWord) -> list:
     report = dealternating_number_diagram(d)
     witness = ",".join(map(str, report.witness)).encode()
     return [
-        all_a(d).component_count,
-        all_b(d).component_count,
+        all_a(d),
+        all_b(d),
         turaev_genus_diagram(d),
         report.minimum_changes,
         hashlib.sha256(witness).hexdigest()[:12],
@@ -476,7 +538,7 @@ def _mixed_states() -> list[list]:
         letters = tuple(rng.randint(1, strands - 1) for _ in range(rng.randint(1, 40)))
         assignment = "".join(rng.choice("AB") for _ in letters)
         d = closure_diagram(BraidWord(strands, letters))
-        count = state_components(d, assignment).component_count
+        count = state_components(d, assignment)
         rows.append([strands, BraidWord(strands, letters).as_text(), assignment, count])
     return rows
 

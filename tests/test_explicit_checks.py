@@ -33,8 +33,8 @@ def expect(error, call, label):
         raise SystemExit(f"{label}: no {error.__name__}")
 
 
-expect(ValueError, lambda: Staircase(2, (0, 1)), "staircase length")
-expect(ValueError, lambda: Staircase(1, (1, 2)), "staircase start")
+expect(ValueError, lambda: Staircase(()), "staircase length")
+expect(ValueError, lambda: Staircase((1, 2)), "staircase start")
 for terms in ({-1: 1, 0: -2, 1: 1}, {-1: 1, 0: -1, 2: 1}, {-1: -1, 0: 1, 1: -1}):
     expect(
         NotLSpaceForm,

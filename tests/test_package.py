@@ -16,8 +16,7 @@ import torusknot
 _EXPORTED = [
     "BoundBracket", "BraidWord", "CheckResult", "ConjectureViolation",
     "ConstraintComponent", "DaltReport", "Diagram", "DisconnectedDiagram",
-    "HFKTable", "InconsistentConstraints", "IndexOutOfRange", "KauffmanState",
-    "KnotTooLarge", "KnownUpper", "LaurentPolynomial", "LemmaCheck",
+    "InconsistentConstraints", "IndexOutOfRange", "KnotTooLarge", "KnownUpper", "LaurentPolynomial", "LemmaCheck",
     "MalformedPDCode", "NonExactDivision", "NormalForm", "NotCoprime",
     "NotLSpaceForm", "ParseError", "SearchBudgetExceeded", "Staircase",
     "StrandMismatch", "TorusFamily", "UnknownMacro", "UnsupportedFamily",
@@ -55,7 +54,7 @@ def _fresh(code: str) -> object:
 
 def test_exported_names_are_unchanged():
     assert sorted(torusknot.__all__) == _EXPORTED
-    assert len(set(torusknot.__all__)) == 66
+    assert len(set(torusknot.__all__)) == 64
 
 
 def test_dir_lists_the_same_public_names():
