@@ -127,6 +127,9 @@ class TorusFamily:
     n: int
 
     def __post_init__(self) -> None:
+        p, n = self.p, self.n
+        if type(p) is not int or type(n) is not int:  # bools are ints to isinstance
+            raise TypeError(f"family parameters must be ints, got p={p!r}, n={n!r}")
         if self.kind not in _CLOSED_FORMS:
             raise UnsupportedFamily(f"unknown family kind {self.kind!r}")
         strands = _CLOSED_FORMS[self.kind][1]

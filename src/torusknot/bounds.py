@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .braid import UnsupportedTorusFamily, _family, lemma_word, torus_braid_word
 from .diagram import (
@@ -108,18 +109,12 @@ def _candidate_diagrams(p: int, q: int) -> list[tuple[str, Diagram]]:
     return pool
 
 
-def _best(
-    pool: list[tuple[str, Diagram]], evaluate
-) -> tuple[int, str]:
-    best_value: int | None = None
-    best_label = ""
-    for label, diagram in pool:
-        value = evaluate(diagram)
-        if best_value is None or value < best_value:
-            best_value, best_label = value, label
-    if best_value is None:
-        raise ValueError("no candidate diagram to evaluate")
-    return best_value, best_label
+def _best(pool: list[tuple[str, Diagram]], evaluate) -> tuple[int, str]:
+    """The least value over the pool with its label, the first on ties.
+
+    Raises ValueError on an empty pool.
+    """
+    return min(((evaluate(d), label) for label, d in pool), key=itemgetter(0))
 
 
 def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
@@ -157,6 +152,16 @@ def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
     return turaev, dealt
 
 
+def _bracket_document(bracket: BoundBracket) -> dict:
+    return {
+        "lower": bracket.lower,
+        "upper": bracket.upper,
+        "lower_source": bracket.lower_source,
+        "upper_source": bracket.upper_source,
+        "sharp": bracket.is_sharp(),
+    }
+
+
 def bounds_report(p: int, q: int) -> dict:
     """JSON-friendly summary of :func:`bounds` plus the known-upper table."""
     a, b = min(p, q), max(p, q)
@@ -166,20 +171,8 @@ def bounds_report(p: int, q: int) -> dict:
         "p": a,
         "q": b,
         "is_knot": math.gcd(a, b) == 1,
-        "turaev_genus": {
-            "lower": turaev.lower,
-            "upper": turaev.upper,
-            "lower_source": turaev.lower_source,
-            "upper_source": turaev.upper_source,
-            "sharp": turaev.is_sharp(),
-        },
-        "dealternating": {
-            "lower": dealt.lower,
-            "upper": dealt.upper,
-            "lower_source": dealt.lower_source,
-            "upper_source": dealt.upper_source,
-            "sharp": dealt.is_sharp(),
-        },
+        "turaev_genus": _bracket_document(turaev),
+        "dealternating": _bracket_document(dealt),
     }
     if known is not None:
         report["dealternating"]["known_upper"] = {

@@ -25,10 +25,10 @@ The word grammar accepted by :func:`parse_braid`::
 
 Whitespace is ignored; exponents are nonnegative; named macros expand to
 fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the full
-twist on the current strand count.  An exponent takes every digit that
-follows it: ``(1)^32`` is 32 letters, while ``(1)^3 2`` is ``1112``.  A word
-that would grow past ``MAX_WORD_LETTERS`` letters raises WordTooLong before it
-is built.
+twist on the current strand count.  Digits are ASCII only.  An exponent
+takes every digit that follows it: ``(1)^32`` is 32 letters, while
+``(1)^3 2`` is ``1112``.  A word that would grow past ``MAX_WORD_LETTERS``
+letters raises WordTooLong before it is built.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _parse_word(s: str, i: int, strands: int) -> tuple[list[int], int]:
 
 def _parse_term(s: str, i: int, strands: int) -> tuple[list[int], int]:
     ch = s[i]
-    if ch.isdigit():
+    if "0" <= ch <= "9":  # str.isdigit also takes other scripts' digits
         g = int(ch)
         if not 1 <= g <= strands - 1:
             raise IndexOutOfRange(
@@ -252,7 +252,7 @@ def _parse_term(s: str, i: int, strands: int) -> tuple[list[int], int]:
             start = j
             if j < len(s) and s[j] == "-":
                 raise ParseError(f"negative exponent at offset {j}: positive words only")
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and "0" <= s[j] <= "9":
                 j += 1
             if j == start:
                 raise ParseError(f"missing exponent at offset {start}")
@@ -512,8 +512,14 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
 # torus braids and the tabulated rewrite identities
 
 
+def _check_ints(p: int, q: int) -> None:
+    if type(p) is not int or type(q) is not int:  # bools are ints to isinstance
+        raise TypeError(f"torus parameters must be ints, got ({p!r}, {q!r})")
+
+
 def torus_braid_word(p: int, q: int) -> BraidWord:
     """The standard (p, q) torus word: (sigma_1 ... sigma_{p-1})^q on p strands."""
+    _check_ints(p, q)
     if p < 1 or q < 0:
         raise ValueError(f"invalid torus braid parameters ({p}, {q})")
     _check_length((p - 1) * q)
@@ -605,6 +611,7 @@ _FAMILIES: dict[tuple[int, int], _Family] = {
 
 def _family(p: int, q: int) -> tuple[_Family | None, int]:
     """The table row of T(p, q) (None outside the table) and its n = q // p."""
+    _check_ints(p, q)
     n, r = divmod(q, p) if p >= 1 else (0, 0)
     return (_FAMILIES.get((p, r)) if n >= 1 else None), n
 
@@ -624,8 +631,10 @@ def lemma_word(p: int, q: int) -> BraidWord:
             f"no tabulated rewriting for the ({p}, {q}) torus word"
         )
     _check_length((p - 1) * q)  # a rewriting is as long as the torus word
-    text = "".join(f"({chunk})^{a * n + b}" for chunk, a, b in family.word)
-    return parse_braid(text, p)
+    letters: list[int] = []
+    for chunk, a, b in family.word:
+        letters.extend(parse_braid(chunk, p).letters * (a * n + b))
+    return BraidWord(p, tuple(letters))
 
 
 @dataclass(frozen=True)

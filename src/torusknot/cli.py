@@ -57,6 +57,12 @@ def _default_jobs() -> str:
 def _diagram_from_args(args: argparse.Namespace) -> Diagram:
     from .diagram import closure_diagram, import_pd
 
+    sources = ("pd", "tabulated", "torus", "strands")
+    given = [f"--{name}" for name in sources if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise ValueError(f"give one diagram source, not {' and '.join(given)}")
+    if args.word and args.strands is None:
+        raise ValueError(f"the braid word {args.word!r} needs --strands")
     if args.pd is not None:
         with open(args.pd, "r", encoding="utf-8") as handle:
             return import_pd(handle.read())

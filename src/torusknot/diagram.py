@@ -31,11 +31,11 @@ turn each state circle is two orbits, one per direction; with the next slot
 a stack search over the crossings along the arcs.
 
 The minimum number of crossing changes making a diagram alternating is
-decided exactly: along every component the passes must alternate over/under,
-which pins the relative flip state of consecutive crossings; the resulting
-GF(2) constraints split into connected components with exactly two
-solutions each, and the optimum picks the smaller side of each; its witness
-is checked on the flipped pass bits, with no flipped diagram built.
+decided exactly: alternation fixes each link component's changes up to one
+flip bit, and each crossing ties the bits of the components through it, so
+every connected piece has two alternating change sets, complements of each
+other; the optimum takes the smaller of each, and its witness is checked on
+the flipped pass bits, with no flipped diagram built.
 """
 
 from __future__ import annotations
@@ -373,7 +373,10 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
 
 @dataclass(frozen=True)
 class ConstraintComponent:
-    """One connected block of the crossing-change constraint graph."""
+    """One connected piece of the diagram, its crossings in increasing order.
+
+    ``changes`` is the smaller of the piece's two alternating change sets.
+    """
 
     crossings: tuple[int, ...]
     changes: tuple[int, ...]
@@ -391,67 +394,50 @@ class DaltReport:
 def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     """Minimize crossing changes until the diagram alternates, exactly.
 
-    Consecutive passes along a component visit crossings c1, c2 with
-    over-bits t1, t2; alternation forces flip variables x with
-    x_c1 xor x_c2 = t1 xor t2 xor 1.  Each connected block of these
-    constraints has exactly two solutions (a set and its complement); the
-    minimum takes the smaller side per block, preferring the side containing
-    the block's lowest crossing index on ties.  The witness is replayed on
-    the pass cycles, its crossings' over/under bits flipped, before return.
+    A component with passes (c_i, t_i) in order, t_i = goes over, alternates
+    after the changes x exactly when x_{c_i} = t_i xor (i mod 2) xor e for
+    one bit e per component.  A crossing's two visits tie two such bits, so
+    each connected piece has two alternating change sets, complements of
+    each other; the minimum takes the smaller, or on a tie the one holding
+    the piece's lowest crossing.  The witness is replayed on the pass bits,
+    its crossings' bits flipped, before return.
 
-    Raises InconsistentConstraints when no flip set alternates (impossible
-    for braid closures; reachable for hand-written PD codes whose curves
-    traverse an odd pass cycle).
+    Raises InconsistentConstraints when no change set alternates: never for
+    a planar diagram, but possible for one built directly past import_pd's
+    planarity check (an odd pass cycle, or ties that clash).
     """
-    n = diagram.n_crossings
-    if n == 0:
-        return DaltReport(0, (), ())
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cycle in diagram.pass_cycles():
-        for (c1, b1), (c2, b2) in zip(cycle, cycle[1:] + cycle[:1]):
-            parity = (b1 != b2) ^ 1
-            if c1 == c2:
-                if parity:
-                    raise InconsistentConstraints(
-                        f"crossing {c1} meets itself on consecutive passes"
-                    )
-                continue
-            adjacency[c1].append((c2, parity))
-            adjacency[c2].append((c1, parity))
-    value = [-1] * n
-    blocks: list[ConstraintComponent] = []
-    witness: list[int] = []
-    total = 0
-    for seed in range(n):
-        if value[seed] != -1:
+    cycles = diagram.pass_cycles()
+    visits = {}  # (crossing, goes over) -> (component, bit t xor position parity)
+    for k, cycle in enumerate(cycles):
+        if len(cycle) % 2:
+            raise InconsistentConstraints(f"component {k} has an odd number of passes")
+        for i, (c, over) in enumerate(cycle):
+            visits[c, over] = k, over ^ (i & 1)
+    flip = [-1] * len(cycles)
+    blocks = []
+    for root in range(len(cycles)):  # a piece's first cycle starts at its lowest end
+        if flip[root] != -1:
             continue
-        value[seed] = 0
-        stack = [seed]
-        members = []
+        flip[root], stack, change = 0, [root], {}
         while stack:
-            x = stack.pop()
-            members.append(x)
-            for y, parity in adjacency[x]:
-                want = value[x] ^ parity
-                if value[y] == -1:
-                    value[y] = want
-                    stack.append(y)
-                elif value[y] != want:
+            k = stack.pop()
+            for i, (c, over) in enumerate(cycles[k]):
+                change[c] = x = over ^ (i & 1) ^ flip[k]
+                j, bit = visits[c, not over]  # the crossing's other visit
+                if flip[j] == -1:
+                    flip[j] = x ^ bit
+                    stack.append(j)
+                elif flip[j] != x ^ bit:
                     raise InconsistentConstraints(
-                        f"crossings {x} and {y} receive contradictory flips"
+                        f"components {k} and {j} receive contradictory flips"
                     )
-        ones = sorted(m for m in members if value[m] == 1)
-        zeros = sorted(m for m in members if value[m] == 0)
-        chosen = zeros if len(zeros) <= len(ones) else ones
-        # the seed (lowest index in the block) has value 0, so ties pick
-        # the side containing it
-        total += len(chosen)
-        witness.extend(chosen)
-        blocks.append(
-            ConstraintComponent(tuple(sorted(members)), tuple(chosen))
-        )
-    report = DaltReport(total, tuple(sorted(witness)), tuple(blocks))
-    if not _witness_alternates(diagram.pass_cycles(), report.witness):
+        crossings = sorted(change)
+        near = tuple(c for c in crossings if change[c] == change[crossings[0]])
+        far = tuple(c for c in crossings if change[c] != change[crossings[0]])
+        blocks.append(ConstraintComponent(tuple(crossings), min(near, far, key=len)))
+    witness = sorted(chain.from_iterable(block.changes for block in blocks))
+    report = DaltReport(len(witness), tuple(witness), tuple(blocks))
+    if not _witness_alternates(cycles, report.witness):
         raise RuntimeError(
             f"witness {list(report.witness)} does not make the diagram alternate"
         )

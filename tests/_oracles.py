@@ -4,14 +4,21 @@ Nothing here imports the package's own polynomial pipeline logic; these
 are deliberately different algorithms so the tests are not circular.
 The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
 below the Alexander grid it checks; the rebuilt crossing change goes
-through the validating ``Diagram`` constructor, not the trusted flip.
+through the validating ``Diagram`` constructor, not the trusted flip; the
+crossing-graph solver searches one node per crossing where the package
+searches one per link component.
 """
 
 from __future__ import annotations
 
 import math
 
-from torusknot.diagram import Diagram
+from torusknot.diagram import (
+    ConstraintComponent,
+    DaltReport,
+    Diagram,
+    InconsistentConstraints,
+)
 from torusknot.laurent import LaurentPolynomial
 
 
@@ -150,3 +157,60 @@ def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
         free_circles=diagram.free_circles,
         strands=diagram.strands,
     )
+
+
+def crossing_graph_dealternating(diagram: Diagram) -> DaltReport:
+    """Minimum crossing changes to alternation, one graph node per crossing.
+
+    Consecutive passes along a component visit crossings c1, c2 with
+    over-bits t1, t2; alternation forces flip variables x with
+    x_c1 xor x_c2 = t1 xor t2 xor 1.  Each connected block of these
+    constraints has exactly two solutions (a set and its complement); the
+    minimum takes the smaller side per block, preferring the side containing
+    the block's lowest crossing index on ties.  Raises
+    InconsistentConstraints when no flip set alternates.
+    """
+    n = diagram.n_crossings
+    if n == 0:
+        return DaltReport(0, (), ())
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for cycle in diagram.pass_cycles():
+        for (c1, b1), (c2, b2) in zip(cycle, cycle[1:] + cycle[:1]):
+            parity = (b1 != b2) ^ 1
+            if c1 == c2:
+                if parity:
+                    raise InconsistentConstraints(
+                        f"crossing {c1} meets itself on consecutive passes"
+                    )
+                continue
+            adjacency[c1].append((c2, parity))
+            adjacency[c2].append((c1, parity))
+    value = [-1] * n
+    blocks: list[ConstraintComponent] = []
+    witness: list[int] = []
+    for seed in range(n):
+        if value[seed] != -1:
+            continue
+        value[seed] = 0
+        stack = [seed]
+        members = []
+        while stack:
+            x = stack.pop()
+            members.append(x)
+            for y, parity in adjacency[x]:
+                want = value[x] ^ parity
+                if value[y] == -1:
+                    value[y] = want
+                    stack.append(y)
+                elif value[y] != want:
+                    raise InconsistentConstraints(
+                        f"crossings {x} and {y} receive contradictory flips"
+                    )
+        ones = sorted(m for m in members if value[m] == 1)
+        zeros = sorted(m for m in members if value[m] == 0)
+        # the seed (lowest index in the block) has value 0, so ties pick
+        # the side containing it
+        chosen = zeros if len(zeros) <= len(ones) else ones
+        witness.extend(chosen)
+        blocks.append(ConstraintComponent(tuple(sorted(members)), tuple(chosen)))
+    return DaltReport(len(witness), tuple(sorted(witness)), tuple(blocks))

@@ -153,6 +153,9 @@ def test_family_validation():
         TorusFamily("pn-1", 2, 0)  # q = -1
     with pytest.raises(ValueError):
         TorusFamily("pn+1", 1, 3)  # p < 2
+    for p, n in ((2.5, 1), (3.0, 1), (3, 1.0), (True, 1), (3, True), (3, False)):
+        with pytest.raises(TypeError, match="family parameters must be ints"):
+            TorusFamily("pn+1", p, n)
 
 
 def test_zero_n_closed_forms_need_no_rational_formula(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from torusknot.bounds import (
     BoundBracket,
+    _best,
     bounds,
     bounds_report,
     known_dealternating_upper,
@@ -90,6 +91,9 @@ def test_known_upper_table_coverage():
     got = known_dealternating_upper(5, 5)
     assert got is not None and got.value == 5  # 4n+1 at n=1
     assert known_dealternating_upper(5, 12).value == 10  # 4n+2 at n=2
+    for p, q in ((5, 8.0), (5.0, 8), (True, 8)):  # 8.0 once gave the value 7.0
+        with pytest.raises(TypeError, match="torus parameters must be ints"):
+            known_dealternating_upper(p, q)
 
 
 def test_report_structure():
@@ -115,6 +119,14 @@ def test_upper_source_names_a_diagram():
     assert dealt.upper_source in ("tabulated diagram", "standard closure")
     turaev, _ = bounds(2, 9)
     assert turaev.upper_source == "standard closure"
+    # ties keep the first candidate, which is the tabulated diagram
+    assert _best([("tabulated diagram", 3), ("standard closure", 3)], int) == (
+        3,
+        "tabulated diagram",
+    )
+    assert _best([("a", 5), ("b", 2), ("c", 2)], int) == (2, "b")
+    with pytest.raises(ValueError):
+        _best([], int)
 
 
 # ----------------------------------------------------------------------

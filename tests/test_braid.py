@@ -66,10 +66,14 @@ def test_parse_macro_power():
         ("1^-2", ParseError),
         ("1^", ParseError),
         ("x", ParseError),
+        ("\uff11\uff12", ParseError),  # fullwidth digits one and two
+        ("\u0663", ParseError),  # Arabic-Indic three
+        ("1^\u00b2", ParseError),  # superscript two
+        ("1^1\uff12", ParseError),
     ],
 )
 def test_parse_errors(text, err):
-    with pytest.raises(err):
+    with pytest.raises(err, match="at offset"):
         parse_braid(text, 4)
 
 
@@ -317,6 +321,33 @@ def test_torus_braid_word_shape():
     assert torus_braid_word(1, 7).letters == ()
     with pytest.raises(ValueError):
         torus_braid_word(0, 3)
+
+
+@pytest.mark.parametrize(
+    "build,p,q",
+    [
+        (torus_braid_word, 3, 2.5),
+        (torus_braid_word, 3.0, 2),
+        (torus_braid_word, True, 3),
+        (torus_braid_word, 3, True),
+        (torus_braid_word, "3", 2),
+        (lemma_word, 5, 8.0),
+        (lemma_word, 5.0, 8),
+        (lemma_word, 4, True),
+        (lemma_word, True, 4),
+    ],
+)
+def test_torus_words_reject_non_int_parameters(build, p, q):
+    with pytest.raises(TypeError, match="torus parameters must be ints"):
+        build(p, q)
+
+
+def test_lemma_word_matches_its_family_table_as_one_text():
+    """The chunks written out as '(text)^count' and parsed in one go."""
+    for (p, r), family in braid._FAMILIES.items():
+        for n in (1, 2, 5):
+            text = "".join(f"({chunk})^{a * n + b}" for chunk, a, b in family.word)
+            assert lemma_word(p, p * n + r) == parse_braid(text, p)
 
 
 def test_lemma_word_crossing_counts():

@@ -218,6 +218,40 @@ def test_boolean_in_pd_exits_two(capsys, tmp_path, field, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        ("dalt --torus 4 5 --tabulated 4 5", "--tabulated and --torus"),
+        ("dalt --strands 3 1212 --torus 4 5", "--torus and --strands"),
+        ("turaev-genus --pd x.json --strands 3", "--pd and --strands"),
+        ("states --tabulated 4 5 --torus 4 5 --assignment all-A", "--tabulated and --torus"),
+        ("dalt --strands 0 --torus 4 5", "--torus and --strands"),
+        ("dalt 1212", "'1212' needs --strands"),
+        ("turaev-genus --torus 4 5 12", "'12' needs --strands"),
+    ],
+)
+def test_diagram_commands_take_one_source(capsys, argv, named):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_diagram_commands_name_the_missing_source(capsys):
+    code, out, err = run(capsys, "dalt")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a diagram source is required: --pd, --tabulated, --torus, "
+        "or --strands with a word\n"
+    )
+
+
+def test_non_ascii_digits_exit_two(capsys):
+    # fullwidth one and two: str.isdigit accepts them
+    code, out, err = run(capsys, "braid-eq", "--strands", "3", "\uff11\uff12", "12")
+    assert code == 2 and out == ""
+    assert err == "error: unexpected '\uff11' at offset 0\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

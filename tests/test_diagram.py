@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    crossing_graph_dealternating,
     rebuilt_change_crossings,
     union_find_pieces,
     union_find_state_circles,
@@ -22,8 +23,10 @@ from torusknot.braid import (
 )
 from torusknot import diagram as diagram_module
 from torusknot.diagram import (
+    DaltReport,
     Diagram,
     DisconnectedDiagram,
+    InconsistentConstraints,
     MalformedPDCode,
     all_a,
     all_b,
@@ -278,6 +281,8 @@ def test_witness_replay_matches_rebuilt_alternation():
     for flips in ((), (0,)):
         assert not diagram_module._witness_alternates(loops.pass_cycles(), flips)
         assert not is_alternating(rebuilt_change_crossings(loops, flips))
+    with pytest.raises(InconsistentConstraints, match="odd number of passes"):
+        dealternating_number_diagram(loops)
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +294,8 @@ def test_alternating_diagrams_need_no_changes():
         report = dealternating_number_diagram(closure_diagram(torus_braid_word(2, q)))
         assert report.minimum_changes == 0
         assert report.witness == ()
+    empty = closure_diagram(BraidWord(3, ()))  # three free circles, no crossing
+    assert dealternating_number_diagram(empty) == DaltReport(0, (), ())
 
 
 def test_golden_full_twist_dealternating():
@@ -334,13 +341,82 @@ def test_solver_matches_brute_force_on_random_words():
         done += 1
 
 
+def _mixed_sign(rng: random.Random, strands: tuple[int, int], length: int) -> Diagram:
+    """A random closure with a random subset of its crossings changed."""
+    d = _random_closure(rng, strands, length)
+    return rebuilt_change_crossings(
+        d, [c for c in range(d.n_crossings) if rng.random() < 0.5]
+    )
+
+
+def test_solver_matches_crossing_graph_oracle_on_mixed_signs():
+    rng = random.Random(1703)
+    links = 0
+    for _ in range(300):
+        d = _mixed_sign(rng, (2, 8), rng.randint(0, 200))
+        links += d.components() > 1
+        assert dealternating_number_diagram(d) == crossing_graph_dealternating(d), (
+            export_pd(d)
+        )
+    assert links > 100
+
+
+def test_solver_matches_brute_force_on_mixed_sign_links():
+    rng = random.Random(2506)
+    done = 0
+    while done < 40:
+        d = _mixed_sign(rng, (3, 6), rng.randint(2, 14))
+        if len(d.pass_cycles()) < 2:
+            continue
+        assert (
+            dealternating_number_diagram(d).minimum_changes
+            == brute_force_dealternating(d)
+        ), export_pd(d)
+        done += 1
+
+
+def _outcome(solve, d):
+    try:
+        return solve(d)
+    except InconsistentConstraints:
+        return "inconsistent"
+
+
+def test_solver_matches_oracles_on_arbitrary_matchings():
+    """Random end matchings, mostly not planar: odd cycles and clashing ties."""
+    rng = random.Random(1703_02506)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        ends = list(range(4 * n))
+        rng.shuffle(ends)
+        arcs = list(zip(ends[::2], ends[1::2]))
+        d = Diagram("".join(rng.choice("+-") for _ in range(n)), arcs, range(2 * n))
+        got = _outcome(dealternating_number_diagram, d)
+        assert got == _outcome(crossing_graph_dealternating, d), arcs
+        minimum = _outcome(brute_force_dealternating, d)
+        assert minimum == (got if got == "inconsistent" else got.minimum_changes)
+        outcomes.add(got if got == "inconsistent" else "solved")
+    assert outcomes == {"inconsistent", "solved"}
+    # Gauss code 1 2 1 2: crossing 0 recurs after an even number of passes
+    clash = Diagram("++", [(2, 4), (6, 3), (1, 7), (5, 0)], range(4))
+    assert [len(cycle) for cycle in clash.pass_cycles()] == [4]
+    with pytest.raises(InconsistentConstraints, match="contradictory flips"):
+        dealternating_number_diagram(clash)
+
+
 def test_component_structure_partitions_crossings():
-    d = closure_diagram(lemma_word(5, 7))
-    report = dealternating_number_diagram(d)
-    seen = sorted(c for comp in report.component_structure for c in comp.crossings)
-    assert seen == list(range(d.n_crossings))
-    total = sum(len(comp.changes) for comp in report.component_structure)
-    assert total == report.minimum_changes
+    rng = random.Random(57)
+    diagrams = [closure_diagram(lemma_word(5, 7))]
+    diagrams += [_mixed_sign(rng, (2, 7), rng.randint(0, 40)) for _ in range(100)]
+    for d in diagrams:
+        report = dealternating_number_diagram(d)
+        blocks = report.component_structure
+        seen = sorted(c for comp in blocks for c in comp.crossings)
+        assert seen == list(range(d.n_crossings))
+        assert len(blocks) == diagram_module._pieces(d)  # one block per piece
+        total = sum(len(comp.changes) for comp in blocks)
+        assert total == report.minimum_changes
 
 
 def test_brute_force_limit():
