@@ -71,9 +71,9 @@ class BoundBracket:
 class KnownUpper:
     """Best dealternating upper bound known for a family, with provenance.
 
-    ``needs_pd_import`` is True when no diagram built by this package
-    attains ``value``; reaching it requires importing a hand-modified
-    diagram as a PD file.
+    ``needs_pd_import`` is True when the tabulated diagram's dealternating
+    number is above ``value``: no diagram built by this package attains it,
+    and reaching it requires importing a hand-modified diagram as a PD file.
     """
 
     value: int
@@ -92,8 +92,8 @@ def known_dealternating_upper(p: int, q: int) -> KnownUpper | None:
     family, n = _family(a, b)
     if family is None:
         return None
-    x, y = family.known_upper
-    return KnownUpper(x * n + y, family.needs_pd_import, family.note)
+    (x, y), (u, v) = family.known_upper, family.dealternating
+    return KnownUpper(x * n + y, u * n + v > x * n + y, family.note)
 
 
 def _candidate_diagrams(p: int, q: int) -> list[tuple[str, Diagram]]:

@@ -23,17 +23,18 @@ The word grammar accepted by :func:`parse_braid`::
     term   := digit | '{' name '}' | '(' word ')' | term '^' integer
     digit  := '1'..'9'            (a generator index)
 
-Whitespace is ignored; exponents are nonnegative; named macros expand to
-fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the full
-twist on the current strand count.  Digits are ASCII only.  An exponent
-takes every digit that follows it: ``(1)^32`` is 32 letters, while
-``(1)^3 2`` is ``1112``.  A word that would grow past ``MAX_WORD_LETTERS``
-letters raises WordTooLong before it is built.
+ASCII whitespace is ignored; exponents are nonnegative; named macros expand
+to fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the
+full twist on the current strand count.  Digits and whitespace are ASCII
+only.  An exponent takes every digit that follows it: ``(1)^32`` is 32
+letters, while ``(1)^3 2`` is ``1112``.  A word that would grow past
+``MAX_WORD_LETTERS`` letters raises WordTooLong before it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import whitespace  # the ASCII whitespace characters
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -192,7 +193,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
 
 def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i].isspace():
+    while i < len(s) and s[i] in whitespace:  # str.isspace also takes U+3000
         i += 1
     return i
 
@@ -222,7 +223,7 @@ def _parse_term(s: str, i: int, strands: int) -> tuple[list[int], int]:
         close = s.find("}", i)
         if close < 0:
             raise ParseError(f"unclosed macro brace at offset {i}")
-        name = s[i + 1 : close].strip()
+        name = s[i + 1 : close].strip(whitespace)
         if name not in DEFAULT_MACROS:
             raise UnknownMacro(f"unknown macro {name!r} at offset {i}")
         expansion = DEFAULT_MACROS[name]
@@ -530,12 +531,11 @@ class _Family(NamedTuple):
     """One row of the family table ``_FAMILIES``; its fields are described there."""
 
     word: tuple[tuple[str, int, int], ...]
-    relation: str
+    conjugator: str
     s_b: tuple[int, int]
     g_t: tuple[int, int]
     dealternating: tuple[int, int]
     known_upper: tuple[int, int]
-    needs_pd_import: bool
     note: str
 
 
@@ -546,65 +546,66 @@ _BY_TABLE = "attained by the tabulated diagram"
 # verify_lemmas checks them.  In each row:
 # * word rewrites the torus word as chunks (text, a, b): the letters of text,
 #   in the parse_braid grammar, written a*n + b times, chunk after chunk;
-# * relation is "equal" when word equals the torus word as a braid, and
-#   "cyclic" when it does up to cyclic rotation (the closures still agree);
+# * conjugator is a word c in the same grammar with word * c == c * torus word:
+#   empty where the two are equal, one letter where word equals the torus word
+#   once that letter is rotated from its front to its back (closures agree);
 # * s_b, g_t and dealternating are the all-B circle count, Turaev genus and
 #   dealternating number of the closure of word, and known_upper is the best
 #   known dealternating upper bound of T(p, q), each a pair (a, b) for a*n + b;
-# * needs_pd_import says no diagram built here attains known_upper, and note
-#   says what does.
+# * note says what attains known_upper; where dealternating is above it, no
+#   diagram built here does.
 _FAMILIES: dict[tuple[int, int], _Family] = {
     (4, 0): _Family(
         (("1", 2, 0), ("3", 2, 0), ("2132", 2, 0)),
-        "equal", (8, -2), (2, 0), (4, 0), (2, 1), True, _BY_IMPORT,
+        "", (8, -2), (2, 0), (4, 0), (2, 1), _BY_IMPORT,
     ),
     (4, 1): _Family(
         (("1", 2, 0), ("3", 2, 0), ("2132", 2, -1), ("2131213", 0, 1)),
-        "equal", (8, 1), (2, 0), (4, 0), (2, 1), True, _BY_IMPORT,
+        "", (8, 1), (2, 0), (4, 0), (2, 1), _BY_IMPORT,
     ),
     (4, 2): _Family(
         (("1", 2, 2), ("3", 2, 0), ("2132", 2, 1)),
-        "equal", (8, 2), (2, 1), (4, 2), (2, 2), True, _BY_IMPORT,
+        "", (8, 2), (2, 1), (4, 2), (2, 2), _BY_IMPORT,
     ),
     (4, 3): _Family(
         (("1", 2, 2), ("3", 2, 0), ("2132", 2, 0), ("2131213", 0, 1)),
-        "equal", (8, 5), (2, 1), (4, 2), (2, 2), True,
+        "", (8, 5), (2, 1), (4, 2), (2, 2),
         "best known value; the hand-modified closure attains 2n+3, one more than this",
     ),
     (5, 0): _Family(
         (("2311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
          ("{gamma}43", 0, 1)),
-        "equal", (12, -3), (4, 0), (4, 2), (4, 1), True, _BY_IMPORT,
+        "", (12, -3), (4, 0), (4, 2), (4, 1), _BY_IMPORT,
     ),
     (5, 1): _Family(
         (("1323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
          ("{gamma}343", 0, 1)),
-        "equal", (12, 1), (4, 0), (4, 2), (4, 1), True, _BY_IMPORT,
+        "", (12, 1), (4, 0), (4, 2), (4, 1), _BY_IMPORT,
     ),
     (5, 2): _Family(
         (("1231323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1), ("{beta}", 1, -1),
          ("{gamma}3433", 0, 1)),
-        "equal", (12, 3), (4, 1), (4, 3), (4, 2), True, _BY_IMPORT,
+        "", (12, 3), (4, 1), (4, 3), (4, 2), _BY_IMPORT,
     ),
     (5, 3): _Family(
         (("12131231323311", 0, 1), ("{alpha}", 1, -1), ("234", 0, 1),
          ("{beta}", 1, -1), ("{gamma}3433", 0, 1)),
-        "cyclic", (12, 5), (4, 2), (4, 4), (4, 3), True, _BY_IMPORT,
+        "2", (12, 5), (4, 2), (4, 4), (4, 3), _BY_IMPORT,
     ),
     (5, 4): _Family(
         (("2311", 0, 1), ("{alpha}", 1, 0), ("234", 0, 1), ("{beta}", 1, 0),
          ("311231422", 0, 1)),
-        "equal", (12, 7), (4, 3), (4, 7), (4, 4), True, _BY_IMPORT,
+        "", (12, 7), (4, 3), (4, 7), (4, 4), _BY_IMPORT,
     ),
     (6, 0): _Family(
         (("2", 0, 1), ("{zeta}323", 1, -1), ("{zeta}234", 0, 1), ("{eta}343", 1, -1),
          ("{eta}43", 0, 1)),
-        "equal", (18, -4), (6, 0), (6, 2), (6, 2), False, _BY_TABLE,
+        "", (18, -4), (6, 0), (6, 2), (6, 2), _BY_TABLE,
     ),
     (6, 1): _Family(
         (("1323", 0, 1), ("{zeta}323", 1, -1), ("{zeta}234", 0, 1),
          ("{eta}343", 1, -1), ("{eta}3435", 0, 1)),
-        "equal", (18, 1), (6, 0), (6, 2), (6, 2), False, _BY_TABLE,
+        "", (18, 1), (6, 0), (6, 2), (6, 2), _BY_TABLE,
     ),
 }
 
@@ -620,10 +621,10 @@ def lemma_word(p: int, q: int) -> BraidWord:
     """The tabulated rewriting of the (p, q) torus word, p in {4, 5, 6}.
 
     These are the words whose closures have small all-B Kauffman state
-    counts; each equals the standard torus word as a braid, or up to cyclic
-    rotation where its family's relation is ``"cyclic"``, which
-    :func:`verify_lemmas` checks.  Requires q >= p (so n = q // p >= 1) and
-    a tabulated residue q % p; raises UnsupportedTorusFamily otherwise.
+    counts; each is conjugate to the standard torus word by its family's
+    conjugator word (equal to it where that is empty), which
+    :func:`verify_lemmas` replays.  Requires q >= p (so n = q // p >= 1)
+    and a tabulated residue q % p; raises UnsupportedTorusFamily otherwise.
     """
     family, n = _family(p, q)
     if family is None:
@@ -644,7 +645,7 @@ class LemmaCheck:
     p: int
     q: int
     n: int
-    relation: str  # "equal" or "cyclic"
+    relation: str  # "equal", or "cyclic" when the family has a conjugator
     crossings: int
     passed: bool
 
@@ -652,12 +653,12 @@ class LemmaCheck:
 def verify_lemmas(n_max: int = 4) -> list[LemmaCheck]:
     """Check every tabulated rewriting against the torus word for n = 1..n_max.
 
-    A family whose relation is ``"cyclic"`` is checked up to cyclic rotation
-    (that is how it holds), all others on the nose; either comparison
-    rejects words of different length or permutation before any normal
-    form.  ``n_max`` below 1 is a ``ValueError``: it would check nothing;
-    one whose longest word is above the cap is a ``WordTooLong``, raised
-    before any check runs.
+    Each family is decided alike, with c its conjugator word (often empty):
+    ``words_equal(word * c, c * torus)`` rejects words of different length
+    or permutation before any normal form, and nothing is searched.  The
+    relation reads ``"cyclic"`` where c is not empty.  ``n_max`` below 1 is
+    a ``ValueError``: it would check nothing; one whose longest word is
+    above the cap is a ``WordTooLong``, raised before any check runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}: no identity to check")
@@ -667,9 +668,8 @@ def verify_lemmas(n_max: int = 4) -> list[LemmaCheck]:
         for (p, r), family in _FAMILIES.items():
             q = p * n + r
             torus = torus_braid_word(p, q)
-            same = cyclically_equal if family.relation == "cyclic" else words_equal
-            passed = same(lemma_word(p, q), torus)
-            results.append(
-                LemmaCheck(p, q, n, family.relation, len(torus.letters), passed)
-            )
+            c = parse_braid(family.conjugator, p)
+            passed = words_equal(lemma_word(p, q) * c, c * torus)
+            relation = "cyclic" if c.letters else "equal"
+            results.append(LemmaCheck(p, q, n, relation, len(torus.letters), passed))
     return results

@@ -142,12 +142,11 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     Staircase(s=(0, 1))
     """
     coefficients = delta.coefficients or (0,)  # the zero polynomial as 0 * t^0
-    low = delta.min_exponent
     if min(coefficients) < -1 or max(coefficients) > 1:
         raise NotLSpaceForm("coefficients must all be +-1")
-    if low != -(low + len(coefficients) - 1) or coefficients != coefficients[::-1]:
+    if not delta.is_palindromic():
         raise NotLSpaceForm("polynomial is not palindromic")
-    upper = coefficients[-low:]
+    upper = coefficients[-delta.min_exponent :]
     if not upper[0]:  # a palindrome with a zero middle, or zero everywhere
         if not any(coefficients):
             raise NotLSpaceForm("the zero polynomial has no staircase")

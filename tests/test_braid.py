@@ -70,6 +70,9 @@ def test_parse_macro_power():
         ("\u0663", ParseError),  # Arabic-Indic three
         ("1^\u00b2", ParseError),  # superscript two
         ("1^1\uff12", ParseError),
+        ("1\u30002 1", ParseError),  # ideographic space
+        ("1\u00a02", ParseError),  # no-break space
+        ("{\u3000alpha}", UnknownMacro),  # macro names trim ASCII whitespace only
     ],
 )
 def test_parse_errors(text, err):
@@ -373,6 +376,35 @@ def test_verify_lemmas_smallest_case():
     assert {c.crossings for c in checks} == {
         (p - 1) * q for (p, q) in relations
     }
+
+
+def test_five_three_conjugator_replays():
+    """word * sigma_2 == sigma_2 * torus word for T(5, 5n + 3), n = 1..6."""
+    c = parse_braid(braid._FAMILIES[(5, 3)].conjugator, 5)
+    assert c == BraidWord(5, (2,))
+    for n in range(1, 7):
+        word, torus = lemma_word(5, 5 * n + 3), torus_braid_word(5, 5 * n + 3)
+        assert words_equal(word * c, c * torus)
+        assert not words_equal(word, torus)
+        if n <= 2:  # the search agrees, and sigma_2 left-divides the word,
+            assert cyclically_equal(word, torus)  # so one rotation suffices
+            assert normal_form(torus) in set(braid._atom_conjugates(normal_form(word)))
+
+
+def test_verify_lemmas_searches_nothing(monkeypatch):
+    def search(a, b, max_states=0):
+        raise AssertionError("verify_lemmas ran a cyclic search")
+
+    monkeypatch.setattr(braid, "cyclically_equal", search)
+    checks = verify_lemmas(n_max=2)
+    assert len(checks) == 22 and all(c.passed for c in checks)
+
+
+def test_verify_lemmas_fails_without_the_conjugator(monkeypatch):
+    row = braid._FAMILIES[(5, 3)]
+    monkeypatch.setitem(braid._FAMILIES, (5, 3), row._replace(conjugator=""))
+    failed = [(c.p, c.q, c.relation) for c in verify_lemmas(n_max=2) if not c.passed]
+    assert failed == [(5, 8, "equal"), (5, 13, "equal")]
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

@@ -1,5 +1,8 @@
 """The verify-paper check registry: names, order, settings and failures."""
 
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 import torusknot.verify as verify
@@ -44,3 +47,17 @@ def test_failures_replace_the_detail(monkeypatch):
     assert result.detail.count(";") == 5
     assert result.detail.endswith("... 450 failures total")
     assert result.seconds >= 0
+
+
+def test_inverted_bracket_is_a_failure_not_a_traceback(monkeypatch):
+    bounds_module = sys.modules["torusknot.bounds"]  # torusknot.bounds is the function
+    real = bounds_module.width_torus
+
+    def oversized(p, q):
+        return SimpleNamespace(width=100) if (p, q) == (3, 7) else real(p, q)
+
+    monkeypatch.setattr(bounds_module, "width_torus", oversized)
+    (result,) = run_checks(names=("bound-brackets",))
+    assert result.name == "bound-brackets" and not result.passed
+    assert result.detail.startswith("T(3,7): inconsistent bracket for turaev_genus: [99, ")
+    assert ";" not in result.detail  # no other pair in the sweep fails
