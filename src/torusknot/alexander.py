@@ -26,7 +26,7 @@ division, and against an independent numerical-semigroup expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPolynomial
 
@@ -107,8 +107,7 @@ def alexander_torus(p: int, q: int) -> LaurentPolynomial:
     return LaurentPolynomial._raw(-(genus_double // 2), c)
 
 
-@dataclass(frozen=True)
-class TorusFamily:
+class TorusFamily(NamedTuple("TorusFamily", [("kind", str), ("p", int), ("n", int)])):
     """One member of a closed-form family of torus knots.
 
     kind selects the family:
@@ -122,12 +121,10 @@ class TorusFamily:
     the parity is read off p rather than encoded in the kind.
     """
 
-    kind: str
-    p: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, n = self.p, self.n
+    def __new__(cls, kind: str, p: int, n: int) -> "TorusFamily":
+        self = super().__new__(cls, kind, p, n)
         if type(p) is not int or type(n) is not int:  # bools are ints to isinstance
             raise TypeError(f"family parameters must be ints, got p={p!r}, n={n!r}")
         if self.kind not in _CLOSED_FORMS:
@@ -143,6 +140,9 @@ class TorusFamily:
             raise UnsupportedFamily(f"family index must be >= 0, got {self.n}")
         if self.q < 1:
             raise UnsupportedFamily(f"({self.p}, {self.q}) is not a torus knot")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def q(self) -> int:

@@ -19,8 +19,8 @@ when importing such a diagram as a PD file would tighten the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .braid import UnsupportedTorusFamily, _family, lemma_word, torus_braid_word
 from .diagram import (
@@ -40,8 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundBracket:
+class BoundBracket(
+    NamedTuple(
+        "BoundBracket",
+        [("invariant", str), ("lower", int), ("upper", int),
+         ("lower_source", str), ("upper_source", str)],
+    )
+):
     """A certified interval ``lower <= invariant <= upper``.
 
     ``lower_source`` and ``upper_source`` say where each side comes from:
@@ -49,26 +54,25 @@ class BoundBracket:
     the upper bound names the diagram whose computed value it is.
     """
 
-    invariant: str
-    lower: int
-    upper: int
-    lower_source: str
-    upper_source: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+    def __new__(
+        cls, invariant: str, lower: int, upper: int, lower_source: str, upper_source: str
+    ) -> "BoundBracket":
+        if lower > upper:
             raise AssertionError(
-                f"inconsistent bracket for {self.invariant}: "
-                f"[{self.lower}, {self.upper}]"
+                f"inconsistent bracket for {invariant}: [{lower}, {upper}]"
             )
+        return super().__new__(cls, invariant, lower, upper, lower_source, upper_source)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def is_sharp(self) -> bool:
         """True when the bracket pins the invariant exactly."""
         return self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class KnownUpper:
+class KnownUpper(NamedTuple):
     """Best dealternating upper bound known for a family, with provenance.
 
     ``needs_pd_import`` is True when the tabulated diagram's dealternating

@@ -33,9 +33,8 @@ letters, while ``(1)^3 2`` is ``1112``.  A word that would grow past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import whitespace  # the ASCII whitespace characters
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "ParseError",
@@ -100,26 +99,46 @@ def _check_length(letters: int) -> None:
         )
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A positive braid word: generator letters read bottom-to-top."""
+
+    __slots__ = ("strands", "letters")
 
     strands: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.letters) is not tuple:  # a list would leave the word unhashable
-            object.__setattr__(self, "letters", tuple(self.letters))
-        strands = self.strands
+    def __init__(self, strands: int, letters: Iterable[int]) -> None:
+        letters = tuple(letters)  # a list would leave the word unhashable
         if type(strands) is not int:  # bools are ints to isinstance
             raise TypeError(f"strand count {strands!r} is not an int")
         if strands < 1:
             raise ValueError("strand count must be positive")
-        for g in self.letters:
+        for g in letters:
             if type(g) is not int or not 1 <= g < strands:
                 if type(g) is not int:  # a float would print as a letter
                     raise TypeError(f"generator {g!r} is not an int")
                 raise IndexOutOfRange(f"generator {g} does not exist on {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
+
+    def __reduce__(self) -> tuple:
+        return BraidWord, (self.strands, self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -131,11 +150,13 @@ class BraidWord:
             raise StrandMismatch(
                 f"cannot concatenate words on {self.strands} and {other.strands} strands"
             )
+        _check_length(len(self.letters) + len(other.letters))
         return BraidWord(self.strands, self.letters + other.letters)
 
     def __pow__(self, n: int) -> "BraidWord":
         if n < 0:
             raise ValueError("positive braid words only")
+        _check_length(len(self.letters) * n)
         return BraidWord(self.strands, self.letters * n)
 
     def rotate(self, k: int) -> "BraidWord":
@@ -354,8 +375,7 @@ def _permutation_word(pi: Sequence[int]) -> tuple[int, ...]:
         cur = _strip_leading_letter(cur, g)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Left-greedy normal form: halftwist^infimum followed by the factors.
 
     ``infimum`` counts leading copies of the positive half twist (the
@@ -638,8 +658,7 @@ def lemma_word(p: int, q: int) -> BraidWord:
     return BraidWord(p, tuple(letters))
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     """Outcome of one torus-word-vs-rewriting identity check."""
 
     p: int

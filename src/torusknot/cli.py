@@ -26,10 +26,8 @@ Worker counts for the scanning subcommands default to the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -196,7 +194,7 @@ def _hfk(args: argparse.Namespace) -> _Output:
         "p": args.p,
         "q": args.q,
         "generators": [list(g) for g in generators],
-        **asdict(report),
+        **report._asdict(),
     }
     lines = [f"{'s':>5} {'m':>5} {'rank':>5}"]
     for s, m, rank in generators:
@@ -210,7 +208,7 @@ def _width(args: argparse.Namespace) -> _Output:
     from .hfk import width_torus
 
     report = width_torus(args.p, args.q)
-    return asdict(report), _width_text(report), 0
+    return report._asdict(), _width_text(report), 0
 
 
 @_command(
@@ -226,7 +224,7 @@ def _scan(args: argparse.Namespace) -> _Output:
     document = {
         "bound": args.bound,
         "pairs_checked": checked,
-        "violations": [asdict(v) for v in violations],
+        "violations": [v._asdict() for v in violations],
     }
     text = f"checked {checked} coprime pairs below {args.bound}: {len(violations)} violations"
     for v in violations:
@@ -272,7 +270,7 @@ def _verify_lemmas(args: argparse.Namespace) -> _Output:
     from .braid import verify_lemmas
 
     checks = verify_lemmas(n_max=args.n_max)
-    document = [asdict(c) for c in checks]
+    document = [c._asdict() for c in checks]
     lines = []
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
@@ -407,7 +405,7 @@ def _verify_paper(args: argparse.Namespace) -> _Output:
     results = run_checks(
         scan_bound=args.scan_bound, jobs=args.jobs, n_max=args.n_max, names=names
     )
-    document = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
+    document = [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results]
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -481,6 +479,8 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json  # text mode, the default, never loads it
+
         print(json.dumps(document, indent=2 if not args.compact else None))
     else:
         print(text)

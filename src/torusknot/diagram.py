@@ -40,11 +40,9 @@ the flipped pass bits, with no flipped diagram built.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import chain
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "MalformedPDCode",
@@ -371,8 +369,7 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
     return flip
 
 
-@dataclass(frozen=True)
-class ConstraintComponent:
+class ConstraintComponent(NamedTuple):
     """One connected piece of the diagram, its crossings in increasing order.
 
     ``changes`` is the smaller of the piece's two alternating change sets.
@@ -382,8 +379,7 @@ class ConstraintComponent:
     changes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DaltReport:
+class DaltReport(NamedTuple):
     """Exact minimum crossing changes to alternation, with a witness."""
 
     minimum_changes: int
@@ -498,6 +494,8 @@ def export_pd(diagram: Diagram) -> str:
     ``import_pd(export_pd(d))`` reproduces ``d`` exactly, and re-exporting
     reproduces the byte-identical text.
     """
+    import json  # only PD interchange reads or writes JSON
+
     obj: dict[str, object] = {}
     if diagram.strands is not None:
         obj["strands"] = diagram.strands
@@ -536,6 +534,8 @@ def import_pd(text: str) -> Diagram:
     Besides the format, this checks that the code describes a planar
     diagram; generated closures are planar by construction and skip it.
     """
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:

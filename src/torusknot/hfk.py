@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import accumulate, compress, cycle, repeat
 from operator import add, floordiv, lt, mul, sub
+from typing import Iterable, NamedTuple
 
 from .alexander import _CLOSED_FORMS, MAX_TORUS_PRODUCT, KnotTooLarge
 from .alexander import normalize_torus_params
@@ -88,21 +88,22 @@ class NotLSpaceForm(ValueError):
     """The polynomial is not the Alexander polynomial of any L-space knot."""
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple("Staircase", [("s", tuple[int, ...])])):
     """The nonnegative step heights 0 = s_0 < s_1 < ... < s_k, as a tuple of ints."""
 
-    s: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        s = tuple(self.s)
+    def __new__(cls, s: Iterable[int]) -> "Staircase":
+        s = tuple(s)
         if not set(map(type, s)) <= {int}:  # bools and floats are not steps
             raise TypeError(f"staircase steps must be ints, got {s}")
         if not s or s[0] != 0:
             raise ValueError(f"a staircase needs steps starting at 0, got {s}")
         if not all(map(lt, s, s[1:])):
             raise ValueError(f"staircase steps must strictly increase, got {s}")
-        object.__setattr__(self, "s", s)
+        return super().__new__(cls, s)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def k(self) -> int:
@@ -110,8 +111,7 @@ class Staircase:
         return len(self.s) - 1
 
 
-@dataclass(frozen=True)
-class WidthReport:
+class WidthReport(NamedTuple):
     """Delta-grading spread of a staircase."""
 
     delta_max: int
@@ -119,8 +119,7 @@ class WidthReport:
     width: int
 
 
-@dataclass(frozen=True)
-class ConjectureViolation:
+class ConjectureViolation(NamedTuple):
     """A coprime pair where the width jump differs from the predicted step."""
 
     p: int

@@ -21,8 +21,7 @@ import inspect
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .alexander import (
     _CLOSED_FORMS,
@@ -64,8 +63,7 @@ from .laurent import LaurentPolynomial
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named pass/fail verification outcome."""
 
     name: str

@@ -105,6 +105,19 @@ def test_word_length_cap(monkeypatch):
         torus_braid_word(3, 3)
 
 
+def test_products_and_powers_respect_the_cap():
+    # Refused before the letters are built, as parse_braid refuses them.
+    one = BraidWord(2, (1,))
+    assert len(one**braid.MAX_WORD_LETTERS) == braid.MAX_WORD_LETTERS == 65536
+    with pytest.raises(WordTooLong, match="of 65537 letters"):
+        one**65537
+    half = one**32769
+    with pytest.raises(WordTooLong, match="of 65538 letters"):
+        half * half
+    assert len(one**32767 * half) == 65536
+    assert BraidWord(2, ()) ** 10**12 == BraidWord(2, ())
+
+
 def test_macro_generator_out_of_range():
     with pytest.raises(IndexOutOfRange):
         parse_braid("{alpha}", 3)

@@ -546,6 +546,46 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
         assert after[case] == _expected_modules(case), case
 
 
+# The seven command shapes of the benchmark's cold-process workload.  Each
+# runs in its own fresh interpreter, with no pytest loaded, and reports the
+# standard-library modules it loaded beyond those the interpreter started with.
+_COLD_SHAPES = [
+    "alexander 4 5",
+    "width 5 7 --json",
+    "braid-eq --strands 3 121 212",
+    "dalt --tabulated 5 7",
+    "turaev-genus --pd {pd}",
+    "states --torus 2 3 --assignment all-B",
+    "bounds 5 8",
+]
+_COLD_LOADS = """
+import sys
+at_start = set(sys.modules)
+from torusknot.cli import main
+code = main(sys.argv[1:])
+watched = ("dataclasses", "inspect", "json")
+print(code, *[m for m in watched if m in sys.modules and m not in at_start])
+"""
+
+
+@pytest.mark.parametrize("case", _COLD_SHAPES)
+def test_cold_commands_load_neither_dataclasses_nor_idle_json(case, tmp_path):
+    argv = [_write_pd(tmp_path) if arg == "{pd}" else arg for arg in case.split()]
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_LOADS, *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    # JSON is read or written only for --pd and --json
+    expect_json = "--json" in argv or "--pd" in argv
+    assert loaded == (["json"] if expect_json else []), case
+
+
 if __name__ == "__main__":
     # Re-record tests/cli_golden.json from the current code:
     #     PYTHONPATH=src python tests/test_cli.py

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -167,7 +166,7 @@ _WIDTHS_GRID = [(1, q) for q in range(1, 151)] + [
 
 
 def _widths_record() -> dict:
-    return {f"{p},{q}": list(astuple(width_torus(p, q))) for p, q in _WIDTHS_GRID}
+    return {f"{p},{q}": list(width_torus(p, q)) for p, q in _WIDTHS_GRID}
 
 
 def _load_widths_golden() -> dict:
