@@ -1,18 +1,20 @@
 """Link diagrams from braid closures: Kauffman states, Turaev genus,
 alternation defects, and PD-code interchange.
 
-A diagram is a list of crossings plus a perfect matching ("arcs") on their
-string-ends.  Each crossing has four ends numbered counterclockwise starting
-at the incoming under-strand, so end ids are ``4*c + slot`` with
+A diagram is its PD code: one sign per crossing and four edge labels per
+crossing, listed counterclockwise starting at the incoming under-strand.
+The label at end ``4*c + slot`` is ``edge_labels[4*c + slot]``, with
 
     slot 0 = incoming under,   slot 1 = outgoing over,
     slot 2 = outgoing under,   slot 3 = incoming over,
 
-and a strand passes through a crossing from slot s to slot (s+2) % 4.  For
-the positive crossing of a braid letter the over-strand runs bottom-left to
-top-right, so the bottom-right / top-right / top-left / bottom-left corners
-carry slots 0/1/2/3.  Crossingless circle components (closed strands that
-meet no crossing) are counted separately in ``free_circles``.
+and every label sits on exactly two ends, which the arc of that label
+joins.  A strand passes through a crossing from slot s to slot (s+2) % 4.
+For the positive crossing of a braid letter the over-strand runs
+bottom-left to top-right, so the bottom-right / top-right / top-left /
+bottom-left corners carry slots 0/1/2/3.  Crossingless circle components
+(closed strands that meet no crossing) are counted separately in
+``free_circles``.
 
 Kauffman smoothings: the A-smoothing joins slots 0-1 and 2-3 (for a braid
 letter this is the identity pattern, so the all-A state of a p-strand braid
@@ -40,6 +42,7 @@ the flipped pass bits, with no flipped diagram built.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
@@ -78,56 +81,58 @@ class InconsistentConstraints(ValueError):
 
 
 class Diagram:
-    """A crossing list plus an arc matching on the ends.
+    """A PD code: crossing signs and the edge labels at the crossing ends.
 
-    ``signs[c]`` is '+' or '-'; ``arcs`` pairs end ids (``4*c + slot``);
-    ``labels[i]`` is the PD edge label of ``arcs[i]``; ``free_circles``
-    counts crossingless circle components; ``strands`` remembers the braid
-    width for closures (None for imported codes without one).
+    ``signs[c]`` is '+' or '-'; ``edge_labels[4*c + slot]`` is the PD edge
+    label at that slot of crossing c; ``free_circles`` counts crossingless
+    circle components; ``strands`` remembers the braid width for closures
+    (None for imported codes without one).  The constructor checks all of
+    it, planarity aside (see import_pd), and raises MalformedPDCode.
     """
 
     def __init__(
         self,
         signs: Sequence[str],
-        arcs: Sequence[tuple[int, int]],
-        labels: Sequence[int],
+        edge_labels: Sequence[int],
         free_circles: int = 0,
         strands: int | None = None,
     ):
-        signs, arcs, labels = tuple(signs), tuple(map(tuple, arcs)), tuple(labels)
+        signs, labels = tuple(signs), tuple(edge_labels)
         n = len(signs)
-        if not set(signs) <= {"+", "-"}:
-            raise MalformedPDCode("crossing signs must be '+' or '-'")
-        if not set(map(len, arcs)) <= {2}:
-            raise MalformedPDCode("every arc must pair two ends")
-        # exact types: a bool is an int to isinstance, and a float is no end
-        if not set(map(type, chain(chain.from_iterable(arcs), labels))) <= {int}:
-            raise MalformedPDCode("ends and labels must be ints")
-        if len(labels) != len(arcs):
-            raise MalformedPDCode("one label per arc required")
-        if len(set(labels)) != len(labels):
-            raise MalformedPDCode("arc labels must be distinct")
+        # count, not a set: a sign read from JSON may be unhashable
+        if signs.count("+") + signs.count("-") != n:
+            c, bad = next((c, x) for c, x in enumerate(signs) if x not in ("+", "-"))
+            raise MalformedPDCode(f"crossing {c} has sign {bad!r}; signs are + or -")
+        if len(labels) != 4 * n:
+            raise MalformedPDCode(f"{len(labels)} labels for {n} crossings, not 4 each")
+        # exact types: a bool is an int to isinstance, and a float is no label
+        if not set(map(type, labels)) <= {int}:
+            e, bad = next((e, x) for e, x in enumerate(labels) if type(x) is not int)
+            raise MalformedPDCode(f"crossing {e // 4} has label {bad!r}, not an int")
+        partner = [-1] * (4 * n)
+        first: dict[int, int] = {}  # label -> the first end carrying it
+        for end, label in enumerate(labels):
+            other = first.setdefault(label, end)
+            if other != end:
+                partner[end], partner[other] = other, end
+        # 2n distinct labels with no end left unpaired: each is on exactly two
+        if len(first) != 2 * n or -1 in partner:
+            counts = Counter(labels)
+            label = next(label for label in labels if counts[label] != 2)
+            raise MalformedPDCode(
+                f"edge label {label} at crossing {labels.index(label) // 4} "
+                f"appears {counts[label]} times (need exactly 2)"
+            )
         if type(free_circles) is not int or free_circles < 0:
-            raise MalformedPDCode("the circle count must be a nonnegative int")
+            raise MalformedPDCode('"circles" (the circle count) must be an int >= 0')
         if strands is not None and (type(strands) is not int or strands < 1):
-            raise MalformedPDCode("strands must be None or a positive int")
-        seen = [False] * (4 * n)
-        for u, v in arcs:
-            for e in (u, v):
-                if not 0 <= e < 4 * n or seen[e]:
-                    raise MalformedPDCode(f"end {e} is not matched exactly once")
-                seen[e] = True
-        if not all(seen):
-            raise MalformedPDCode("every crossing end must belong to an arc")
-        self._fill(signs, arcs, labels, free_circles, strands)
+            raise MalformedPDCode('"strands" must be None or a positive int')
+        self._fill(signs, labels, partner, free_circles, strands)
 
-    def _fill(self, signs, arcs, labels, free_circles, strands) -> None:
-        """Set the fields from parts known to be consistent, unchecked."""
-        self.signs, self.arcs, self.labels = signs, arcs, labels
+    def _fill(self, signs, edge_labels, partner, free_circles, strands) -> None:
+        """Set the fields, unchecked; ``partner[e]`` is the end sharing e's label."""
+        self.signs, self.edge_labels, self._partner = signs, edge_labels, partner
         self.free_circles, self.strands = free_circles, strands
-        self._partner: list[int] = [0] * (4 * len(signs))
-        for u, v in arcs:
-            self._partner[u], self._partner[v] = v, u
         self._cycles: list[list[tuple[int, bool]]] | None = None
 
     # -- basics ---------------------------------------------------------
@@ -138,20 +143,15 @@ class Diagram:
 
     def pd_rows(self) -> list[list[object]]:
         """Per-crossing PD rows: [label slot0..slot3, sign]."""
-        lab = [0] * (4 * self.n_crossings)
-        for i, (u, v) in enumerate(self.arcs):
-            lab[u] = self.labels[i]
-            lab[v] = self.labels[i]
-        return [
-            [lab[4 * c], lab[4 * c + 1], lab[4 * c + 2], lab[4 * c + 3], self.signs[c]]
-            for c in range(self.n_crossings)
-        ]
+        labels = self.edge_labels
+        return [[*labels[4 * c : 4 * c + 4], sign] for c, sign in enumerate(self.signs)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
         return (
-            self.pd_rows() == other.pd_rows()
+            self.signs == other.signs
+            and self.edge_labels == other.edge_labels
             and self.free_circles == other.free_circles
             and self.strands == other.strands
         )
@@ -202,15 +202,17 @@ def closure_diagram(word) -> Diagram:
     no crossing close into free circles.  All crossings are positive.
     """
     p = word.strands
+    labels = [0] * (4 * len(word.letters))
     first_bottom: list[int | None] = [None] * p
     open_end: list[int | None] = [None] * p
-    arcs: list[tuple[int, int]] = []
+    arc = 0  # arcs are labelled 1, 2, ... in the order they close
     for c, g in enumerate(word.letters):
         for col, end in ((g - 1, 4 * c + 3), (g, 4 * c)):
             if open_end[col] is None:
                 first_bottom[col] = end
             else:
-                arcs.append((open_end[col], end))
+                arc += 1
+                labels[open_end[col]] = labels[end] = arc
         open_end[g - 1] = 4 * c + 2
         open_end[g] = 4 * c + 1
     free = 0
@@ -218,14 +220,9 @@ def closure_diagram(word) -> Diagram:
         if open_end[col] is None:
             free += 1
         else:
-            arcs.append((open_end[col], first_bottom[col]))
-    return Diagram(
-        signs="+" * len(word.letters),
-        arcs=arcs,
-        labels=range(1, len(arcs) + 1),
-        free_circles=free,
-        strands=p,
-    )
+            arc += 1
+            labels[open_end[col]] = labels[first_bottom[col]] = arc
+    return Diagram("+" * len(word.letters), labels, free_circles=free, strands=p)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +277,7 @@ def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
     choice = tuple(assignment)
     if len(choice) != diagram.n_crossings:
         raise ValueError(f"need {diagram.n_crossings} smoothings, got {len(choice)}")
-    if any(x not in ("A", "B") for x in choice):
+    if not set(choice) <= {"A", "B"}:
         raise ValueError("smoothings must be 'A' or 'B'")
     mask = [_JOIN_MASK[x] for x in choice]
     step = [far ^ mask[far >> 2] for far in diagram._partner]
@@ -328,11 +325,7 @@ def turaev_genus_diagram(diagram: Diagram) -> int:
 
 def is_alternating(diagram: Diagram) -> bool:
     """Whether every component alternates over/under along its passes."""
-    for cycle in diagram.pass_cycles():
-        for (_, bit), (_, next_bit) in zip(cycle, cycle[1:] + cycle[:1]):
-            if bit == next_bit:
-                return False
-    return True
+    return _witness_alternates(diagram.pass_cycles(), ())
 
 
 def _witness_alternates(cycles: list, witness: Iterable[int]) -> bool:
@@ -348,24 +341,28 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
     A change re-aims the slot numbering at the new incoming under-strand:
     slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
     '-' crossing (which becomes '+'), keeping slot 0 on the incoming
-    under-strand.  Arc labels are preserved; the result is not re-validated.
+    under-strand.  Each flipped crossing's four labels rotate with its
+    slots; the result is not re-validated.
     """
     chosen = tuple(crossings)
     n = diagram.n_crossings
     for c in chosen:  # before deduplication, which would hide True behind 1
-        if not _is_int(c):
+        if type(c) is not int:
             raise TypeError(f"crossing id {c!r} is not an int")
         if not 0 <= c < n:
             raise IndexError(f"no crossing {c} in a {n}-crossing diagram")
     signs = list(diagram.signs)
+    source = list(range(4 * n))  # new end -> old end
     where = list(range(4 * n))  # old end -> new end
     for c in set(chosen):
         k, plus = 4 * c, signs[c] == "+"
         signs[c] = "-" if plus else "+"
-        where[k : k + 4] = (k + 1, k + 2, k + 3, k) if plus else (k + 3, k, k + 1, k + 2)
-    arcs = tuple((where[u], where[v]) for u, v in diagram.arcs)
+        back, ahead = (k + 3, k, k + 1, k + 2), (k + 1, k + 2, k + 3, k)
+        source[k : k + 4], where[k : k + 4] = (back, ahead) if plus else (ahead, back)
+    labels = tuple(map(diagram.edge_labels.__getitem__, source))
+    partner = [where[diagram._partner[e]] for e in source]
     flip = Diagram.__new__(Diagram)  # skips __init__ and its checks
-    flip._fill(tuple(signs), arcs, diagram.labels, diagram.free_circles, diagram.strands)
+    flip._fill(tuple(signs), labels, partner, diagram.free_circles, diagram.strands)
     return flip
 
 
@@ -523,11 +520,6 @@ def _check_planar(diagram: Diagram) -> None:
         )
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: json.loads reads true and false as bools, which are ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def import_pd(text: str) -> Diagram:
     """Parse the PD JSON format; raises MalformedPDCode on any defect.
 
@@ -545,42 +537,14 @@ def import_pd(text: str) -> Diagram:
     rows = obj["crossings"]
     if not isinstance(rows, list):
         raise MalformedPDCode('"crossings" must be a list')
-    strands = obj.get("strands")
-    if strands is not None and (not _is_int(strands) or strands < 1):
-        raise MalformedPDCode('"strands" must be a positive integer')
-    circles = obj.get("circles", 0)
-    if not _is_int(circles) or circles < 0:
-        raise MalformedPDCode('"circles" must be a nonnegative integer')
-    signs: list[str] = []
-    where: dict[int, list[int]] = {}
     for c, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != 5
-            or not all(_is_int(e) for e in row[:4])
-            or row[4] not in ("+", "-")
-        ):
-            raise MalformedPDCode(
-                f"crossing {c} must be [end, end, end, end, '+'|'-']"
-            )
-        signs.append(row[4])
-        for slot, label in enumerate(row[:4]):
-            where.setdefault(label, []).append(4 * c + slot)
-    arcs: list[tuple[int, int]] = []
-    labels: list[int] = []
-    for label, ends in sorted(where.items()):
-        if len(ends) != 2:
-            raise MalformedPDCode(
-                f"edge label {label} appears {len(ends)} times (need exactly 2)"
-            )
-        arcs.append((ends[0], ends[1]))
-        labels.append(label)
+        if not isinstance(row, list) or len(row) != 5:
+            raise MalformedPDCode(f"crossing {c} must be [end, end, end, end, '+'|'-']")
     diagram = Diagram(
-        signs=signs,
-        arcs=arcs,
-        labels=labels,
-        free_circles=circles,
-        strands=strands,
+        [row[4] for row in rows],
+        [label for row in rows for label in row[:4]],
+        obj.get("circles", 0),
+        obj.get("strands"),
     )
     _check_planar(diagram)
     return diagram

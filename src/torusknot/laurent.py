@@ -75,6 +75,9 @@ class LaurentPolynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
 
+    def __reduce__(self) -> tuple:
+        return LaurentPolynomial, (self.min_exponent, self.coefficients)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

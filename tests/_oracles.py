@@ -134,29 +134,19 @@ def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
 
     Slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
     '-' crossing (which becomes '+'), keeping slot 0 on the incoming
-    under-strand; the result is a new ``Diagram`` that re-validates every
-    arc and label.
+    under-strand, so each changed PD row's four labels rotate with them;
+    the result is a new ``Diagram`` that re-validates every label.
     """
     chosen = set(crossings)
-
-    def remap(end: int) -> int:
-        c, slot = divmod(end, 4)
-        if c not in chosen:
-            return end
-        step = 1 if diagram.signs[c] == "+" else -1
-        return 4 * c + (slot + step) % 4
-
-    signs = [
-        ("-" if s == "+" else "+") if c in chosen else s
-        for c, s in enumerate(diagram.signs)
-    ]
-    return Diagram(
-        signs=signs,
-        arcs=[(remap(u), remap(v)) for u, v in diagram.arcs],
-        labels=diagram.labels,
-        free_circles=diagram.free_circles,
-        strands=diagram.strands,
-    )
+    signs, labels = [], []
+    for c, (*row, sign) in enumerate(diagram.pd_rows()):
+        if c in chosen:
+            step = 1 if sign == "+" else -1
+            row = [row[(slot - step) % 4] for slot in range(4)]
+            sign = "-" if sign == "+" else "+"
+        signs.append(sign)
+        labels += row
+    return Diagram(signs, labels, diagram.free_circles, diagram.strands)
 
 
 def crossing_graph_dealternating(diagram: Diagram) -> DaltReport:

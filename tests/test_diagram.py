@@ -51,7 +51,7 @@ def test_closure_shape():
     assert d.n_crossings == 15
     assert d.strands == 4
     assert d.free_circles == 0
-    assert sorted(d.labels) == list(range(1, 31))
+    assert sorted(d.edge_labels) == sorted(2 * list(range(1, 31)))
 
 
 def test_closure_of_empty_word_is_free_circles():
@@ -126,8 +126,25 @@ def _random_closure(rng: random.Random, strands: tuple[int, int], length: int):
     )
 
 
+def _arcs(d) -> list[tuple[int, int]]:
+    """The pairs of ends (``4*c + slot``) that share a label in ``d.pd_rows()``."""
+    ends: dict[int, list[int]] = {}
+    for c, row in enumerate(d.pd_rows()):
+        for slot, label in enumerate(row[:4]):
+            ends.setdefault(label, []).append(4 * c + slot)
+    return [(u, v) for u, v in ends.values()]
+
+
+def _labelled(arcs) -> list[int]:
+    """Edge labels that put label i on both ends of ``arcs[i]``."""
+    labels = [0] * (2 * len(arcs))
+    for i, (u, v) in enumerate(arcs):
+        labels[u] = labels[v] = i
+    return labels
+
+
 def _oracle_circles(d, assignment: str) -> int:
-    return union_find_state_circles(d.n_crossings, d.arcs, assignment, d.free_circles)
+    return union_find_state_circles(d.n_crossings, _arcs(d), assignment, d.free_circles)
 
 
 def test_state_components_match_oracle_on_random_closures():
@@ -172,7 +189,7 @@ def test_face_and_piece_counts_of_random_closures():
             [far - far % 4 + (far + 1) % 4 for far in partner]
         )
         pieces = diagram_module._pieces(d)
-        assert pieces == union_find_pieces(d.n_crossings, d.arcs)
+        assert pieces == union_find_pieces(d.n_crossings, _arcs(d))
         assert faces == d.n_crossings + 2 * pieces, export_pd(d)
 
 
@@ -250,9 +267,9 @@ def test_change_crossings_matches_rebuilt_oracle():
         fast = change_crossings(d, flips)
         want = rebuilt_change_crossings(d, flips)
         assert fast.pd_rows() == want.pd_rows()
-        assert fast.arcs == want.arcs
+        assert fast._partner == want._partner
         assert fast.signs == want.signs
-        assert fast.labels == want.labels
+        assert fast.edge_labels == want.edge_labels
         assert fast.free_circles == want.free_circles
         assert fast.strands == want.strands
         assert fast.components() == want.components()
@@ -276,7 +293,7 @@ def test_witness_replay_matches_rebuilt_alternation():
         outcomes.add(replay)
     assert outcomes == {True, False}
     # Planar cycles have even length; built directly, an odd one never alternates.
-    loops = Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
+    loops = Diagram(["+"], [1, 2, 1, 2])
     assert [len(cycle) for cycle in loops.pass_cycles()] == [1, 1]
     for flips in ((), (0,)):
         assert not diagram_module._witness_alternates(loops.pass_cycles(), flips)
@@ -391,7 +408,7 @@ def test_solver_matches_oracles_on_arbitrary_matchings():
         ends = list(range(4 * n))
         rng.shuffle(ends)
         arcs = list(zip(ends[::2], ends[1::2]))
-        d = Diagram("".join(rng.choice("+-") for _ in range(n)), arcs, range(2 * n))
+        d = Diagram("".join(rng.choice("+-") for _ in range(n)), _labelled(arcs))
         got = _outcome(dealternating_number_diagram, d)
         assert got == _outcome(crossing_graph_dealternating, d), arcs
         minimum = _outcome(brute_force_dealternating, d)
@@ -399,7 +416,7 @@ def test_solver_matches_oracles_on_arbitrary_matchings():
         outcomes.add(got if got == "inconsistent" else "solved")
     assert outcomes == {"inconsistent", "solved"}
     # Gauss code 1 2 1 2: crossing 0 recurs after an even number of passes
-    clash = Diagram("++", [(2, 4), (6, 3), (1, 7), (5, 0)], range(4))
+    clash = Diagram("++", _labelled([(2, 4), (6, 3), (1, 7), (5, 0)]))
     assert [len(cycle) for cycle in clash.pass_cycles()] == [4]
     with pytest.raises(InconsistentConstraints, match="contradictory flips"):
         dealternating_number_diagram(clash)
@@ -484,12 +501,29 @@ def test_pd_import_rejects_booleans(field):
         import_pd(_with_true(field))
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([1, 1, 2, 2, ["+"]], r"crossing 1 has sign \['\+'\]"),
+        ([1, 1, 2, {}, "+"], "crossing 1 has label {}, not an int"),
+        ([1, 1, 2, 2.0, "+"], "crossing 1 has label 2.0, not an int"),
+        ([1, 1, 2, 3, "+"], "edge label 2 at crossing 1 appears 1 times"),
+    ],
+    ids=["list sign", "object label", "float label", "label seen once"],
+)
+def test_pd_import_names_the_crossing_of_a_bad_entry(row, message):
+    # JSON can put a list or an object anywhere; each is a MalformedPDCode
+    code = {"crossings": [[5, 5, 6, 6, "+"], row]}
+    with pytest.raises(MalformedPDCode, match=message):
+        import_pd(json.dumps(code))
+
+
 def test_pd_import_rejects_non_planar_codes():
     # One crossing whose two arcs join opposite slots: one face, not c + 2 = 3.
     with pytest.raises(MalformedPDCode, match="bound 1 faces, not 3: .* not planar"):
         import_pd(json.dumps({"crossings": [[1, 2, 1, 2, "+"]]}))
     # The same crossing built directly, past import_pd.
-    direct = Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
+    direct = Diagram(["+"], [1, 2, 1, 2])
     with pytest.raises(MalformedPDCode, match="bound 1 faces, not 3"):
         diagram_module._check_planar(direct)
     with pytest.raises(MalformedPDCode, match=r"= 1 \(c = 1, s_A = 1, s_B = 1\)"):
@@ -517,33 +551,38 @@ def test_pd_roundtrip_of_changed_crossings():
 def test_constructor_rejects_what_int_would_coerce():
     d = closure_diagram(torus_braid_word(2, 3))
     # int() would truncate these floats onto the closure, and True count as 1
-    with pytest.raises(MalformedPDCode, match="ends and labels must be ints"):
-        Diagram(
-            d.signs,
-            [(u + 0.9, v) for u, v in d.arcs],
-            [x + 0.5 for x in d.labels],
-            free_circles=True,
-        )
-    assert Diagram(d.signs, d.arcs, d.labels, strands=2) == d
+    with pytest.raises(MalformedPDCode, match="crossing 0 has label 6.5, not an int"):
+        Diagram(d.signs, [x + 0.5 for x in d.edge_labels], free_circles=True)
+    with pytest.raises(MalformedPDCode, match='"circles"'):
+        Diagram(d.signs, d.edge_labels, free_circles=True)
+    assert Diagram(d.signs, d.edge_labels, strands=2) == d
 
 
 def _closure_parts(**change) -> dict:
-    """The T(2,3) closure's constructor arguments, arcs
-    ((2, 7), (1, 4), (6, 11), (5, 8), (10, 3), (9, 0)), with ``change`` applied."""
+    """The T(2,3) closure's constructor arguments, with ``change`` applied."""
     d = closure_diagram(torus_braid_word(2, 3))
-    parts = dict(signs=d.signs, arcs=d.arcs, labels=d.labels, strands=d.strands)
+    parts = dict(signs=d.signs, edge_labels=d.edge_labels, strands=d.strands)
     return {**parts, **change}
+
+
+_T23_LABELS = (6, 2, 1, 5, 2, 4, 3, 1, 4, 6, 5, 3)  # the T(2,3) closure's
+
+
+def _relabelled(at: dict, cut: int | None = None) -> dict:
+    """The T(2,3) labels with ``at[end]`` at those ends, cut at ``cut``."""
+    labels = [at.get(end, label) for end, label in enumerate(_T23_LABELS)]
+    return {"edge_labels": tuple(labels[:cut])}
 
 
 @pytest.mark.parametrize(
     "change,message",
     [
-        ({"arcs": ((2.0, 7), (1, 4), (6, 11), (5, 8), (10, 3), (9, 0))}, "ends and labels"),
-        ({"arcs": ((2, 7), (True, 4), (6, 11), (5, 8), (10, 3), (9, 0))}, "ends and labels"),
-        ({"labels": (1, 2, 3, 4, 5, 6.0)}, "ends and labels"),
-        ({"labels": (1, 2, 3, 4, 5, True)}, "ends and labels"),
-        ({"labels": (1, 2, 3, 4, 5, 5)}, "labels must be distinct"),
-        ({"arcs": ((2, 7, 1), (4,), (6, 11), (5, 8), (10, 3), (9, 0))}, "pair two ends"),
+        (_relabelled({2: 1.0}), "crossing 0 has label 1.0"),
+        (_relabelled({7: True}), "crossing 1 has label True"),
+        (_relabelled({7: 7}), "crossing 0 appears 1 times"),
+        (_relabelled({11: 1}), "crossing 0 appears 3 times"),
+        (_relabelled({}, cut=11), "11 labels for 3 crossings"),
+        (_relabelled({11: [3]}), "crossing 2 has label"),
         ({"free_circles": 1.0}, "circle count"),
         ({"free_circles": True}, "circle count"),
         ({"free_circles": -1}, "circle count"),
@@ -554,10 +593,13 @@ def _closure_parts(**change) -> dict:
         ({"strands": 2.0}, "strands"),
         ({"signs": ("+", "", "+")}, "signs"),
         ({"signs": ("+", "+-", "+")}, "signs"),
+        ({"signs": ("+", ["+"], "+")}, "crossing 1 has sign"),
+        (_relabelled({6: 2, 10: 2}), "crossing 0 appears 4 times"),
     ],
 )
 def test_constructor_rejects_malformed_parts(change, message):
     assert Diagram(**_closure_parts())  # the unchanged parts are a diagram
+    assert _closure_parts()["edge_labels"] == _T23_LABELS
     with pytest.raises(MalformedPDCode, match=message):
         Diagram(**_closure_parts(**change))
 
@@ -567,6 +609,19 @@ def test_exported_codes_of_checked_diagrams_import():
     for strands in (None, 1, 7):
         d = Diagram(**_closure_parts(strands=strands))
         assert import_pd(export_pd(d)) == d
+
+
+def test_constructor_export_and_import_agree():
+    """A diagram rebuilt from its own fields, or from its exported code, is itself."""
+    rng = random.Random(22)
+    cases = [(_random_closure(rng, (2, 6), rng.randint(0, 30)), ()) for _ in range(100)]
+    cases += list(_flip_cases(rng, 100))
+    for d, flips in cases:
+        d = change_crossings(d, flips)
+        again = Diagram(d.signs, d.edge_labels, d.free_circles, d.strands)
+        assert again == d == import_pd(export_pd(d)), export_pd(d)
+        assert again._partner == d._partner
+        assert again.pd_rows() == d.pd_rows()
 
 
 def test_pd_import_rejects_non_json():

@@ -43,7 +43,7 @@ for terms in ({-1: 1, 0: -2, 1: 1}, {-1: 1, 0: -1, 2: 1}, {-1: -1, 0: 1, 1: -1})
     )
 expect(MalformedPDCode, lambda: import_pd('{"crossings": [[1, 2, 1, 2, "+"]]}'), "pd planarity")
 # The same crossing built directly, past import_pd's planarity check.
-non_planar = diagram.Diagram(signs=["+"], arcs=[(0, 2), (1, 3)], labels=[1, 2])
+non_planar = diagram.Diagram(["+"], [1, 2, 1, 2])
 expect(MalformedPDCode, lambda: diagram.turaev_genus_diagram(non_planar), "turaev parity")
 diagram._witness_alternates = lambda cycles, witness: False
 expect(

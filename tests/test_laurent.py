@@ -1,5 +1,7 @@
 """Exact Laurent polynomial arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,15 @@ def test_immutable():
     assert p.coefficients == (1,)
     with pytest.raises(TypeError):
         p.coefficients[0] = 2
+
+
+@pytest.mark.parametrize(
+    "p", [LaurentPolynomial(-1, [1, -1, 1]), LaurentPolynomial.zero()], ids=str
+)
+def test_survives_pickle_and_copy(p):
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and type(twin) is LaurentPolynomial
+        assert (twin.min_exponent, twin.coefficients) == (p.min_exponent, p.coefficients)
 
 
 # ----------------------------------------------------------------------
