@@ -49,8 +49,7 @@ _EXPORTS = {
             "BraidWord IndexOutOfRange LemmaCheck NormalForm ParseError "
             "SearchBudgetExceeded StrandMismatch UnknownMacro UnsupportedTorusFamily "
             "WordTooLong cyclically_equal lemma_word normal_form parse_braid "
-            "permutation_cycles torus_braid_word underlying_permutation "
-            "verify_lemmas words_equal",
+            "torus_braid_word underlying_permutation verify_lemmas words_equal",
         ),
         (
             "diagram",

@@ -24,7 +24,7 @@ The word grammar accepted by :func:`parse_braid`::
     digit  := '1'..'9'            (a generator index)
 
 ASCII whitespace is ignored; exponents are nonnegative; named macros expand
-to fixed words (see ``DEFAULT_MACROS``), with ``{delta_p}`` expanding to the
+to fixed words (see ``_MACROS``), with ``{delta_p}`` expanding to the
 full twist on the current strand count.  Digits and whitespace are ASCII
 only.  An exponent takes every digit that follows it: ``(1)^32`` is 32
 letters, while ``(1)^3 2`` is ``1112``.  A word that would grow past
@@ -48,10 +48,8 @@ __all__ = [
     "BraidWord",
     "NormalForm",
     "LemmaCheck",
-    "DEFAULT_MACROS",
     "parse_braid",
     "underlying_permutation",
-    "permutation_cycles",
     "normal_form",
     "words_equal",
     "cyclically_equal",
@@ -177,22 +175,18 @@ class BraidWord:
 # parsing
 
 
-_FIXED_MACROS: dict[str, tuple[int, ...]] = {
-    "alpha": (3, 2, 3, 3, 1, 1),
-    "beta": (3, 1, 1, 2, 3, 1, 1, 2, 3, 3, 4, 3, 1, 1),
-    "gamma": (3, 1, 1, 2, 3, 1, 1, 2, 3, 1, 1),
-    "zeta": (1, 3, 3, 5, 4, 5, 3, 3, 2, 3, 3, 4, 5, 1, 3),
-    "eta": (3, 1, 5, 5, 3, 1, 2, 1, 3),
-}
-
-
 def _full_twist_letters(strands: int) -> tuple[int, ...]:
     _check_length((strands - 1) * strands)
     return tuple(range(1, strands)) * strands
 
 
-DEFAULT_MACROS: dict[str, "tuple[int, ...] | Callable[[int], tuple[int, ...]]"] = {
-    **_FIXED_MACROS,
+# The named macros: fixed words, and the full twist on the word's strand count.
+_MACROS: dict[str, "tuple[int, ...] | Callable[[int], tuple[int, ...]]"] = {
+    "alpha": (3, 2, 3, 3, 1, 1),
+    "beta": (3, 1, 1, 2, 3, 1, 1, 2, 3, 3, 4, 3, 1, 1),
+    "gamma": (3, 1, 1, 2, 3, 1, 1, 2, 3, 1, 1),
+    "zeta": (1, 3, 3, 5, 4, 5, 3, 3, 2, 3, 3, 4, 5, 1, 3),
+    "eta": (3, 1, 5, 5, 3, 1, 2, 1, 3),
     "delta_p": _full_twist_letters,
 }
 
@@ -245,9 +239,9 @@ def _parse_term(s: str, i: int, strands: int) -> tuple[list[int], int]:
         if close < 0:
             raise ParseError(f"unclosed macro brace at offset {i}")
         name = s[i + 1 : close].strip(whitespace)
-        if name not in DEFAULT_MACROS:
+        if name not in _MACROS:
             raise UnknownMacro(f"unknown macro {name!r} at offset {i}")
-        expansion = DEFAULT_MACROS[name]
+        expansion = _MACROS[name]
         if callable(expansion):
             expansion = expansion(strands)
         for g in expansion:
@@ -303,7 +297,7 @@ def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
-    """Cycle lengths of a 1-based permutation tuple, in traversal order."""
+    """Cycle lengths of a 0-based permutation array, in traversal order."""
     seen = [False] * len(perm)
     lengths = []
     for start in range(len(perm)):
@@ -313,17 +307,9 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
             while not seen[j]:
                 seen[j] = True
                 size += 1
-                j = perm[j] - 1
+                j = perm[j]
             lengths.append(size)
     return lengths
-
-
-def permutation_cycles(perm: Sequence[int]) -> int:
-    """Number of cycles of a 1-based permutation tuple.
-
-    The closure of a braid word has exactly this many link components.
-    """
-    return len(_cycle_lengths(perm))
 
 
 def _perm0(word_letters: Sequence[int], p: int) -> tuple[int, ...]:
@@ -387,9 +373,6 @@ class NormalForm(NamedTuple):
     strands: int
     infimum: int
     factors: tuple[tuple[int, ...], ...]
-
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
     def word(self) -> BraidWord:
         """Re-expand the normal form to a concrete positive word."""
@@ -497,9 +480,8 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
         return False
     if not a.letters:
         return True
-    cycle_type = lambda w: sorted(
-        _cycle_lengths(underlying_permutation(w))
-    )  # conjugation-invariant
+    # the cycle type of the permutation is a conjugation invariant
+    cycle_type = lambda w: sorted(_cycle_lengths(_perm0(w.letters, w.strands)))
     if cycle_type(a) != cycle_type(b):
         return False
     target = normal_form(b)
@@ -677,8 +659,11 @@ def verify_lemmas(n_max: int = 4) -> list[LemmaCheck]:
     or permutation before any normal form, and nothing is searched.  The
     relation reads ``"cyclic"`` where c is not empty.  ``n_max`` below 1 is
     a ``ValueError``: it would check nothing; one whose longest word is
-    above the cap is a ``WordTooLong``, raised before any check runs.
+    above the cap is a ``WordTooLong``, raised before any check runs, and
+    one that is not an int is a ``TypeError``.
     """
+    if type(n_max) is not int:  # bools are ints to isinstance
+        raise TypeError(f"n_max {n_max!r} is not an int")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}: no identity to check")
     _check_length(max((p - 1) * (p * n_max + r) for p, r in _FAMILIES))

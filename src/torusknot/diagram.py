@@ -127,11 +127,8 @@ class Diagram:
             raise MalformedPDCode('"circles" (the circle count) must be an int >= 0')
         if strands is not None and (type(strands) is not int or strands < 1):
             raise MalformedPDCode('"strands" must be None or a positive int')
-        self._fill(signs, labels, partner, free_circles, strands)
-
-    def _fill(self, signs, edge_labels, partner, free_circles, strands) -> None:
-        """Set the fields, unchecked; ``partner[e]`` is the end sharing e's label."""
-        self.signs, self.edge_labels, self._partner = signs, edge_labels, partner
+        self.signs, self.edge_labels = signs, labels
+        self._partner = partner  # partner[e] is the end sharing e's label
         self.free_circles, self.strands = free_circles, strands
         self._cycles: list[list[tuple[int, bool]]] | None = None
 
@@ -342,7 +339,7 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
     slots rotate by +1 at a '+' crossing (which becomes '-') and by -1 at a
     '-' crossing (which becomes '+'), keeping slot 0 on the incoming
     under-strand.  Each flipped crossing's four labels rotate with its
-    slots; the result is not re-validated.
+    slots, and the constructor builds the result.
     """
     chosen = tuple(crossings)
     n = diagram.n_crossings
@@ -351,19 +348,13 @@ def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
             raise TypeError(f"crossing id {c!r} is not an int")
         if not 0 <= c < n:
             raise IndexError(f"no crossing {c} in a {n}-crossing diagram")
-    signs = list(diagram.signs)
-    source = list(range(4 * n))  # new end -> old end
-    where = list(range(4 * n))  # old end -> new end
+    signs, labels = list(diagram.signs), list(diagram.edge_labels)
     for c in set(chosen):
-        k, plus = 4 * c, signs[c] == "+"
+        row = labels[4 * c : 4 * c + 4]
+        plus = signs[c] == "+"
         signs[c] = "-" if plus else "+"
-        back, ahead = (k + 3, k, k + 1, k + 2), (k + 1, k + 2, k + 3, k)
-        source[k : k + 4], where[k : k + 4] = (back, ahead) if plus else (ahead, back)
-    labels = tuple(map(diagram.edge_labels.__getitem__, source))
-    partner = [where[diagram._partner[e]] for e in source]
-    flip = Diagram.__new__(Diagram)  # skips __init__ and its checks
-    flip._fill(tuple(signs), labels, partner, diagram.free_circles, diagram.strands)
-    return flip
+        labels[4 * c : 4 * c + 4] = row[3:] + row[:3] if plus else row[1:] + row[:1]
+    return Diagram(signs, labels, diagram.free_circles, diagram.strands)
 
 
 class ConstraintComponent(NamedTuple):
@@ -532,6 +523,8 @@ def import_pd(text: str) -> Diagram:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedPDCode(f"not valid JSON: {err}") from None
+    except RecursionError:
+        raise MalformedPDCode("PD code nested too deeply to parse") from None
     if not isinstance(obj, dict) or "crossings" not in obj:
         raise MalformedPDCode('expected an object with a "crossings" list')
     rows = obj["crossings"]

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import accumulate, compress, cycle, repeat
+from itertools import accumulate, compress, cycle, repeat, starmap
 from operator import add, floordiv, lt, mul, sub
 from typing import Iterable, NamedTuple
 
@@ -249,8 +249,6 @@ def width_formula(p: int, q: int) -> int:
     (use :func:`width_torus` instead, which always works).
     """
     p, q = normalize_torus_params(p, q)
-    if p == 1:
-        return 1
     for r, strands, _, width in _CLOSED_FORMS.values():
         n, rest = divmod(q - r, p)
         if rest == 0 and strands in (None, p):
@@ -266,11 +264,6 @@ def width_formula(p: int, q: int) -> int:
 _SERIAL_BELOW = 150_000
 
 
-def _widths(knots: list[tuple[int, int]]) -> list[int]:
-    """Widths of the normalized ``knots``, in order."""
-    return [_torus_width(p, q) for p, q in knots]
-
-
 def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureViolation]]:
     """Check the width jump width(p,q) - width(p,q-p) == floor((p-1)^2/4).
 
@@ -284,11 +277,13 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     at once.
 
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
-    (clamped to [1, os.cpu_count()]) a process pool computes them, each
-    worker taking every jobs-th knot, unless the knots' p total less than
-    ``_SERIAL_BELOW``; the check itself always runs here in
-    one fixed order, so the result is identical for every worker count.
+    (clamped to [1, os.cpu_count()]) a process pool computes them, unless
+    the knots' p total less than ``_SERIAL_BELOW``; the check itself always
+    runs here in one fixed order, so the result is identical for every
+    worker count.  A ``bound`` that is not an int is a ``TypeError``.
     """
+    if type(bound) is not int:  # bools are ints to isinstance
+        raise TypeError(f"bound {bound!r} is not an int")
     q_max = bound - 1
     # Refuse a too-large scan before listing any pair.  The cap is the
     # Alexander one: the width walk's would admit bound 60000, ~1.1e9 pairs.
@@ -310,14 +305,12 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     if sum(p for p, _ in pairs) < _SERIAL_BELOW:
         jobs = 1
     if jobs == 1:
-        width = dict(zip(pairs, _widths(pairs)))
+        width = dict(zip(pairs, starmap(_torus_width, pairs)))
     else:
         import multiprocessing
 
-        shares = [pairs[i::jobs] for i in range(jobs)]
         with multiprocessing.Pool(processes=jobs) as pool:
-            parts = pool.map(_widths, shares)
-        width = {knot: w for share, part in zip(shares, parts) for knot, w in zip(share, part)}
+            width = dict(zip(pairs, pool.starmap(_torus_width, pairs)))
 
     violations: list[ConjectureViolation] = []
     for (p, q), prev in zip(pairs, previous):

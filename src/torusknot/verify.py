@@ -204,7 +204,7 @@ def check_golden_hfk(failures: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# 3. width formulas vs staircase computation
+# 3. width formulas vs the semigroup walk
 
 
 def _closed_form_families() -> list[TorusFamily]:
@@ -232,7 +232,7 @@ def check_width_formulas(failures: list[str]) -> str:
         got = width_torus(p, q).width
         want = width_formula(p, q)
         if got != want:
-            failures.append(f"T({p},{q}): staircase {got}, formula {want}")
+            failures.append(f"T({p},{q}): semigroup walk {got}, formula {want}")
     return f"{len(pairs)} (p,q) pairs, exact match"
 
 

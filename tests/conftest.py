@@ -24,8 +24,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     return sizes

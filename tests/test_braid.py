@@ -1,6 +1,7 @@
 """Braid words, Garside normal forms, and the tabulated torus-word identities."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from torusknot.braid import (
     lemma_word,
     normal_form,
     parse_braid,
-    permutation_cycles,
     torus_braid_word,
     underlying_permutation,
     verify_lemmas,
@@ -174,12 +174,6 @@ def test_underlying_permutation_generators():
     )
 
 
-def test_permutation_cycles_counts():
-    assert permutation_cycles((1, 2, 3, 4, 5)) == 5
-    assert permutation_cycles((2, 1, 3)) == 2
-    assert permutation_cycles((2, 3, 4, 1)) == 1
-
-
 def test_square_of_single_letter_is_pure():
     word = BraidWord(4, (2, 2))
     assert underlying_permutation(word) == (1, 2, 3, 4)
@@ -261,11 +255,11 @@ def test_normal_form_counts_half_twists():
     half = parse_braid("121321", 4)
     nf = normal_form(half)
     assert nf.infimum == 1
-    assert nf.canonical_length() == 0
+    assert nf.factors == ()
     full = parse_braid("{delta_p}", 4)
     nf = normal_form(full)
     assert nf.infimum == 2
-    assert nf.canonical_length() == 0
+    assert nf.factors == ()
     assert normal_form(BraidWord(4, ())).infimum == 0
 
 
@@ -424,3 +418,10 @@ def test_verify_lemmas_fails_without_the_conjugator(monkeypatch):
 def test_verify_lemmas_refuses_an_empty_range(n_max):
     with pytest.raises(ValueError, match="n_max must be at least 1"):
         verify_lemmas(n_max=n_max)
+
+
+@pytest.mark.parametrize("n_max", [True, 1.5, "2"])
+def test_verify_lemmas_refuses_an_n_max_that_is_not_an_int(n_max):
+    # True would otherwise run as n_max=1 and report 11 checks
+    with pytest.raises(TypeError, match=re.escape(f"n_max {n_max!r} is not an int")):
+        verify_lemmas(n_max)

@@ -194,6 +194,15 @@ def test_exhausted_cyclic_search_exits_two(capsys, monkeypatch):
     assert "error: cyclic-equivalence search exceeded max_states = 1" in err
 
 
+def test_deeply_nested_pd_file_exits_two(capsys, tmp_path):
+    pd_file = tmp_path / "deep.json"
+    pd_file.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "dalt", "--pd", str(pd_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
 def test_non_planar_pd_exits_two(capsys, tmp_path):
     pd_file = tmp_path / "bad.json"
     pd_file.write_text(json.dumps({"crossings": [[1, 2, 1, 2, "+"]]}))

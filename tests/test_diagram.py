@@ -232,6 +232,18 @@ def test_change_crossings_involution_and_signs():
     assert change_crossings(d, ()) == d
 
 
+def test_a_flip_is_the_diagram_of_its_rotated_rows():
+    """A flip rotates the row [a, b, c, d] to [d, a, b, c] at a '+' crossing
+    and to [b, c, d, a] at a '-' one; a repeated id flips its crossing once."""
+    d = closure_diagram(BraidWord(3, (1, 2, 1)))
+    assert d.pd_rows() == [[5, 1, 2, 4, "+"], [6, 6, 3, 1, "+"], [3, 5, 4, 2, "+"]]
+    once = change_crossings(d, (0, 2, 0))
+    assert once == Diagram("-+-", [4, 5, 1, 2, 6, 6, 3, 1, 2, 3, 5, 4], 0, 3)
+    twice = change_crossings(once, (2, 1, 2, 1))
+    assert twice == Diagram("--+", [4, 5, 1, 2, 1, 6, 6, 3, 3, 5, 4, 2], 0, 3)
+    assert change_crossings(twice, (1, 0)) == d
+
+
 def test_change_crossings_bad_index():
     d = closure_diagram(torus_braid_word(2, 3))
     for bad in (3, -1):
@@ -627,6 +639,15 @@ def test_constructor_export_and_import_agree():
 def test_pd_import_rejects_non_json():
     with pytest.raises(ValueError):
         import_pd("not json at all {")
+
+
+@pytest.mark.parametrize(
+    "prefix,suffix", [("", ""), ('{"crossings": ', "}")], ids=["bare", "crossings"]
+)
+def test_pd_import_refuses_deep_nesting(prefix, suffix):
+    deep = prefix + "[" * 200_000 + "]" * 200_000 + suffix
+    with pytest.raises(MalformedPDCode, match="nested too deeply"):
+        import_pd(deep)
 
 
 def test_dealternating_on_imported_diagram():

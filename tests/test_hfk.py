@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -176,12 +177,13 @@ def _load_widths_golden() -> dict:
 
 
 def test_widths_kernel_matches_golden_in_one_call():
-    """The kernel on every golden knot at once, shuffled, some knots twice."""
+    """The kernel mapped over every golden knot, shuffled, some knots twice."""
     golden = _load_widths_golden()
     rng = random.Random(20240613)
     knots = _WIDTHS_GRID + rng.sample(_WIDTHS_GRID, 300)
     rng.shuffle(knots)
-    assert hfk._widths(knots) == [golden[f"{p},{q}"][2] for p, q in knots]
+    got = list(starmap(hfk._torus_width, knots))
+    assert got == [golden[f"{p},{q}"][2] for p, q in knots]
 
 
 def test_widths_match_golden_knot_by_knot():
@@ -314,6 +316,12 @@ def test_scan_refuses_a_range_without_coprime_pairs(bound):
         scan_conjecture(bound)
 
 
+@pytest.mark.parametrize("bound", [True, 10.5, "50"])
+def test_scan_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match=re.escape(f"bound {bound!r} is not an int")):
+        scan_conjecture(bound)
+
+
 def test_scan_cap_names_the_bound_and_the_pair_list():
     # The width walk's own cap would admit this scan and its ~1.1e9 pairs.
     with pytest.raises(
@@ -354,7 +362,7 @@ def test_small_scans_run_serially(monkeypatch, inline_pool):
     assert scan_conjecture(50, jobs=2) == scan_conjecture(50)
     assert inline_pool == []
     # bound 250 still uses the pool; a stand-in width keeps this test fast
-    monkeypatch.setattr(hfk, "_widths", lambda knots: [1] * len(knots))
+    monkeypatch.setattr(hfk, "_torus_width", lambda p, q: 1)
     scan_conjecture(250, jobs=2)
     assert inline_pool == [2]
 

@@ -43,7 +43,7 @@ def test_failures_replace_the_detail(monkeypatch):
     monkeypatch.setattr(verify, "width_formula", lambda p, q: 0)
     result = check_width_formulas()
     assert result.name == "width-formulas" and not result.passed
-    assert result.detail.startswith("T(2,3): staircase 1, formula 0; ")
+    assert result.detail.startswith("T(2,3): semigroup walk 1, formula 0; ")
     assert result.detail.count(";") == 5
     assert result.detail.endswith("... 450 failures total")
     assert result.seconds >= 0
