@@ -323,22 +323,38 @@ def _perm0(word_letters: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
-def _starting_set(pi: Sequence[int]) -> list[int]:
-    """Generators that can begin the permutation braid: descents of pi."""
-    return [g for g in range(1, len(pi)) if pi[g - 1] > pi[g]]
+def _masks(pi: Sequence[int]) -> tuple[int, int]:
+    """The (starting, finishing) generator sets of a permutation braid, as bitmasks.
+
+    Bit g stands for sigma_g.  It is in the starting set when pi has a
+    descent at g, and in the finishing set when the inverse of pi has one:
+    the strands ending at top positions g-1 and g start out in the other order.
+    """
+    where = [0] * len(pi)
+    for j, v in enumerate(pi):
+        where[v] = j
+    start = finish = 0
+    for g in range(1, len(pi)):
+        if pi[g - 1] > pi[g]:
+            start |= 1 << g
+        if where[g - 1] > where[g]:
+            finish |= 1 << g
+    return start, finish
 
 
-def _inverse(pi: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(pi)
-    for i, v in enumerate(pi):
-        inv[v] = i
-    return tuple(inv)
+class _MaskMemo(dict):
+    """Permutation -> ``_masks(permutation)``, each computed on first lookup."""
+
+    def __missing__(self, pi: tuple[int, ...]) -> tuple[int, int]:
+        m = self[pi] = _masks(pi)
+        return m
 
 
 def _append_letter(pi: Sequence[int], g: int) -> tuple[int, ...]:
     """pi followed by one crossing sigma_g (swap the values g-1, g)."""
-    a, b = g - 1, g
-    return tuple(b if x == a else (a if x == b else x) for x in pi)
+    out = list(pi)
+    out[pi.index(g - 1)], out[pi.index(g)] = g, g - 1
+    return tuple(out)
 
 
 def _strip_leading_letter(pi: Sequence[int], g: int) -> tuple[int, ...]:
@@ -353,10 +369,10 @@ def _permutation_word(pi: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     cur = tuple(pi)
     while True:
-        start = _starting_set(cur)
+        start = _masks(cur)[0]
         if not start:
             return tuple(out)
-        g = start[0]
+        g = (start & -start).bit_length() - 1  # the lowest set bit
         out.append(g)
         cur = _strip_leading_letter(cur, g)
 
@@ -387,41 +403,55 @@ class NormalForm(NamedTuple):
 def normal_form(word: BraidWord) -> NormalForm:
     """Compute the left-greedy normal form of a positive word.
 
+    Every letter starts as its own factor, and sweeps over adjacent pairs run
+    to a fixed point: while some generator starts the right factor but does
+    not finish the left one, the least such generator moves across.  Each
+    factor's starting and finishing sets are two int bitmasks (bit g for
+    sigma_g), kept beside the factors, so a left-weighted pair is one test,
+    ``start[i+1] & ~finish[i] == 0``.  The masks of a permutation are
+    computed once per call.
+
     >>> nf = normal_form(parse_braid("(121)", 3))
     >>> nf.infimum, nf.factors
     (1, ())
     """
     p = word.strands
-    identity = tuple(range(p))
-    factors: list[tuple[int, ...]] = [_perm0((g,), p) for g in word.letters]
+    masks = _MaskMemo()
+    letter = {g: _perm0((g,), p) for g in range(1, p)}
+    factors = [letter[g] for g in word.letters]
+    start = [1 << g for g in word.letters]
+    finish = start[:]  # a crossing starts and finishes with its one generator
     changed = True
     while changed:
         changed = False
-        factors = [f for f in factors if f != identity]
-        for idx in range(len(factors) - 1):
-            a, b = factors[idx], factors[idx + 1]
-            finishing = set(_starting_set(_inverse(a)))
-            while True:
-                movable = next(
-                    (g for g in _starting_set(b) if g not in finishing), None
-                )
-                if movable is None:
-                    break
-                a = _append_letter(a, movable)
-                b = _strip_leading_letter(b, movable)
-                finishing = set(_starting_set(_inverse(a)))
-                changed = True
-            factors[idx], factors[idx + 1] = a, b
-    factors = [f for f in factors if f != identity]
+        if 0 in start:  # drop the trivial factors: their starting sets are empty
+            kept = [i for i, s in enumerate(start) if s]
+            factors = [factors[i] for i in kept]
+            start = [start[i] for i in kept]
+            finish = [finish[i] for i in kept]
+        for i in range(len(factors) - 1):
+            movable = start[i + 1] & ~finish[i]
+            if not movable:
+                continue
+            a, b = factors[i], factors[i + 1]
+            while movable:
+                g = (movable & -movable).bit_length() - 1  # the least one
+                a = _append_letter(a, g)
+                b = _strip_leading_letter(b, g)
+                movable = masks[b][0] & ~masks[a][1]
+            factors[i], factors[i + 1] = a, b
+            start[i], finish[i] = masks[a]
+            start[i + 1], finish[i + 1] = masks[b]
+            changed = True
+    factors = [f for f, s in zip(factors, start) if s]
     half_twist = tuple(range(p - 1, -1, -1))
     infimum = 0
-    while factors and factors[0] == half_twist:
+    while infimum < len(factors) and factors[infimum] == half_twist:
         infimum += 1
-        factors.pop(0)
     return NormalForm(
         strands=p,
         infimum=infimum,
-        factors=tuple(tuple(v + 1 for v in f) for f in factors),
+        factors=tuple(tuple(v + 1 for v in f) for f in factors[infimum:]),
     )
 
 
@@ -451,7 +481,10 @@ def _atom_conjugates(nf: NormalForm) -> Iterator[NormalForm]:
     chain = [half] * nf.infimum + [tuple(v - 1 for v in f) for f in nf.factors]
     if not chain:
         return
-    for g in _starting_set(chain[0]):
+    first = _masks(chain[0])[0]
+    for g in range(1, p):
+        if not first >> g & 1:
+            continue
         letters = list(_permutation_word(_strip_leading_letter(chain[0], g)))
         for f in chain[1:]:
             letters.extend(_permutation_word(f))
@@ -470,8 +503,11 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     conjugation by left-dividing generators, which generates exactly the
     same equivalence.  ``max_states`` caps the orbit search; a
     :class:`SearchBudgetExceeded` (a RuntimeError) reports an inconclusive
-    (too large) search rather than guessing.
+    (too large) search rather than guessing.  A ``max_states`` that is not
+    an int is a ``TypeError``.
     """
+    if type(max_states) is not int:  # bools are ints to isinstance
+        raise TypeError(f"max_states {max_states!r} is not an int")
     if a.strands != b.strands:
         raise StrandMismatch(
             f"cannot compare words on {a.strands} and {b.strands} strands"

@@ -280,10 +280,13 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     (clamped to [1, os.cpu_count()]) a process pool computes them, unless
     the knots' p total less than ``_SERIAL_BELOW``; the check itself always
     runs here in one fixed order, so the result is identical for every
-    worker count.  A ``bound`` that is not an int is a ``TypeError``.
+    worker count.  A ``bound`` or ``jobs`` that is not an int is a
+    ``TypeError``.
     """
     if type(bound) is not int:  # bools are ints to isinstance
         raise TypeError(f"bound {bound!r} is not an int")
+    if type(jobs) is not int:
+        raise TypeError(f"jobs {jobs!r} is not an int")
     q_max = bound - 1
     # Refuse a too-large scan before listing any pair.  The cap is the
     # Alexander one: the width walk's would admit bound 60000, ~1.1e9 pairs.

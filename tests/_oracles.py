@@ -6,13 +6,15 @@ The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
 below the Alexander grid it checks; the rebuilt crossing change goes
 through the validating ``Diagram`` constructor, not the trusted flip; the
 crossing-graph solver searches one node per crossing where the package
-searches one per link component.
+searches one per link component; the braid sweep tests generator sets as
+Python lists and sets where the package tests bitmasks.
 """
 
 from __future__ import annotations
 
 import math
 
+from torusknot.braid import BraidWord, NormalForm
 from torusknot.diagram import (
     ConstraintComponent,
     DaltReport,
@@ -204,3 +206,59 @@ def crossing_graph_dealternating(diagram: Diagram) -> DaltReport:
         witness.extend(chosen)
         blocks.append(ConstraintComponent(tuple(sorted(members)), tuple(chosen)))
     return DaltReport(len(witness), tuple(sorted(witness)), tuple(blocks))
+
+
+def _starting_set(pi) -> list[int]:
+    """Generators that can begin a 0-based permutation braid: its descents."""
+    return [g for g in range(1, len(pi)) if pi[g - 1] > pi[g]]
+
+
+def _inverse(pi) -> tuple[int, ...]:
+    inv = [0] * len(pi)
+    for i, v in enumerate(pi):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _swap(pi, i: int, j: int) -> tuple[int, ...]:
+    out = list(pi)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def sweep_normal_form(word: BraidWord) -> NormalForm:
+    """Left-greedy normal form by sweeping adjacent factors to a fixed point.
+
+    Permutations are 0-based tuples (bottom position j ends at top position
+    pi[j]).  Every letter starts as its own factor; while the least generator
+    that can start the right factor of a pair does not finish the left one,
+    it moves across: appended to the left factor (its values g-1 and g swap)
+    and stripped from the right (its entries g-1 and g swap).  The finishing
+    set is the starting set of the inverse, rebuilt as a set after each move.
+    """
+    p = word.strands
+    identity = tuple(range(p))
+    factors = [_swap(identity, g - 1, g) for g in word.letters]
+    changed = True
+    while changed:
+        changed = False
+        factors = [f for f in factors if f != identity]
+        for idx in range(len(factors) - 1):
+            a, b = factors[idx], factors[idx + 1]
+            finishing = set(_starting_set(_inverse(a)))
+            while True:
+                movable = next((g for g in _starting_set(b) if g not in finishing), None)
+                if movable is None:
+                    break
+                a = _swap(a, a.index(movable - 1), a.index(movable))
+                b = _swap(b, movable - 1, movable)
+                finishing = set(_starting_set(_inverse(a)))
+                changed = True
+            factors[idx], factors[idx + 1] = a, b
+    factors = [f for f in factors if f != identity]
+    half_twist = identity[::-1]
+    infimum = 0
+    while factors and factors[0] == half_twist:
+        infimum += 1
+        factors.pop(0)
+    return NormalForm(p, infimum, tuple(tuple(v + 1 for v in f) for f in factors))

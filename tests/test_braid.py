@@ -1,5 +1,6 @@
 """Braid words, Garside normal forms, and the tabulated torus-word identities."""
 
+import itertools
 import random
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import sweep_normal_form
 from torusknot import braid
 from torusknot.braid import (
     BraidWord,
@@ -231,6 +233,31 @@ def test_normal_form_idempotent_and_word_faithful(word):
     assert underlying_permutation(rebuilt) == underlying_permutation(word)
 
 
+def test_normal_form_matches_the_sweep_oracle_on_random_words():
+    rng = random.Random(11)
+    for _ in range(300):
+        strands = rng.randint(3, 6)
+        letters = [rng.randint(1, strands - 1) for _ in range(rng.randint(0, 60))]
+        word = BraidWord(strands, letters)
+        assert normal_form(word) == sweep_normal_form(word), word.as_text()
+
+
+def test_normal_form_matches_the_sweep_oracle_on_tabulated_and_torus_words():
+    for n in range(1, 5):
+        for p, r in braid._FAMILIES:
+            for word in (lemma_word(p, p * n + r), torus_braid_word(p, p * n + r)):
+                assert normal_form(word) == sweep_normal_form(word), (p, n, r)
+
+
+@pytest.mark.parametrize("strands", range(2, 7))
+def test_masks_are_the_descents_of_a_permutation_and_its_inverse(strands):
+    for pi in itertools.permutations(range(strands)):
+        inverse = tuple(pi.index(v) for v in range(strands))
+        start = sum(1 << g for g in range(1, strands) if pi[g - 1] > pi[g])
+        finish = sum(1 << g for g in range(1, strands) if inverse[g - 1] > inverse[g])
+        assert braid._masks(pi) == (start, finish), pi
+
+
 def test_braid_relations_hold():
     assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
     assert words_equal(BraidWord(4, (1, 3)), BraidWord(4, (3, 1)))
@@ -308,6 +335,13 @@ def test_cyclic_search_budget_is_a_named_runtime_error():
     with pytest.raises(SearchBudgetExceeded, match="max_states = 1"):
         cyclically_equal(a, b, max_states=1)
     assert issubclass(SearchBudgetExceeded, RuntimeError)
+
+
+@pytest.mark.parametrize("max_states", [True, 1.5, "2", None])
+def test_cyclic_search_refuses_a_max_states_that_is_not_an_int(max_states):
+    # True would otherwise run as a budget of 1 state, and 1.5 would be a float cap
+    with pytest.raises(TypeError, match=re.escape(f"max_states {max_states!r} is not an int")):
+        cyclically_equal(BraidWord(3, (1,)), BraidWord(3, (1,)), max_states=max_states)
 
 
 def test_cyclic_equality_respects_conjugation_by_letter():

@@ -322,6 +322,13 @@ def test_scan_refuses_a_bound_that_is_not_an_int(bound):
         scan_conjecture(bound)
 
 
+@pytest.mark.parametrize("jobs", [True, 1.5, "2"])
+def test_scan_refuses_jobs_that_are_not_an_int(jobs):
+    # at bound 250 a float would otherwise reach multiprocessing.Pool, and True run 1 worker
+    with pytest.raises(TypeError, match=re.escape(f"jobs {jobs!r} is not an int")):
+        scan_conjecture(250, jobs=jobs)
+
+
 def test_scan_cap_names_the_bound_and_the_pair_list():
     # The width walk's own cap would admit this scan and its ~1.1e9 pairs.
     with pytest.raises(
