@@ -33,6 +33,7 @@ letters, while ``(1)^3 2`` is ``1112``.  A word that would grow past
 
 from __future__ import annotations
 
+from itertools import accumulate
 from string import whitespace  # the ASCII whitespace characters
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -98,12 +99,15 @@ def _check_length(letters: int) -> None:
 
 
 class BraidWord:
-    """A positive braid word: generator letters read bottom-to-top."""
+    """A positive braid word: generator letters read bottom-to-top.
 
-    __slots__ = ("strands", "letters")
+    ``letters`` is a tuple of ints; on at most 256 strands the word stores
+    it as ``bytes``, one byte a letter where a tuple takes eight.
+    """
+
+    __slots__ = ("strands", "_letters")
 
     strands: int
-    letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Iterable[int]) -> None:
         letters = tuple(letters)  # a list would leave the word unhashable
@@ -117,7 +121,12 @@ class BraidWord:
                     raise TypeError(f"generator {g!r} is not an int")
                 raise IndexOutOfRange(f"generator {g} does not exist on {strands} strands")
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        compact = bytes(letters) if strands <= 256 else letters
+        object.__setattr__(self, "_letters", compact)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(self._letters)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,10 +136,10 @@ class BraidWord:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.strands, self.letters) == (other.strands, other.letters)
+        return (self.strands, self._letters) == (other.strands, other._letters)
 
     def __hash__(self) -> int:
-        return hash((self.strands, self.letters))
+        return hash((self.strands, self.letters))  # a tuple's hash is not salted
 
     def __repr__(self) -> str:
         return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
@@ -139,7 +148,7 @@ class BraidWord:
         return BraidWord, (self.strands, self.letters)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
@@ -148,24 +157,24 @@ class BraidWord:
             raise StrandMismatch(
                 f"cannot concatenate words on {self.strands} and {other.strands} strands"
             )
-        _check_length(len(self.letters) + len(other.letters))
-        return BraidWord(self.strands, self.letters + other.letters)
+        _check_length(len(self._letters) + len(other._letters))
+        return BraidWord(self.strands, self._letters + other._letters)
 
     def __pow__(self, n: int) -> "BraidWord":
         if n < 0:
             raise ValueError("positive braid words only")
-        _check_length(len(self.letters) * n)
-        return BraidWord(self.strands, self.letters * n)
+        _check_length(len(self._letters) * n)
+        return BraidWord(self.strands, self._letters * n)
 
     def rotate(self, k: int) -> "BraidWord":
         """Cyclic rotation: move the first k letters to the end."""
-        if not self.letters:
+        if not self._letters:
             return self
-        k %= len(self.letters)
-        return BraidWord(self.strands, self.letters[k:] + self.letters[:k])
+        k %= len(self._letters)
+        return BraidWord(self.strands, self._letters[k:] + self._letters[:k])
 
     def as_text(self) -> str:
-        return "".join(str(g) for g in self.letters)
+        return "".join(map(str, self._letters))
 
     def __str__(self) -> str:
         return self.as_text() or "(empty)"
@@ -293,7 +302,7 @@ def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
     >>> underlying_permutation(parse_braid("(123)^5", 4))
     (4, 1, 2, 3)
     """
-    return tuple(v + 1 for v in _perm0(word.letters, word.strands))
+    return tuple(v + 1 for v in _perm0(word._letters, word.strands))
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
@@ -392,35 +401,41 @@ class NormalForm(NamedTuple):
 
     def word(self) -> BraidWord:
         """Re-expand the normal form to a concrete positive word."""
-        p = self.strands
-        half = _permutation_word(tuple(range(p - 1, -1, -1)))
-        letters: list[int] = list(half) * self.infimum
-        for f in self.factors:
-            letters.extend(_permutation_word(tuple(v - 1 for v in f)))
-        return BraidWord(p, tuple(letters))
+        letters = [g for f in _chain(self) for g in _permutation_word(f)]
+        return BraidWord(self.strands, letters)
 
 
 def normal_form(word: BraidWord) -> NormalForm:
     """Compute the left-greedy normal form of a positive word.
 
-    Every letter starts as its own factor, and sweeps over adjacent pairs run
-    to a fixed point: while some generator starts the right factor but does
-    not finish the left one, the least such generator moves across.  Each
-    factor's starting and finishing sets are two int bitmasks (bit g for
-    sigma_g), kept beside the factors, so a left-weighted pair is one test,
-    ``start[i+1] & ~finish[i] == 0``.  The masks of a permutation are
-    computed once per call.
+    Every letter starts as its own factor, and :func:`_left_weight` sweeps
+    them to the normal form.  Only the generators the word uses get a
+    permutation, so a short word on many strands stays cheap.
 
     >>> nf = normal_form(parse_braid("(121)", 3))
     >>> nf.infimum, nf.factors
     (1, ())
     """
     p = word.strands
-    masks = _MaskMemo()
-    letter = {g: _perm0((g,), p) for g in range(1, p)}
-    factors = [letter[g] for g in word.letters]
-    start = [1 << g for g in word.letters]
+    letter = {g: _perm0((g,), p) for g in set(word._letters)}
+    factors = [letter[g] for g in word._letters]
+    start = [1 << g for g in word._letters]
     finish = start[:]  # a crossing starts and finishes with its one generator
+    return _left_weight(p, factors, start, finish, _MaskMemo())
+
+
+def _left_weight(
+    p: int, factors: list, start: list, finish: list, masks: _MaskMemo
+) -> NormalForm:
+    """The normal form of a chain of 0-based permutation braids on p strands.
+
+    ``start`` and ``finish`` hold each factor's starting and finishing sets
+    as int bitmasks (bit g for sigma_g), and ``masks`` memoises ``_masks``.
+    Sweeps over adjacent pairs run to a fixed point: while some generator
+    starts the right factor but does not finish the left one, the least
+    such generator moves across.  A left-weighted pair is one test,
+    ``start[i+1] & ~finish[i] == 0``.  The three lists are consumed.
+    """
     changed = True
     while changed:
         changed = False
@@ -461,35 +476,45 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
         raise StrandMismatch(
             f"cannot compare words on {a.strands} and {b.strands} strands"
         )
-    if len(a.letters) != len(b.letters):
+    if len(a) != len(b):
         return False  # positive relations preserve length
     if underlying_permutation(a) != underlying_permutation(b):
         return False
     return normal_form(a) == normal_form(b)
 
 
-def _atom_conjugates(nf: NormalForm) -> Iterator[NormalForm]:
-    """Normal forms of g^{-1} x g for each generator g left-dividing x.
+def _chain(nf: NormalForm) -> list[tuple[int, ...]]:
+    """halftwist^infimum * A_1 * ... * A_m as a list of 0-based permutations."""
+    half = tuple(range(nf.strands - 1, -1, -1))
+    return [half] * nf.infimum + [tuple(v - 1 for v in f) for f in nf.factors]
+
+
+def _conjugate(p: int, chain: list, g: int, masks: _MaskMemo) -> NormalForm:
+    """Normal form of g^{-1} x g, for x = ``chain`` (see :func:`_chain`) on p
+    strands and a generator g left-dividing x.
+
+    g leaves the front of the chain and sigma_g joins its end; the chain is
+    consumed.
+    """
+    chain[0] = _strip_leading_letter(chain[0], g)
+    chain.append(_perm0((g,), p))
+    start, finish = map(list, zip(*map(masks.__getitem__, chain)))
+    return _left_weight(p, chain, start, finish, masks)
+
+
+def _atom_conjugates(nf: NormalForm, masks: _MaskMemo) -> Iterator[NormalForm]:
+    """Normal forms of g^{-1} x g for each generator g left-dividing x, g ascending.
 
     Rotating one letter of a positive word conjugates its braid by that
     letter; modulo the braid relations a word for x can begin with exactly
     the generators in the starting set of its first normal-form factor, and
     conjugating by such a generator keeps the braid positive.
     """
-    p = nf.strands
-    half = tuple(range(p - 1, -1, -1))
-    chain = [half] * nf.infimum + [tuple(v - 1 for v in f) for f in nf.factors]
-    if not chain:
-        return
-    first = _masks(chain[0])[0]
-    for g in range(1, p):
-        if not first >> g & 1:
-            continue
-        letters = list(_permutation_word(_strip_leading_letter(chain[0], g)))
-        for f in chain[1:]:
-            letters.extend(_permutation_word(f))
-        letters.append(g)
-        yield normal_form(BraidWord(p, tuple(letters)))
+    chain = _chain(nf)
+    first = masks[chain[0]][0]  # x is a nonempty word
+    for g in range(1, nf.strands):
+        if first >> g & 1:
+            yield _conjugate(nf.strands, chain[:], g, masks)
 
 
 def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> bool:
@@ -501,10 +526,12 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     move types, so rotations of the literal input words are not enough;
     after the quick rotation scan this searches the orbit of ``a`` under
     conjugation by left-dividing generators, which generates exactly the
-    same equivalence.  ``max_states`` caps the orbit search; a
-    :class:`SearchBudgetExceeded` (a RuntimeError) reports an inconclusive
-    (too large) search rather than guessing.  A ``max_states`` that is not
-    an int is a ``TypeError``.
+    same equivalence.  Both are :func:`_conjugate` moves on normal forms:
+    rotation r of ``a`` is rotation r - 1 conjugated by its first letter.
+    ``max_states`` caps the orbit search; a :class:`SearchBudgetExceeded`
+    (a RuntimeError) reports an inconclusive (too large) search, with the
+    strand count, word lengths and states expanded, rather than guessing.
+    A ``max_states`` that is not an int is a ``TypeError``.
     """
     if type(max_states) is not int:  # bools are ints to isinstance
         raise TypeError(f"max_states {max_states!r} is not an int")
@@ -512,38 +539,37 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
         raise StrandMismatch(
             f"cannot compare words on {a.strands} and {b.strands} strands"
         )
-    if len(a.letters) != len(b.letters):
+    if len(a) != len(b):
         return False
-    if not a.letters:
+    if not a._letters:
         return True
     # the cycle type of the permutation is a conjugation invariant
-    cycle_type = lambda w: sorted(_cycle_lengths(_perm0(w.letters, w.strands)))
+    cycle_type = lambda w: sorted(_cycle_lengths(_perm0(w._letters, w.strands)))
     if cycle_type(a) != cycle_type(b):
         return False
     target = normal_form(b)
     start = normal_form(a)
-    if start == target:
-        return True
-    for r in range(1, len(a.letters)):
-        if normal_form(a.rotate(r)) == target:
-            return True
+    masks = _MaskMemo()
+    move = lambda x, g: _conjugate(x.strands, _chain(x), g, masks)
+    if target in accumulate(a._letters[:-1], move, initial=start):
+        return True  # the scan is lazy: it stops at the first equal rotation
     seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier: list[NormalForm] = []
-        for x in frontier:
-            for y in _atom_conjugates(x):
-                if y == target:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    next_frontier.append(y)
-                    if len(seen) > max_states:
-                        raise SearchBudgetExceeded(
-                            f"cyclic-equivalence search exceeded max_states = {max_states}; "
-                            "the words are too tangled to decide within budget"
-                        )
-        frontier = next_frontier
+    queue = [start]
+    # breadth first: the queue grows while it is walked
+    for expanded, x in enumerate(queue, 1):
+        for y in _atom_conjugates(x, masks):
+            if y == target:
+                return True
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                if len(seen) > max_states:
+                    raise SearchBudgetExceeded(
+                        f"cyclic-equivalence search exceeded max_states = {max_states} "
+                        f"on {a.strands} strands (words of {len(a)} and {len(b)} "
+                        f"letters, states expanded: {expanded}); "
+                        "the words are too tangled to decide within budget"
+                    )
     return False
 
 

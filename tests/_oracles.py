@@ -7,14 +7,16 @@ below the Alexander grid it checks; the rebuilt crossing change goes
 through the validating ``Diagram`` constructor, not the trusted flip; the
 crossing-graph solver searches one node per crossing where the package
 searches one per link component; the braid sweep tests generator sets as
-Python lists and sets where the package tests bitmasks.
+Python lists and sets where the package tests bitmasks, and the cyclic
+search rebuilds every conjugate as letters where the package moves the
+normal form itself.
 """
 
 from __future__ import annotations
 
 import math
 
-from torusknot.braid import BraidWord, NormalForm
+from torusknot.braid import BraidWord, NormalForm, SearchBudgetExceeded
 from torusknot.diagram import (
     ConstraintComponent,
     DaltReport,
@@ -262,3 +264,68 @@ def sweep_normal_form(word: BraidWord) -> NormalForm:
         infimum += 1
         factors.pop(0)
     return NormalForm(p, infimum, tuple(tuple(v + 1 for v in f) for f in factors))
+
+
+def _permutation_letters(pi) -> list[int]:
+    """A positive word for a 0-based permutation braid: its least descent first."""
+    out: list[int] = []
+    while descents := _starting_set(pi):
+        out.append(descents[0])
+        pi = _swap(pi, descents[0] - 1, descents[0])
+    return out
+
+
+def _cycle_type(word: BraidWord) -> list[int]:
+    perm = list(range(word.strands))
+    for g in word.letters:
+        perm[g - 1], perm[g] = perm[g], perm[g - 1]
+    lengths, seen = [], set()
+    for j in perm:
+        size = 0
+        while j not in seen:
+            seen.add(j)
+            j, size = perm[j], size + 1
+        if size:
+            lengths.append(size)
+    return sorted(lengths)
+
+
+def rebuilt_cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> bool:
+    """Cyclic equality by rotating letters, then a breadth-first conjugation search.
+
+    Every normal form comes from ``sweep_normal_form`` on a word of letters:
+    rotations of ``a``, then, for each state x in breadth-first order and
+    each generator g starting its first factor (ascending), the letters of
+    that factor without g, of the other factors, and g.  Same checks, same
+    visiting order and the same ``SearchBudgetExceeded`` as the package.
+    """
+    if len(a.letters) != len(b.letters):
+        return False
+    if not a.letters:
+        return True
+    if _cycle_type(a) != _cycle_type(b):
+        return False
+    target = sweep_normal_form(b)
+    if any(sweep_normal_form(a.rotate(r)) == target for r in range(len(a.letters))):
+        return True
+    p = a.strands
+    start = sweep_normal_form(a)
+    seen, frontier = {start}, [start]
+    while frontier:  # one breadth-first level at a time
+        next_frontier = []
+        for x in frontier:
+            chain = [tuple(range(p - 1, -1, -1))] * x.infimum
+            chain += [tuple(v - 1 for v in f) for f in x.factors]
+            rest = [g for f in chain[1:] for g in _permutation_letters(f)]
+            for g in _starting_set(chain[0]):
+                first = _permutation_letters(_swap(chain[0], g - 1, g))
+                y = sweep_normal_form(BraidWord(p, first + rest + [g]))
+                if y == target:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    next_frontier.append(y)
+                    if len(seen) > max_states:
+                        raise SearchBudgetExceeded(f"exceeded max_states = {max_states}")
+        frontier = next_frontier
+    return False

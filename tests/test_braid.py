@@ -1,14 +1,16 @@
 """Braid words, Garside normal forms, and the tabulated torus-word identities."""
 
 import itertools
+import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import sweep_normal_form
+from _oracles import rebuilt_cyclically_equal, sweep_normal_form
 from torusknot import braid
 from torusknot.braid import (
     BraidWord,
@@ -161,6 +163,32 @@ def test_braid_word_stores_a_list_as_a_tuple():
     assert hash(w) == hash(BraidWord(3, (1, 2)))
     assert (w * w).as_text() == "1212"
 
+
+@pytest.mark.parametrize("strands", [256, 257])
+def test_braid_word_reads_alike_with_and_without_byte_storage(strands):
+    # letters are stored as bytes up to 256 strands and as a tuple above
+    letters = (1, strands - 1, 2)
+    w = BraidWord(strands, letters)
+    assert type(w.letters) is tuple and w.letters == letters and len(w) == 3
+    assert w == BraidWord(strands, list(letters))
+    assert hash(w) == hash((strands, letters))  # not salted per process
+    assert (w * w).letters == letters * 2 and w**2 == w * w
+    assert w.rotate(1).letters == (strands - 1, 2, 1)
+    assert repr(w) == f"BraidWord(strands={strands}, letters={letters!r})"
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
+def test_braid_word_keeps_a_byte_a_letter():
+    tracemalloc.start()
+    try:
+        words = [BraidWord(5, [1, 2, 3, 4] * 16) for _ in range(1000)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 1000
+    assert held < 300_000  # 609 KB with a 64-letter tuple per word, 154 KB with bytes
+
+
 # ----------------------------------------------------------------------
 # permutations
 
@@ -249,6 +277,16 @@ def test_normal_form_matches_the_sweep_oracle_on_tabulated_and_torus_words():
                 assert normal_form(word) == sweep_normal_form(word), (p, n, r)
 
 
+def test_normal_form_builds_only_the_letters_it_uses():
+    tracemalloc.start()
+    try:
+        assert normal_form(BraidWord(2000, (1,))).factors == ((2, 1) + tuple(range(3, 2001)),)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000  # a permutation per generator of the strand count peaks at 130 MB
+
+
 @pytest.mark.parametrize("strands", range(2, 7))
 def test_masks_are_the_descents_of_a_permutation_and_its_inverse(strands):
     for pi in itertools.permutations(range(strands)):
@@ -332,9 +370,78 @@ def test_cyclic_search_budget_is_a_named_runtime_error():
     # Same cycle type and no equal rotation, so the orbit search must run.
     a, b = BraidWord(4, (1, 1, 2)), BraidWord(4, (1, 1, 1))
     assert not cyclically_equal(a, b)
-    with pytest.raises(SearchBudgetExceeded, match="max_states = 1"):
+    message = (
+        "^cyclic-equivalence search exceeded max_states = 1 on 4 strands "
+        r"\(words of 3 and 3 letters, states expanded: 1\); the words are too tangled"
+    )
+    with pytest.raises(SearchBudgetExceeded, match=message):
         cyclically_equal(a, b, max_states=1)
     assert issubclass(SearchBudgetExceeded, RuntimeError)
+
+
+def _random_word(rng, strands, length):
+    return BraidWord(strands, [rng.randint(1, strands - 1) for _ in range(length)])
+
+
+def test_conjugating_by_the_first_letter_gives_the_next_rotation():
+    rng = random.Random(17)
+    for _ in range(1000):
+        word = _random_word(rng, rng.randint(2, 6), rng.randint(0, 40))
+        x, masks = normal_form(word), braid._MaskMemo()
+        for r, g in enumerate(word.letters, 1):
+            x = braid._conjugate(x.strands, braid._chain(x), g, masks)
+            assert x == normal_form(word.rotate(r)), (word.as_text(), r)
+
+
+def test_atom_conjugates_are_conjugates_by_each_left_divisor():
+    rng = random.Random(19)
+    for _ in range(1000):
+        strands = rng.randint(2, 6)
+        x = normal_form(_random_word(rng, strands, rng.randint(1, 40)))
+        first = x.factors[0] if not x.infimum else tuple(range(strands, 0, -1))
+        divisors = [g for g in range(1, strands) if first[g - 1] > first[g]]
+        conjugates = list(braid._atom_conjugates(x, braid._MaskMemo()))
+        assert len(conjugates) == len(divisors) >= 1
+        for g, y in zip(divisors, conjugates):
+            sigma = BraidWord(strands, (g,))
+            assert words_equal(sigma * y.word(), x.word() * sigma), (x, g)
+
+
+def _outcome(search, a, b, max_states):
+    try:
+        return search(a, b, max_states)
+    except SearchBudgetExceeded:
+        return "budget"
+
+
+def test_cyclic_search_matches_the_rebuilt_search_oracle():
+    """Same answers and same budget failures as rebuilding every conjugate from letters.
+
+    Small budgets stop the search after its first few states, so a changed
+    visiting order changes which of them find the target.
+    """
+    rng = random.Random(23)
+    outcomes = []
+    for i in range(320):
+        strands = rng.randint(2, 6)
+        a = _random_word(rng, strands, rng.randint(1, 12))
+        if i % 2:  # cyclically equal: rotations interleaved with braid relations
+            letters = list(a.letters)
+            for _ in range(rng.randint(1, 30)):
+                if rng.random() < 0.3:
+                    letters = letters[1:] + letters[:1]
+                else:
+                    letters = _random_rewrite(rng, letters)
+            b = BraidWord(strands, letters)
+        else:
+            b = _random_word(rng, strands, len(a.letters))
+        for max_states in (1, 2, 5, 200_000):
+            expected = _outcome(rebuilt_cyclically_equal, a, b, max_states)
+            assert _outcome(cyclically_equal, a, b, max_states) == expected, (a, b, max_states)
+            outcomes.append((i % 2, max_states, expected))
+    assert outcomes.count((1, 200_000, True)) == 160
+    assert outcomes.count((0, 200_000, False)) >= 80
+    assert {"budget", True, False} <= {o for _, m, o in outcomes if m == 1}
 
 
 @pytest.mark.parametrize("max_states", [True, 1.5, "2", None])
@@ -427,9 +534,17 @@ def test_five_three_conjugator_replays():
         word, torus = lemma_word(5, 5 * n + 3), torus_braid_word(5, 5 * n + 3)
         assert words_equal(word * c, c * torus)
         assert not words_equal(word, torus)
-        if n <= 2:  # the search agrees, and sigma_2 left-divides the word,
-            assert cyclically_equal(word, torus)  # so one rotation suffices
-            assert normal_form(torus) in set(braid._atom_conjugates(normal_form(word)))
+        # the search agrees, and sigma_2 left-divides the word, so one rotation suffices
+        assert cyclically_equal(word, torus)
+        conjugates = braid._atom_conjugates(normal_form(word), braid._MaskMemo())
+        assert normal_form(torus) in set(conjugates)
+
+
+def test_searched_five_eight_word_is_cyclically_equal_to_the_torus_word():
+    """The T(5,8) word of g_T = 5 that ROADMAP item 1c wants certified."""
+    word = parse_braid("22134331333211332133123341333213", 5)
+    assert cyclically_equal(word, torus_braid_word(5, 8))
+    assert not words_equal(word, torus_braid_word(5, 8))
 
 
 def test_verify_lemmas_searches_nothing(monkeypatch):
