@@ -28,9 +28,10 @@ defined for connected diagrams.
 
 Counts are orbit walks: following the arc from end e to its partner, then a
 turn at that crossing, permutes the ends.  With the smoothing join as the
-turn each state circle is two orbits, one per direction; with the next slot
-(s + 1) mod 4 as the turn each orbit is a face.  Connected pieces come from
-a stack search over the crossings along the arcs.
+turn each state circle is two orbits, one per direction, so one walk marking
+both ends of each arc counts it; with the next slot (s + 1) mod 4 as the
+turn each orbit is a face.  Connected pieces come from a stack search over
+the crossings along the arcs.
 
 The minimum number of crossing changes making a diagram alternating is
 decided exactly: alternation fixes each link component's changes up to one
@@ -226,10 +227,6 @@ def closure_diagram(word) -> Diagram:
 # Kauffman states
 
 
-# A smoothing joins end e to e ^ mask: A pairs slots 0-1 and 2-3, B 0-3 and 1-2.
-_JOIN_MASK = {"A": 1, "B": 3}
-
-
 def _orbits(step: list[int]) -> int:
     """Number of cycles of the permutation ``step`` of the ends."""
     seen = bytearray(len(step))
@@ -268,17 +265,31 @@ def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
 
     ``assignment`` gives 'A' or 'B' per crossing, in crossing order.  The
     all-A state of a braid closure recovers the braid strands, e.g. 4
-    circles for a closed 4-strand braid.  The circles are half the orbits
-    of "follow the arc from end e, then the smoothing join": one per direction.
+    circles for a closed 4-strand braid.  Each circle is walked once, an
+    arc then a smoothing join at a time, marking both ends of each arc: the
+    walk the other way round is the same circle.  A mixed assignment is
+    counted as the all-A state with its B crossings changed.
     """
     choice = tuple(assignment)
     if len(choice) != diagram.n_crossings:
         raise ValueError(f"need {diagram.n_crossings} smoothings, got {len(choice)}")
-    if not set(choice) <= {"A", "B"}:
+    kinds = set(choice)
+    if not kinds <= {"A", "B"}:
         raise ValueError("smoothings must be 'A' or 'B'")
-    mask = [_JOIN_MASK[x] for x in choice]
-    step = [far ^ mask[far >> 2] for far in diagram._partner]
-    return _orbits(step) // 2 + diagram.free_circles
+    if len(kinds) == 2:  # a change swaps a crossing's A- and B-smoothings
+        changed = [c for c, x in enumerate(choice) if x == "B"]
+        diagram = change_crossings(diagram, changed)
+    join = 3 if kinds == {"B"} else 1  # A joins e to e ^ 1 (slots 0-1, 2-3), B e ^ 3
+    partner, seen, count = diagram._partner, bytearray(4 * len(choice)), 0
+    start = seen.find(0)
+    while start >= 0:
+        count, end = count + 1, start
+        while not seen[end]:
+            far = partner[end]
+            seen[end] = seen[far] = 1
+            end = far ^ join
+        start = seen.find(0, start)
+    return count + diagram.free_circles
 
 
 def all_a(diagram: Diagram) -> int:
@@ -436,37 +447,17 @@ def brute_force_dealternating(diagram: Diagram, limit: int = 14) -> int:
     n = diagram.n_crossings
     if n > limit:
         raise ValueError(f"{n} crossings exceed the brute-force limit {limit}")
-    cycles = diagram.pass_cycles()
-    best = n + 1
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size >= best:
-            continue
-        ok = True
-        for cycle in cycles:
-            previous = None
-            first = None
-            for c, bit in cycle:
-                eff = bit ^ (mask >> c & 1)
-                if first is None:
-                    first = eff
-                elif eff == previous:
-                    ok = False
-                    break
-                previous = eff
-            if not ok:
-                break
-            if len(cycle) > 1 and previous == first:
-                ok = False
-                break
-            if len(cycle) == 1:
-                ok = False
-                break
-        if ok:
-            best = size
-    if best > n:
-        raise InconsistentConstraints("no subset of changes alternates")
-    return best
+    # consecutive passes (c1, t1), (c2, t2) of a cycle, cyclically, alternate
+    # after the changes x exactly when x_c1 xor x_c2 = t1 xor t2 xor 1
+    pairs = [
+        (c1, c2, t1 ^ t2 ^ 1)
+        for cycle in diagram.pass_cycles()
+        for (c1, t1), (c2, t2) in zip(cycle, cycle[1:] + cycle[:1])
+    ]
+    for mask in sorted(range(1 << n), key=int.bit_count):  # smallest sets first
+        if all((mask >> c1 ^ mask >> c2) & 1 == want for c1, c2, want in pairs):
+            return mask.bit_count()
+    raise InconsistentConstraints("no subset of changes alternates")
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ are deliberately different algorithms so the tests are not circular.
 The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
 below the Alexander grid it checks; the rebuilt crossing change goes
 through the validating ``Diagram`` constructor, not the trusted flip; the
-crossing-graph solver searches one node per crossing where the package
-searches one per link component; the braid sweep tests generator sets as
+crossing-graph solver searches one node per crossing, on pass sequences
+read off the PD rows, where the package searches one per link component
+of its own strand walk; the braid sweep tests generator sets as
 Python lists and sets where the package tests bitmasks, and the cyclic
 search rebuilds every conjugate as letters where the package moves the
 normal form itself.
@@ -153,6 +154,35 @@ def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
     return Diagram(signs, labels, diagram.free_circles, diagram.strands)
 
 
+def pd_pass_cycles(diagram: Diagram) -> list[list[tuple[int, bool]]]:
+    """Pass sequences read off the PD rows, one per component of the curve.
+
+    Through crossing c a strand goes from slot s to slot (s + 2) mod 4, then
+    along that slot's label to the label's other end.  Each sequence starts
+    at the lowest end ``4*c + slot`` on no earlier sequence and lists
+    (crossing, goes over) per pass; odd slots carry the over-strand.
+    """
+    rows = diagram.pd_rows()
+    ends: dict[object, list[tuple[int, int]]] = {}
+    for c, row in enumerate(rows):
+        for slot in range(4):
+            ends.setdefault(row[slot], []).append((c, slot))
+    seen: set[tuple[int, int]] = set()
+    cycles = []
+    for start in range(4 * len(rows)):
+        c, slot = divmod(start, 4)
+        cycle = []
+        while (c, slot) not in seen:
+            out = (slot + 2) % 4
+            seen.update({(c, slot), (c, out)})
+            cycle.append((c, slot % 2 == 1))
+            far = ends[rows[c][out]]
+            c, slot = far[1] if far[0] == (c, out) else far[0]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 def crossing_graph_dealternating(diagram: Diagram) -> DaltReport:
     """Minimum crossing changes to alternation, one graph node per crossing.
 
@@ -168,7 +198,7 @@ def crossing_graph_dealternating(diagram: Diagram) -> DaltReport:
     if n == 0:
         return DaltReport(0, (), ())
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for cycle in diagram.pass_cycles():
+    for cycle in pd_pass_cycles(diagram):
         for (c1, b1), (c2, b2) in zip(cycle, cycle[1:] + cycle[:1]):
             parity = (b1 != b2) ^ 1
             if c1 == c2:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     crossing_graph_dealternating,
+    pd_pass_cycles,
     rebuilt_change_crossings,
     union_find_pieces,
     union_find_state_circles,
@@ -156,6 +158,18 @@ def test_state_components_match_oracle_on_random_closures():
         assert got == _oracle_circles(d, assignment), export_pd(d)
 
 
+def test_uniform_states_build_no_step_list():
+    d = closure_diagram(torus_braid_word(9, 120))  # 960 crossings
+    tracemalloc.start()
+    try:
+        assert (all_a(d), all_b(d)) == (9, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a mask per crossing and a step (a new int) per end: 168 KB; a byte per end: 13 KB
+    assert peak < 25_000
+
+
 def test_state_components_match_oracle_on_every_assignment():
     rng = random.Random(16)
     words = [torus_braid_word(2, 5), torus_braid_word(3, 4), torus_braid_word(4, 3)]
@@ -178,6 +192,50 @@ def test_state_components_match_oracle_after_pd_roundtrip():
         assignment = "".join(rng.choice("AB") for _ in range(d.n_crossings))
         got = state_components(d, assignment)
         assert got == _oracle_circles(d, assignment), export_pd(d)
+
+
+def _matching(rng: random.Random, n: int, free_circles: int = 0) -> Diagram:
+    """n crossings of random signs whose 4n ends are paired at random:
+    mostly not planar, with odd pass cycles and clashing ties."""
+    ends = list(range(4 * n))
+    rng.shuffle(ends)
+    arcs = list(zip(ends[::2], ends[1::2]))
+    signs = "".join(rng.choice("+-") for _ in range(n))
+    return Diagram(signs, _labelled(arcs), free_circles)
+
+
+def test_pass_cycles_match_the_pd_row_walk():
+    rng = random.Random(26)
+    diagrams = [_random_closure(rng, (2, 7), rng.randint(0, 40)) for _ in range(150)]
+    diagrams += [_mixed_sign(rng, (2, 8), rng.randint(0, 60)) for _ in range(150)]
+    diagrams += [
+        _matching(rng, rng.randint(1, 9), rng.randint(0, 2)) for _ in range(300)
+    ]
+    lengths = set()
+    for d in diagrams:
+        cycles = d.pass_cycles()
+        assert cycles == pd_pass_cycles(d), export_pd(d)
+        assert d.components() == len(cycles) + d.free_circles
+        lengths.update(len(cycle) % 2 for cycle in cycles)
+    assert lengths == {0, 1}  # the matchings walk odd cycles too
+
+
+def test_piece_counts_beyond_positive_closures():
+    rng = random.Random(2618)
+    cases = [_mixed_sign(rng, (2, 8), rng.randint(0, 60)) for _ in range(150)]
+    cases += [_matching(rng, rng.randint(1, 9), rng.randint(0, 2)) for _ in range(300)]
+    split = closure_diagram(BraidWord(6, (1, 1, 3, 4, 3)))  # strand 6 is free
+    assert (split.free_circles, diagram_module._pieces(split)) == (1, 2)
+    cases.append(split)
+    counts = set()
+    for d in cases:
+        pieces = diagram_module._pieces(d)
+        assert pieces == union_find_pieces(d.n_crossings, _arcs(d)), export_pd(d)
+        counts.add(min(pieces, 2))
+        if d.free_circles + pieces != 1:
+            with pytest.raises(DisconnectedDiagram):
+                turaev_genus_diagram(d)
+    assert counts == {0, 1, 2}
 
 
 def test_face_and_piece_counts_of_random_closures():
@@ -416,13 +474,9 @@ def test_solver_matches_oracles_on_arbitrary_matchings():
     rng = random.Random(1703_02506)
     outcomes = set()
     for _ in range(400):
-        n = rng.randint(1, 7)
-        ends = list(range(4 * n))
-        rng.shuffle(ends)
-        arcs = list(zip(ends[::2], ends[1::2]))
-        d = Diagram("".join(rng.choice("+-") for _ in range(n)), _labelled(arcs))
+        d = _matching(rng, rng.randint(1, 7))
         got = _outcome(dealternating_number_diagram, d)
-        assert got == _outcome(crossing_graph_dealternating, d), arcs
+        assert got == _outcome(crossing_graph_dealternating, d), export_pd(d)
         minimum = _outcome(brute_force_dealternating, d)
         assert minimum == (got if got == "inconsistent" else got.minimum_changes)
         outcomes.add(got if got == "inconsistent" else "solved")
