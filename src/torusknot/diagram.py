@@ -30,8 +30,8 @@ Counts are orbit walks: following the arc from end e to its partner, then a
 turn at that crossing, permutes the ends.  With the smoothing join as the
 turn each state circle is two orbits, one per direction, so one walk marking
 both ends of each arc counts it; with the next slot (s + 1) mod 4 as the
-turn each orbit is a face.  Connected pieces come from a stack search over
-the crossings along the arcs.
+turn each orbit is a face.  Connected pieces are the pass cycles joined at
+shared crossings, read off the pass table that ``pass_cycles()`` fills.
 
 The minimum number of crossing changes making a diagram alternating is
 decided exactly: alternation fixes each link component's changes up to one
@@ -132,6 +132,7 @@ class Diagram:
         self._partner = partner  # partner[e] is the end sharing e's label
         self.free_circles, self.strands = free_circles, strands
         self._cycles: list[list[tuple[int, bool]]] | None = None
+        self._tags: list[int] = []  # the pass table; pass_cycles() fills it
 
     # -- basics ---------------------------------------------------------
 
@@ -167,25 +168,26 @@ class Diagram:
 
         Each component of the underlying curve is one cycle; its entries are
         (crossing, goes_over) in traversal order.  Odd slots are the
-        over-strand's ends.
+        over-strand's ends.  The walk also fills the pass table ``_tags``:
+        ``_tags[2*c + over]`` is 2k + (over xor i mod 2) for pass i of cycle k.
         """
         if self._cycles is None:
-            visited = [False] * (4 * self.n_crossings)
+            partner, seen = self._partner, bytearray(4 * self.n_crossings)
+            tags = [0] * (2 * self.n_crossings)
             cycles: list[list[tuple[int, bool]]] = []
-            for start in range(4 * self.n_crossings):
-                if visited[start]:
-                    continue
+            start = seen.find(0)
+            while start >= 0:
                 cycle: list[tuple[int, bool]] = []
-                end = start
-                while not visited[end]:
-                    visited[end] = True
-                    crossing, slot = divmod(end, 4)
-                    cycle.append((crossing, slot % 2 == 1))
-                    through = 4 * crossing + (slot + 2) % 4
-                    visited[through] = True
-                    end = self._partner[through]
+                tag, end = 2 * len(cycles), start
+                while not seen[end]:
+                    seen[end] = seen[end ^ 2] = 1  # the pass goes to slot (s + 2) % 4
+                    crossing, over = end >> 2, end & 1
+                    tags[2 * crossing + over] = tag ^ over
+                    cycle.append((crossing, over == 1))
+                    tag, end = tag ^ 1, partner[end ^ 2]
                 cycles.append(cycle)
-            self._cycles = cycles
+                start = seen.find(0, start)
+            self._cycles, self._tags = cycles, tags
         return self._cycles
 
     def components(self) -> int:
@@ -242,22 +244,19 @@ def _orbits(step: list[int]) -> int:
 
 
 def _pieces(diagram: Diagram) -> int:
-    """Connected pieces of the crossings, by a stack search along the arcs."""
-    crossing = [far >> 2 for far in diagram._partner]  # where each end's arc leads
-    seen = bytearray(diagram.n_crossings)
-    pieces = 0
-    for root in range(diagram.n_crossings):
-        if not seen[root]:
-            pieces += 1
-            seen[root] = 1
-            stack = [root]
-            while stack:
-                c = stack.pop()
-                for d in crossing[4 * c : 4 * c + 4]:
-                    if not seen[d]:
-                        seen[d] = 1
-                        stack.append(d)
-    return pieces
+    """Connected pieces of the crossings: a union-find over the pass cycles
+    that joins the cycles of each crossing's two visits, read off ``_tags``."""
+    cycles, tags = diagram.pass_cycles(), diagram._tags
+    parent = list(range(len(cycles)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]  # path halving
+        return k
+
+    for u, o in set(zip(tags[0::2], tags[1::2])):  # distinct ties, not crossings
+        parent[root(u >> 1)] = root(o >> 1)
+    return sum(k == up for k, up in enumerate(parent))
 
 
 def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
@@ -394,20 +393,18 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     one bit e per component.  A crossing's two visits tie two such bits, so
     each connected piece has two alternating change sets, complements of
     each other; the minimum takes the smaller, or on a tie the one holding
-    the piece's lowest crossing.  The witness is replayed on the pass bits,
+    the piece's lowest crossing.  Each crossing's other visit comes from the
+    pass table; the witness is replayed on the pass bits of pass_cycles(),
     its crossings' bits flipped, before return.
 
     Raises InconsistentConstraints when no change set alternates: never for
     a planar diagram, but possible for one built directly past import_pd's
     planarity check (an odd pass cycle, or ties that clash).
     """
-    cycles = diagram.pass_cycles()
-    visits = {}  # (crossing, goes over) -> (component, bit t xor position parity)
+    cycles, tags = diagram.pass_cycles(), diagram._tags
     for k, cycle in enumerate(cycles):
         if len(cycle) % 2:
             raise InconsistentConstraints(f"component {k} has an odd number of passes")
-        for i, (c, over) in enumerate(cycle):
-            visits[c, over] = k, over ^ (i & 1)
     flip = [-1] * len(cycles)
     blocks = []
     for root in range(len(cycles)):  # a piece's first cycle starts at its lowest end
@@ -416,13 +413,14 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         flip[root], stack, change = 0, [root], {}
         while stack:
             k = stack.pop()
-            for i, (c, over) in enumerate(cycles[k]):
-                change[c] = x = over ^ (i & 1) ^ flip[k]
-                j, bit = visits[c, not over]  # the crossing's other visit
+            for c, over in cycles[k]:
+                change[c] = x = tags[2 * c + over] & 1 ^ flip[k]  # t xor i mod 2 xor e
+                other = tags[2 * c + (not over)]  # the crossing's other visit
+                j = other >> 1
                 if flip[j] == -1:
-                    flip[j] = x ^ bit
+                    flip[j] = x ^ other & 1
                     stack.append(j)
-                elif flip[j] != x ^ bit:
+                elif flip[j] != x ^ other & 1:
                     raise InconsistentConstraints(
                         f"components {k} and {j} receive contradictory flips"
                     )
@@ -491,7 +489,7 @@ def _check_planar(diagram: Diagram) -> None:
     Its faces are the orbits of "follow the arc from end e to its partner,
     then turn to the next slot (s + 1) mod 4"; by Euler's formula a planar
     4-valent graph with c vertices has c + 2 faces per connected piece, and
-    the pieces come from a stack search over the crossings.
+    the pieces are the pass cycles joined at shared crossings (_pieces).
     """
     faces = _orbits([far - far % 4 + (far + 1) % 4 for far in diagram._partner])
     want = diagram.n_crossings + 2 * _pieces(diagram)

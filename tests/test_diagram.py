@@ -238,6 +238,24 @@ def test_piece_counts_beyond_positive_closures():
     assert counts == {0, 1, 2}
 
 
+def test_pieces_join_cycles_that_pass_one_way():
+    """A component that passes under (or over) at every crossing it meets is
+    joined to the components it crosses: a search that follows each crossing
+    from one side only counts such a diagram as several pieces."""
+    mixed = import_pd(json.dumps({"strands": 5, "crossings": [
+        [18, 2, 1, 17, "+"], [20, 9, 8, 19, "+"], [1, 2, 7, 3, "-"],
+        [3, 5, 4, 16, "+"], [5, 6, 10, 4, "+"], [7, 13, 11, 6, "+"],
+        [8, 9, 20, 15, "-"], [10, 11, 12, 16, "-"], [13, 14, 17, 12, "+"],
+        [15, 19, 18, 14, "+"],
+    ]}))  # from the mixed-sign cases above
+    hopf = change_crossings(closure_diagram(BraidWord(2, (1, 1))), [0])
+    assert hopf.pass_cycles() == [[(0, False), (1, False)], [(0, True), (1, True)]]
+    assert mixed.pass_cycles()[2] == [(1, False), (6, False)]
+    for d, genus in ((mixed, 3), (hopf, 1)):
+        assert diagram_module._pieces(d) == union_find_pieces(d.n_crossings, _arcs(d)) == 1
+        assert turaev_genus_diagram(d) == genus  # connected: no DisconnectedDiagram
+
+
 def test_face_and_piece_counts_of_random_closures():
     rng = random.Random(18)
     for _ in range(300):
@@ -374,6 +392,21 @@ def test_witness_replay_matches_rebuilt_alternation():
 
 # ----------------------------------------------------------------------
 # dealternating numbers
+
+
+def test_genus_and_solver_peak_memory_on_a_large_closure():
+    word = torus_braid_word(9, 120)  # 960 crossings
+    dealternating_number_diagram(closure_diagram(word))  # warm the free lists
+    d = closure_diagram(word)
+    tracemalloc.start()
+    try:
+        assert turaev_genus_diagram(d) == 476
+        assert dealternating_number_diagram(d).minimum_changes == 480
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tuple-keyed dict of the 1,920 visits: 463 KB; the pass table of ints: 194 KB
+    assert peak < 300_000
 
 
 def test_alternating_diagrams_need_no_changes():
