@@ -22,7 +22,7 @@ import math
 from operator import itemgetter
 from typing import NamedTuple
 
-from .braid import UnsupportedTorusFamily, _family, lemma_word, torus_braid_word
+from .braid import UnsupportedTorusFamily, _check_ints, _family, lemma_word, torus_braid_word
 from .diagram import (
     Diagram,
     closure_diagram,
@@ -134,6 +134,7 @@ def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
     >>> bounds(3, 2)[0].upper
     0
     """
+    _check_ints(p, q)  # before math.gcd, whose TypeError names neither
     if p < 1 or q < 1:
         raise ValueError(f"torus link parameters must be positive, got ({p}, {q})")
     a, b = min(p, q), max(p, q)

@@ -401,33 +401,46 @@ class NormalForm(NamedTuple):
 
     def word(self) -> BraidWord:
         """Re-expand the normal form to a concrete positive word."""
-        letters = [g for f in _chain(self) for g in _permutation_word(f)]
-        return BraidWord(self.strands, letters)
+        half = tuple(range(self.strands - 1, -1, -1))
+        chain = [half] * self.infimum + [tuple(v - 1 for v in f) for f in self.factors]
+        return BraidWord(self.strands, [g for f in chain for g in _permutation_word(f)])
 
 
 def normal_form(word: BraidWord) -> NormalForm:
     """Compute the left-greedy normal form of a positive word.
 
-    Every letter starts as its own factor, and :func:`_left_weight` sweeps
-    them to the normal form.  Only the generators the word uses get a
-    permutation, so a short word on many strands stays cheap.
+    The one conversion of a left-weighted chain (see :func:`_left_weight`)
+    to a NormalForm: the chain's leading half twists are the infimum.
 
     >>> nf = normal_form(parse_braid("(121)", 3))
     >>> nf.infimum, nf.factors
     (1, ())
     """
+    chain = _word_chain(word, _MaskMemo())
+    infimum = chain.count(tuple(range(word.strands - 1, -1, -1)))  # all at the front
+    factors = tuple(tuple(v + 1 for v in f) for f in chain[infimum:])
+    return NormalForm(strands=word.strands, infimum=infimum, factors=factors)
+
+
+def _word_chain(word: BraidWord, masks: _MaskMemo) -> tuple:
+    """The left-weighted chain of a positive word: every letter starts as
+    its own factor, and :func:`_left_weight` sweeps them.  Only the
+    generators the word uses get a permutation, so a short word on many
+    strands stays cheap."""
     p = word.strands
     letter = {g: _perm0((g,), p) for g in set(word._letters)}
     factors = [letter[g] for g in word._letters]
     start = [1 << g for g in word._letters]
     finish = start[:]  # a crossing starts and finishes with its one generator
-    return _left_weight(p, factors, start, finish, _MaskMemo())
+    return _left_weight(p, factors, start, finish, masks)
 
 
 def _left_weight(
     p: int, factors: list, start: list, finish: list, masks: _MaskMemo
-) -> NormalForm:
-    """The normal form of a chain of 0-based permutation braids on p strands.
+) -> tuple:
+    """The left-weighted chain of a list of 0-based permutation braids on p strands:
+    the normal form as one tuple of 0-based permutations, half twists
+    included and trivial factors dropped, equal exactly when the braids are.
 
     ``start`` and ``finish`` hold each factor's starting and finishing sets
     as int bitmasks (bit g for sigma_g), and ``masks`` memoises ``_masks``.
@@ -458,16 +471,7 @@ def _left_weight(
             start[i], finish[i] = masks[a]
             start[i + 1], finish[i + 1] = masks[b]
             changed = True
-    factors = [f for f, s in zip(factors, start) if s]
-    half_twist = tuple(range(p - 1, -1, -1))
-    infimum = 0
-    while infimum < len(factors) and factors[infimum] == half_twist:
-        infimum += 1
-    return NormalForm(
-        strands=p,
-        infimum=infimum,
-        factors=tuple(tuple(v + 1 for v in f) for f in factors[infimum:]),
-    )
+    return tuple(f for f, s in zip(factors, start) if s)
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -483,38 +487,27 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     return normal_form(a) == normal_form(b)
 
 
-def _chain(nf: NormalForm) -> list[tuple[int, ...]]:
-    """halftwist^infimum * A_1 * ... * A_m as a list of 0-based permutations."""
-    half = tuple(range(nf.strands - 1, -1, -1))
-    return [half] * nf.infimum + [tuple(v - 1 for v in f) for f in nf.factors]
+def _conjugate(p: int, chain: tuple, g: int, masks: _MaskMemo) -> tuple:
+    """The left-weighted chain of g^{-1} x g, for x the left-weighted ``chain``
+    on p strands and a generator g left-dividing x: g leaves the front of
+    the chain and sigma_g joins its end."""
+    factors = [_strip_leading_letter(chain[0], g), *chain[1:], _perm0((g,), p)]
+    start, finish = map(list, zip(*map(masks.__getitem__, factors)))
+    return _left_weight(p, factors, start, finish, masks)
 
 
-def _conjugate(p: int, chain: list, g: int, masks: _MaskMemo) -> NormalForm:
-    """Normal form of g^{-1} x g, for x = ``chain`` (see :func:`_chain`) on p
-    strands and a generator g left-dividing x.
-
-    g leaves the front of the chain and sigma_g joins its end; the chain is
-    consumed.
-    """
-    chain[0] = _strip_leading_letter(chain[0], g)
-    chain.append(_perm0((g,), p))
-    start, finish = map(list, zip(*map(masks.__getitem__, chain)))
-    return _left_weight(p, chain, start, finish, masks)
-
-
-def _atom_conjugates(nf: NormalForm, masks: _MaskMemo) -> Iterator[NormalForm]:
-    """Normal forms of g^{-1} x g for each generator g left-dividing x, g ascending.
+def _atom_conjugates(p: int, chain: tuple, masks: _MaskMemo) -> Iterator[tuple]:
+    """Chains of g^{-1} x g for each generator g left-dividing x, g ascending.
 
     Rotating one letter of a positive word conjugates its braid by that
     letter; modulo the braid relations a word for x can begin with exactly
     the generators in the starting set of its first normal-form factor, and
     conjugating by such a generator keeps the braid positive.
     """
-    chain = _chain(nf)
     first = masks[chain[0]][0]  # x is a nonempty word
-    for g in range(1, nf.strands):
+    for g in range(1, p):
         if first >> g & 1:
-            yield _conjugate(nf.strands, chain[:], g, masks)
+            yield _conjugate(p, chain, g, masks)
 
 
 def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> bool:
@@ -526,8 +519,10 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     move types, so rotations of the literal input words are not enough;
     after the quick rotation scan this searches the orbit of ``a`` under
     conjugation by left-dividing generators, which generates exactly the
-    same equivalence.  Both are :func:`_conjugate` moves on normal forms:
-    rotation r of ``a`` is rotation r - 1 conjugated by its first letter.
+    same equivalence.  Both are :func:`_conjugate` moves on left-weighted
+    chains (normal forms as tuples of 0-based permutations, see
+    :func:`_left_weight`): rotation r of ``a`` is rotation r - 1 conjugated
+    by its first letter.
     ``max_states`` caps the orbit search; a :class:`SearchBudgetExceeded`
     (a RuntimeError) reports an inconclusive (too large) search, with the
     strand count, word lengths and states expanded, rather than guessing.
@@ -547,17 +542,15 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     cycle_type = lambda w: sorted(_cycle_lengths(_perm0(w._letters, w.strands)))
     if cycle_type(a) != cycle_type(b):
         return False
-    target = normal_form(b)
-    start = normal_form(a)
-    masks = _MaskMemo()
-    move = lambda x, g: _conjugate(x.strands, _chain(x), g, masks)
+    p, masks = a.strands, _MaskMemo()
+    target, start = _word_chain(b, masks), _word_chain(a, masks)
+    move = lambda x, g: _conjugate(p, x, g, masks)
     if target in accumulate(a._letters[:-1], move, initial=start):
         return True  # the scan is lazy: it stops at the first equal rotation
-    seen = {start}
-    queue = [start]
+    seen, queue = {start}, [start]
     # breadth first: the queue grows while it is walked
     for expanded, x in enumerate(queue, 1):
-        for y in _atom_conjugates(x, masks):
+        for y in _atom_conjugates(p, x, masks):
             if y == target:
                 return True
             if y not in seen:

@@ -32,6 +32,8 @@ turn each state circle is two orbits, one per direction, so one walk marking
 both ends of each arc counts it; with the next slot (s + 1) mod 4 as the
 turn each orbit is a face.  Connected pieces are the pass cycles joined at
 shared crossings, read off the pass table that ``pass_cycles()`` fills.
+A pass is the int ``v = 2*c + over`` (over = 1 on the over-strand), so
+``v >> 1`` is its crossing and ``v ^ 1`` the crossing's other visit.
 
 The minimum number of crossing changes making a diagram alternating is
 decided exactly: alternation fixes each link component's changes up to one
@@ -131,7 +133,7 @@ class Diagram:
         self.signs, self.edge_labels = signs, labels
         self._partner = partner  # partner[e] is the end sharing e's label
         self.free_circles, self.strands = free_circles, strands
-        self._cycles: list[list[tuple[int, bool]]] | None = None
+        self._cycles: list[list[int]] | None = None
         self._tags: list[int] = []  # the pass table; pass_cycles() fills it
 
     # -- basics ---------------------------------------------------------
@@ -163,30 +165,31 @@ class Diagram:
 
     # -- traversal --------------------------------------------------------
 
-    def pass_cycles(self) -> list[list[tuple[int, bool]]]:
+    def pass_cycles(self) -> list[list[int]]:
         """Strand components as cyclic pass sequences.
 
         Each component of the underlying curve is one cycle; its entries are
-        (crossing, goes_over) in traversal order.  Odd slots are the
-        over-strand's ends.  The walk also fills the pass table ``_tags``:
-        ``_tags[2*c + over]`` is 2k + (over xor i mod 2) for pass i of cycle k.
+        passes in traversal order, the pass through crossing c as the int
+        v = 2*c + over, where over is 1 on the over-strand (odd slots).
+        The walk also fills the pass table ``_tags``: ``_tags[v]`` is
+        2k + (over xor i mod 2) when v is pass i of cycle k.
         """
         if self._cycles is None:
-            partner, seen = self._partner, bytearray(4 * self.n_crossings)
-            tags = [0] * (2 * self.n_crossings)
-            cycles: list[list[tuple[int, bool]]] = []
-            start = seen.find(0)
-            while start >= 0:
-                cycle: list[tuple[int, bool]] = []
-                tag, end = 2 * len(cycles), start
-                while not seen[end]:
-                    seen[end] = seen[end ^ 2] = 1  # the pass goes to slot (s + 2) % 4
-                    crossing, over = end >> 2, end & 1
-                    tags[2 * crossing + over] = tag ^ over
-                    cycle.append((crossing, over == 1))
-                    tag, end = tag ^ 1, partner[end ^ 2]
+            partner, passes = self._partner, 2 * self.n_crossings
+            tags = [-1] * (passes + 1)  # -1 until walked, and a sentinel at the end
+            cycles: list[list[int]] = []
+            start = tags.index(-1)  # each cycle starts at its lowest pass
+            while start < passes:
+                cycle: list[int] = []
+                tag, v, end = 2 * len(cycles), start, start >> 1 << 2 | start & 1
+                while tags[v] < 0:  # until the walk is back at its first pass
+                    tags[v] = tag ^ v & 1
+                    cycle.append(v)
+                    end = partner[end ^ 2]  # the pass goes to slot (s + 2) % 4
+                    tag, v = tag ^ 1, end >> 2 << 1 | end & 1
                 cycles.append(cycle)
-                start = seen.find(0, start)
+                start = tags.index(-1, start)
+            tags.pop()
             self._cycles, self._tags = cycles, tags
         return self._cycles
 
@@ -338,7 +341,7 @@ def is_alternating(diagram: Diagram) -> bool:
 def _witness_alternates(cycles: list, witness: Iterable[int]) -> bool:
     """Whether the passes alternate with the witness's pass bits flipped."""
     flipped = set(witness)
-    cycle_bits = ([bit ^ (c in flipped) for c, bit in cycle] for cycle in cycles)
+    cycle_bits = ([v & 1 ^ (v >> 1 in flipped) for v in cycle] for cycle in cycles)
     return all(all(map(ne, b, b[-1:] + b[:-1])) for b in cycle_bits)  # cyclically
 
 
@@ -388,14 +391,15 @@ class DaltReport(NamedTuple):
 def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     """Minimize crossing changes until the diagram alternates, exactly.
 
-    A component with passes (c_i, t_i) in order, t_i = goes over, alternates
-    after the changes x exactly when x_{c_i} = t_i xor (i mod 2) xor e for
-    one bit e per component.  A crossing's two visits tie two such bits, so
-    each connected piece has two alternating change sets, complements of
-    each other; the minimum takes the smaller, or on a tie the one holding
-    the piece's lowest crossing.  Each crossing's other visit comes from the
-    pass table; the witness is replayed on the pass bits of pass_cycles(),
-    its crossings' bits flipped, before return.
+    A component with passes v_i = 2*c_i + t_i in order, t_i = goes over,
+    alternates after the changes x exactly when x_{c_i} = t_i xor (i mod 2)
+    xor e for one bit e per component.  A crossing's two visits v and v ^ 1
+    tie two such bits, so each connected piece has two alternating change
+    sets, complements of each other; the minimum takes the smaller, or on a
+    tie the one holding the piece's lowest crossing.  The pass table gives
+    t_i xor (i mod 2) as ``_tags[v] & 1`` and the other visit as
+    ``_tags[v ^ 1]``; the witness is replayed on the pass bits of
+    pass_cycles(), its crossings' bits flipped, before return.
 
     Raises InconsistentConstraints when no change set alternates: never for
     a planar diagram, but possible for one built directly past import_pd's
@@ -413,9 +417,9 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         flip[root], stack, change = 0, [root], {}
         while stack:
             k = stack.pop()
-            for c, over in cycles[k]:
-                change[c] = x = tags[2 * c + over] & 1 ^ flip[k]  # t xor i mod 2 xor e
-                other = tags[2 * c + (not over)]  # the crossing's other visit
+            for v in cycles[k]:
+                change[v >> 1] = x = tags[v] & 1 ^ flip[k]  # t xor i mod 2 xor e
+                other = tags[v ^ 1]  # the crossing's other visit
                 j = other >> 1
                 if flip[j] == -1:
                     flip[j] = x ^ other & 1
@@ -445,12 +449,12 @@ def brute_force_dealternating(diagram: Diagram, limit: int = 14) -> int:
     n = diagram.n_crossings
     if n > limit:
         raise ValueError(f"{n} crossings exceed the brute-force limit {limit}")
-    # consecutive passes (c1, t1), (c2, t2) of a cycle, cyclically, alternate
-    # after the changes x exactly when x_c1 xor x_c2 = t1 xor t2 xor 1
+    # consecutive passes 2*c1 + t1, 2*c2 + t2 of a cycle, cyclically,
+    # alternate after the changes x exactly when x_c1 xor x_c2 = t1 xor t2 xor 1
     pairs = [
-        (c1, c2, t1 ^ t2 ^ 1)
+        (v >> 1, w >> 1, (v ^ w) & 1 ^ 1)
         for cycle in diagram.pass_cycles()
-        for (c1, t1), (c2, t2) in zip(cycle, cycle[1:] + cycle[:1])
+        for v, w in zip(cycle, cycle[1:] + cycle[:1])
     ]
     for mask in sorted(range(1 << n), key=int.bit_count):  # smallest sets first
         if all((mask >> c1 ^ mask >> c2) & 1 == want for c1, c2, want in pairs):

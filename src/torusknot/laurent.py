@@ -19,7 +19,8 @@ The text format matches the usual typeset style, e.g.::
 
 Exponents in ``-9..-1`` and ``10..`` are braced, single-digit nonnegative
 exponents are bare, and unit coefficients are suppressed.  ``from_text``
-accepts both braced and bare exponents and ignores whitespace.
+accepts both braced and bare exponents and whitespace between symbols, and
+needs a sign before every term after the first.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
 # One term of the text format: sign, magnitude, then t with an optional
 # braced or bare exponent.
 _TERM = re.compile(r"([+-]?)(\d*)(t(?:\^(?:\{([+-]?\d+)\}|(-?\d+)))?)?")
+_SPLIT_NUMBER = re.compile(r"\d\s+\d")  # whitespace splits no number
 
 
 class NonExactDivision(ArithmeticError):
@@ -297,12 +299,14 @@ class LaurentPolynomial:
         s = "".join(text.split())
         if not s:
             raise ValueError("empty polynomial text")
+        if _SPLIT_NUMBER.search(text):
+            raise ValueError(f"whitespace inside a number in {text!r}")
         terms: list[tuple[int, int]] = []
         i = 0
         while i < len(s):
             term = _TERM.match(s, i)
             sign, digits, power, braced, bare = term.groups()
-            if not (digits or power):
+            if not (digits or power) or i and not sign:  # a term after the first
                 raise ValueError(f"malformed term at offset {i} in {text!r}")
             exponent = int(braced or bare or 1) if power else 0
             terms.append((exponent, int(sign + (digits or "1"))))

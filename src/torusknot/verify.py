@@ -17,7 +17,6 @@ across runs and worker counts.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import random
 import time
@@ -98,8 +97,6 @@ def _check(name: str, *options: str):
                 return CheckResult(name, False, summary, elapsed)
             return CheckResult(name, True, detail, elapsed)
 
-        parameters = list(inspect.signature(body).parameters.values())[1:]
-        check.__signature__ = inspect.Signature(parameters, return_annotation=CheckResult)
         _CHECKS[name] = (check, options)
         return check
 

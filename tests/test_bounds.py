@@ -58,6 +58,13 @@ def test_parameters_normalized():
         bounds(3, -1)
 
 
+def test_parameters_must_be_ints():
+    # math.gcd once raised first, naming neither parameter
+    for call, p, q in ((bounds, 4.0, 5), (bounds_report, 2, 4.0), (bounds, True, 5)):
+        with pytest.raises(TypeError, match=rf"must be ints, got \({p!r}, {q!r}\)"):
+            call(p, q)
+
+
 def test_bracket_ordering_everywhere():
     for q in range(1, 14):
         for p in range(1, q + 1):

@@ -383,28 +383,34 @@ def _random_word(rng, strands, length):
     return BraidWord(strands, [rng.randint(1, strands - 1) for _ in range(length)])
 
 
+def _chain_word(strands, chain):
+    """A positive word for a chain of 0-based permutation braids."""
+    return BraidWord(strands, [g for f in chain for g in braid._permutation_word(f)])
+
+
 def test_conjugating_by_the_first_letter_gives_the_next_rotation():
     rng = random.Random(17)
     for _ in range(1000):
         word = _random_word(rng, rng.randint(2, 6), rng.randint(0, 40))
-        x, masks = normal_form(word), braid._MaskMemo()
+        masks = braid._MaskMemo()
+        x = braid._word_chain(word, masks)
         for r, g in enumerate(word.letters, 1):
-            x = braid._conjugate(x.strands, braid._chain(x), g, masks)
-            assert x == normal_form(word.rotate(r)), (word.as_text(), r)
+            x = braid._conjugate(word.strands, x, g, masks)
+            assert x == braid._word_chain(word.rotate(r), masks), (word.as_text(), r)
 
 
 def test_atom_conjugates_are_conjugates_by_each_left_divisor():
     rng = random.Random(19)
     for _ in range(1000):
-        strands = rng.randint(2, 6)
-        x = normal_form(_random_word(rng, strands, rng.randint(1, 40)))
-        first = x.factors[0] if not x.infimum else tuple(range(strands, 0, -1))
-        divisors = [g for g in range(1, strands) if first[g - 1] > first[g]]
-        conjugates = list(braid._atom_conjugates(x, braid._MaskMemo()))
+        strands, masks = rng.randint(2, 6), braid._MaskMemo()
+        x = braid._word_chain(_random_word(rng, strands, rng.randint(1, 40)), masks)
+        divisors = [g for g in range(1, strands) if x[0][g - 1] > x[0][g]]
+        conjugates = list(braid._atom_conjugates(strands, x, masks))
         assert len(conjugates) == len(divisors) >= 1
+        word_x = _chain_word(strands, x)
         for g, y in zip(divisors, conjugates):
             sigma = BraidWord(strands, (g,))
-            assert words_equal(sigma * y.word(), x.word() * sigma), (x, g)
+            assert words_equal(sigma * _chain_word(strands, y), word_x * sigma), (word_x, g)
 
 
 def _outcome(search, a, b, max_states):
@@ -536,8 +542,9 @@ def test_five_three_conjugator_replays():
         assert not words_equal(word, torus)
         # the search agrees, and sigma_2 left-divides the word, so one rotation suffices
         assert cyclically_equal(word, torus)
-        conjugates = braid._atom_conjugates(normal_form(word), braid._MaskMemo())
-        assert normal_form(torus) in set(conjugates)
+        masks = braid._MaskMemo()
+        conjugates = braid._atom_conjugates(5, braid._word_chain(word, masks), masks)
+        assert braid._word_chain(torus, masks) in set(conjugates)
 
 
 def test_searched_five_eight_word_is_cyclically_equal_to_the_torus_word():

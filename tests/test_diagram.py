@@ -204,20 +204,42 @@ def _matching(rng: random.Random, n: int, free_circles: int = 0) -> Diagram:
     return Diagram(signs, _labelled(arcs), free_circles)
 
 
-def test_pass_cycles_match_the_pd_row_walk():
+def _pass_walk_cases() -> list[Diagram]:
+    """Positive and mixed-sign closures and arbitrary matchings, seeded."""
     rng = random.Random(26)
     diagrams = [_random_closure(rng, (2, 7), rng.randint(0, 40)) for _ in range(150)]
     diagrams += [_mixed_sign(rng, (2, 8), rng.randint(0, 60)) for _ in range(150)]
     diagrams += [
         _matching(rng, rng.randint(1, 9), rng.randint(0, 2)) for _ in range(300)
     ]
+    return diagrams
+
+
+def _pass_ints(cycles) -> list[list[int]]:
+    """(crossing, goes_over) passes as the ints 2*crossing + over."""
+    return [[2 * c + over for c, over in cycle] for cycle in cycles]
+
+
+def test_pass_cycles_match_the_pd_row_walk():
     lengths = set()
-    for d in diagrams:
+    for d in _pass_walk_cases():
         cycles = d.pass_cycles()
-        assert cycles == pd_pass_cycles(d), export_pd(d)
+        assert cycles == _pass_ints(pd_pass_cycles(d)), export_pd(d)
         assert d.components() == len(cycles) + d.free_circles
         lengths.update(len(cycle) % 2 for cycle in cycles)
     assert lengths == {0, 1}  # the matchings walk odd cycles too
+
+
+def test_each_pass_lies_once_on_the_cycle_its_tag_names():
+    """Every pass 0 <= v < 2c is on exactly one cycle, the one _tags[v] names,
+    and its tag's low bit is its over bit xor its parity along that cycle."""
+    for d in _pass_walk_cases():
+        cycles, tags = d.pass_cycles(), d._tags
+        passes = sorted(v for cycle in cycles for v in cycle)
+        assert passes == list(range(2 * d.n_crossings)), export_pd(d)
+        for k, cycle in enumerate(cycles):
+            want = [2 * k + (v & 1 ^ i & 1) for i, v in enumerate(cycle)]
+            assert [tags[v] for v in cycle] == want, export_pd(d)
 
 
 def test_piece_counts_beyond_positive_closures():
@@ -249,8 +271,10 @@ def test_pieces_join_cycles_that_pass_one_way():
         [15, 19, 18, 14, "+"],
     ]}))  # from the mixed-sign cases above
     hopf = change_crossings(closure_diagram(BraidWord(2, (1, 1))), [0])
-    assert hopf.pass_cycles() == [[(0, False), (1, False)], [(0, True), (1, True)]]
-    assert mixed.pass_cycles()[2] == [(1, False), (6, False)]
+    for d in (mixed, hopf):
+        assert d.pass_cycles() == _pass_ints(pd_pass_cycles(d))
+    assert hopf.pass_cycles() == [[0, 2], [1, 3]]  # both under, then both over
+    assert mixed.pass_cycles()[2] == [2, 12]  # under at crossings 1 and 6
     for d, genus in ((mixed, 3), (hopf, 1)):
         assert diagram_module._pieces(d) == union_find_pieces(d.n_crossings, _arcs(d)) == 1
         assert turaev_genus_diagram(d) == genus  # connected: no DisconnectedDiagram

@@ -62,7 +62,11 @@ def test_parse_whitespace_and_braces():
     )
 
 
-@pytest.mark.parametrize("bad", ["", "t^", "t^{3", "q+1", "1+", "t^{}"])
+# The last five once parsed as 2+t, 2t, 3+2t, t^{23} and 12: a term after the
+# first needs its sign, and whitespace may not split a number.
+@pytest.mark.parametrize(
+    "bad", ["", "t^", "t^{3", "q+1", "1+", "t^{}", "t2", "tt", "2t3", "t^2 3", "1 2"]
+)
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         LaurentPolynomial.from_text(bad)
