@@ -16,11 +16,13 @@ KnotTooLarge before anything is allocated.
 
 Four families close to explicit sparse sums: T(p, pn+1) and T(p, pn-1) for
 any p, and T(5, 5n+2) and T(5, 5n+3).  One table, ``_CLOSED_FORMS``, holds
-each family's offset, strand count, expansion and knot Floer width;
-``alexander_closed_form`` evaluates the expansions directly.  The two
-computations agree on every family member — the test suite cross-checks them
-against each other, against the rational formula above evaluated by exact
-division, and against an independent numerical-semigroup expansion.
+each family's offset r, strand count, expansion and knot Floer width.  The
+four share two expansion shapes, q = pn +- 1 and q = 5n + 2 or 3, and
+``alexander_closed_form`` calls the row's shape as ``expansion(p, n, r)``.
+The two computations agree on every family member — the test suite
+cross-checks them against each other, against the rational formula above
+evaluated by exact division, and against an independent numerical-semigroup
+expansion.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ def alexander_closed_form(family: TorusFamily) -> LaurentPolynomial:
     n = 0 included; the closed forms are sparse sums whose term count grows
     linearly in n.
     """
-    return _CLOSED_FORMS[family.kind][2](family.p, family.n)
+    r, _, expansion, _ = _CLOSED_FORMS[family.kind]
+    return expansion(family.p, family.n, r)
 
 
 def _symmetric(constant: int, half: list[tuple[int, int]]) -> LaurentPolynomial:
@@ -165,80 +168,53 @@ def _symmetric(constant: int, half: list[tuple[int, int]]) -> LaurentPolynomial:
     return LaurentPolynomial.from_terms([(0, constant), *half, *mirrored])
 
 
-def _closed_pn_plus(p: int, n: int) -> LaurentPolynomial:
-    """q = pn+1, with k = p // 2, and c = 0 for odd p, c = kn for even p:
-    sum_{e=+-1} sum_{i=1..(p-1)//2} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j]-c-i)} (t^{ei}-1)
-    + 1 for odd p, + sum_{e=+-1} sum_{i=1..n} (-1)^{n-i} t^{eik} + (-1)^n for even p.
+def _closed_pn(p: int, n: int, r: int) -> LaurentPolynomial:
+    """q = pn+r for r = +-1, with k = p // 2, c = 0 for odd p and c = kn for
+    even p, m = n for r = 1 and m = n-1 for r = -1, and
+    low(i, j) = p[(k-i+1)n-j] - c - (i for r = 1, p for r = -1):
+    sum_{e=+-1} sum_{i=1..(p-1)//2} sum_{j=0..n-1} t^{e low(i, j)} (t^{ei}-1)
+    + 1 for odd p, + sum_{e=+-1} sum_{i=1..m} (-1)^{m-i} t^{eik} + (-1)^m for even p.
     """
     k, odd = p // 2, p % 2 == 1
     c = 0 if odd else k * n
-    half = [] if odd else [(i * k, (-1) ** (n - i)) for i in range(1, n + 1)]
+    m = n if r == 1 else n - 1
+    half = [] if odd else [(i * k, (-1) ** (m - i)) for i in range(1, m + 1)]
     for i in range(1, (p + 1) // 2):
         for j in range(n):
-            base = p * ((k - i + 1) * n - j) - c - i
-            half += [(base + i, 1), (base, -1)]
-    return _symmetric(1 if odd else (-1) ** n, half)
+            low = p * ((k - i + 1) * n - j) - c - (i if r == 1 else p)
+            half += [(low + i, 1), (low, -1)]
+    return _symmetric(1 if odd else (-1) ** m, half)
 
 
-def _closed_pn_minus(p: int, n: int) -> LaurentPolynomial:
-    """q = pn-1, with k = p // 2, and c = 0 for odd p, c = kn for even p:
-    sum_{e=+-1} sum_{i=1..(p-1)//2} sum_{j=0..n-1} t^{e(p[(k-i+1)n-j-1]-c)} (t^{ei}-1)
-    + 1 for odd p, + sum_{e=+-1} sum_{i=1..n-1} (-1)^{n-i-1} t^{eik} + (-1)^{n-1}
-    for even p.
+def _closed_5n(p: int, n: int, r: int) -> LaurentPolynomial:
+    """q = 5n+r for r in {2, 3} (p = 5), with s = r - 2:
+    1 + sum_e sum_{j=0..n-s} t^{e(10n-5j+1+2s)} (t^e - 1)
+      + sum_e sum_{j=0..n-1+s} t^{e(5n-5j-4+4s)} (t^{4e} - t^{3e} + t^e - 1).
     """
-    k, odd = p // 2, p % 2 == 1
-    c = 0 if odd else k * n
-    half = [] if odd else [(i * k, (-1) ** (n - i - 1)) for i in range(1, n)]
-    for i in range(1, (p + 1) // 2):
-        for j in range(n):
-            base = p * ((k - i + 1) * n - j - 1) - c
-            half += [(base + i, 1), (base, -1)]
-    return _symmetric(1 if odd else (-1) ** (n - 1), half)
-
-
-def _closed_5n2(p: int, n: int) -> LaurentPolynomial:
-    """(5, 5n+2):
-    1 + sum_e sum_{j=0..n} t^{e(10n-5j+1)} (t^e - 1)
-      + sum_e sum_{j=0..n-1} t^{e(5n-5j-4)} (t^{4e} - t^{3e} + t^e - 1).
-    """
+    s = r - 2
     half: list[tuple[int, int]] = []
-    for j in range(n + 1):
-        base = 10 * n - 5 * j + 1
-        half += [(base + 1, 1), (base, -1)]
-    for j in range(n):
-        base = 5 * n - 5 * j - 4
-        half += [(base + 4, 1), (base + 3, -1), (base + 1, 1), (base, -1)]
-    return _symmetric(1, half)
-
-
-def _closed_5n3(p: int, n: int) -> LaurentPolynomial:
-    """(5, 5n+3):
-    1 + sum_e sum_{j=0..n-1} t^{e(10n-5j+3)} (t^e - 1)
-      + sum_e sum_{j=0..n} t^{e(5n-5j)} (t^{4e} - t^{3e} + t^e - 1).
-    """
-    half: list[tuple[int, int]] = []
-    for j in range(n):
-        base = 10 * n - 5 * j + 3
-        half += [(base + 1, 1), (base, -1)]
-    for j in range(n + 1):
-        base = 5 * n - 5 * j
-        half += [(base + 4, 1), (base + 3, -1), (base + 1, 1), (base, -1)]
+    for j in range(n + 1 - s):
+        low = 10 * n - 5 * j + 1 + 2 * s
+        half += [(low + 1, 1), (low, -1)]
+    for j in range(n + s):
+        low = 5 * n - 5 * j - 4 + 4 * s
+        half += [(low + 4, 1), (low + 3, -1), (low + 1, 1), (low, -1)]
     return _symmetric(1, half)
 
 
 # The closed-form families T(p, pn + r), by kind.  Row format:
 #     kind: (r, strands, expansion, width)
 # strands is the one p the kind allows, or None for any p >= 2;
-# expansion(p, n) is the Alexander polynomial of the member with index n,
-# and width(p, n) its knot Floer width.
+# expansion(p, n, r), one of the two shapes, is the Alexander polynomial of
+# the member with index n, and width(p, n) its knot Floer width.
 _CLOSED_FORMS = {
-    "pn+1": (1, None, _closed_pn_plus, lambda p, n: n * ((p - 1) ** 2 // 4) + 1),
+    "pn+1": (1, None, _closed_pn, lambda p, n: n * ((p - 1) ** 2 // 4) + 1),
     "pn-1": (
         -1,
         None,
-        _closed_pn_minus,
+        _closed_pn,
         lambda p, n: n * ((p - 1) ** 2 // 4) - (p - 1) // 2 + 1,
     ),
-    "5n+2": (2, 5, _closed_5n2, lambda p, n: 4 * n + 1),
-    "5n+3": (3, 5, _closed_5n3, lambda p, n: 4 * n + 2),
+    "5n+2": (2, 5, _closed_5n, lambda p, n: 4 * n + 1),
+    "5n+3": (3, 5, _closed_5n, lambda p, n: 4 * n + 2),
 }

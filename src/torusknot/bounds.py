@@ -22,7 +22,7 @@ import math
 from operator import itemgetter
 from typing import NamedTuple
 
-from .braid import UnsupportedTorusFamily, _check_ints, _family, lemma_word, torus_braid_word
+from .braid import _check_ints, _family, lemma_word, torus_braid_word
 from .diagram import (
     Diagram,
     closure_diagram,
@@ -88,29 +88,23 @@ class KnownUpper(NamedTuple):
 def known_dealternating_upper(p: int, q: int) -> KnownUpper | None:
     """Best known dealternating upper bound for T(p, q), if tabulated.
 
-    Returns None for parameter families with no tabulated value.  The
-    returned value is a *target*: when ``needs_pd_import`` is set, the
-    diagrams generated here do not attain it.
+    Returns None for parameter families with no tabulated value, and checks
+    p and q as :func:`bounds` does.  The returned value is a *target*: when
+    ``needs_pd_import`` is set, the diagrams generated here do not attain it.
     """
-    a, b = min(p, q), max(p, q)
-    family, n = _family(a, b)
+    family, n = _family(*_torus_pair(p, q))
     if family is None:
         return None
     (x, y), (u, v) = family.known_upper, family.dealternating
     return KnownUpper(x * n + y, u * n + v > x * n + y, family.note)
 
 
-def _candidate_diagrams(p: int, q: int) -> list[tuple[str, Diagram]]:
-    """Diagrams the bounds are evaluated on, labelled by origin."""
-    pool: list[tuple[str, Diagram]] = []
-    try:
-        word = lemma_word(p, q)
-    except UnsupportedTorusFamily:
-        pass
-    else:
-        pool.append(("tabulated diagram", closure_diagram(word)))
-    pool.append(("standard closure", closure_diagram(torus_braid_word(p, q))))
-    return pool
+def _torus_pair(p: int, q: int) -> tuple[int, int]:
+    """(p, q) checked as given -- both ints, not bools, both >= 1 -- then ordered."""
+    _check_ints(p, q)  # before any comparison, whose TypeError names neither
+    if p < 1 or q < 1:
+        raise ValueError(f"torus link parameters must be positive, got ({p}, {q})")
+    return (p, q) if p <= q else (q, p)
 
 
 def _best(pool: list[tuple[str, Diagram]], evaluate) -> tuple[int, str]:
@@ -134,10 +128,7 @@ def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
     >>> bounds(3, 2)[0].upper
     0
     """
-    _check_ints(p, q)  # before math.gcd, whose TypeError names neither
-    if p < 1 or q < 1:
-        raise ValueError(f"torus link parameters must be positive, got ({p}, {q})")
-    a, b = min(p, q), max(p, q)
+    a, b = _torus_pair(p, q)
 
     if math.gcd(a, b) == 1:
         lower = width_torus(a, b).width - 1
@@ -146,7 +137,9 @@ def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
         lower = 0
         lower_source = "none"
 
-    pool = _candidate_diagrams(a, b)
+    pool = [("standard closure", closure_diagram(torus_braid_word(a, b)))]
+    if _family(a, b)[0] is not None:  # first, so that it wins ties
+        pool.insert(0, ("tabulated diagram", closure_diagram(lemma_word(a, b))))
     g_upper, g_label = _best(pool, turaev_genus_diagram)
     d_upper, d_label = _best(
         pool, lambda d: dealternating_number_diagram(d).minimum_changes
@@ -169,7 +162,7 @@ def _bracket_document(bracket: BoundBracket) -> dict:
 
 def bounds_report(p: int, q: int) -> dict:
     """JSON-friendly summary of :func:`bounds` plus the known-upper table."""
-    a, b = min(p, q), max(p, q)
+    a, b = _torus_pair(p, q)
     turaev, dealt = bounds(p, q)
     known = known_dealternating_upper(a, b)
     report = {

@@ -432,13 +432,11 @@ def _word_chain(word: BraidWord, masks: _MaskMemo) -> tuple:
     factors = [letter[g] for g in word._letters]
     start = [1 << g for g in word._letters]
     finish = start[:]  # a crossing starts and finishes with its one generator
-    return _left_weight(p, factors, start, finish, masks)
+    return _left_weight(factors, start, finish, masks)
 
 
-def _left_weight(
-    p: int, factors: list, start: list, finish: list, masks: _MaskMemo
-) -> tuple:
-    """The left-weighted chain of a list of 0-based permutation braids on p strands:
+def _left_weight(factors: list, start: list, finish: list, masks: _MaskMemo) -> tuple:
+    """The left-weighted chain of a list of 0-based permutation braids:
     the normal form as one tuple of 0-based permutations, half twists
     included and trivial factors dropped, equal exactly when the braids are.
 
@@ -474,12 +472,14 @@ def _left_weight(
     return tuple(f for f, s in zip(factors, start) if s)
 
 
+def _check_same_strands(a: BraidWord, b: BraidWord) -> None:
+    if a.strands != b.strands:
+        raise StrandMismatch(f"cannot compare words on {a.strands} and {b.strands} strands")
+
+
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two positive words present the same braid-group element."""
-    if a.strands != b.strands:
-        raise StrandMismatch(
-            f"cannot compare words on {a.strands} and {b.strands} strands"
-        )
+    _check_same_strands(a, b)
     if len(a) != len(b):
         return False  # positive relations preserve length
     if underlying_permutation(a) != underlying_permutation(b):
@@ -493,7 +493,7 @@ def _conjugate(p: int, chain: tuple, g: int, masks: _MaskMemo) -> tuple:
     the chain and sigma_g joins its end."""
     factors = [_strip_leading_letter(chain[0], g), *chain[1:], _perm0((g,), p)]
     start, finish = map(list, zip(*map(masks.__getitem__, factors)))
-    return _left_weight(p, factors, start, finish, masks)
+    return _left_weight(factors, start, finish, masks)
 
 
 def _atom_conjugates(p: int, chain: tuple, masks: _MaskMemo) -> Iterator[tuple]:
@@ -530,10 +530,7 @@ def cyclically_equal(a: BraidWord, b: BraidWord, max_states: int = 200_000) -> b
     """
     if type(max_states) is not int:  # bools are ints to isinstance
         raise TypeError(f"max_states {max_states!r} is not an int")
-    if a.strands != b.strands:
-        raise StrandMismatch(
-            f"cannot compare words on {a.strands} and {b.strands} strands"
-        )
+    _check_same_strands(a, b)
     if len(a) != len(b):
         return False
     if not a._letters:

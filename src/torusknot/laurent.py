@@ -19,8 +19,8 @@ The text format matches the usual typeset style, e.g.::
 
 Exponents in ``-9..-1`` and ``10..`` are braced, single-digit nonnegative
 exponents are bare, and unit coefficients are suppressed.  ``from_text``
-accepts both braced and bare exponents and whitespace between symbols, and
-needs a sign before every term after the first.
+accepts both braced and bare exponents and whitespace between symbols (not
+inside a number), and needs a sign before every term after the first.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ __all__ = [
 ]
 
 
-# One term of the text format: sign, magnitude, then t with an optional
-# braced or bare exponent.
-_TERM = re.compile(r"([+-]?)(\d*)(t(?:\^(?:\{([+-]?\d+)\}|(-?\d+)))?)?")
-_SPLIT_NUMBER = re.compile(r"\d\s+\d")  # whitespace splits no number
+# One term of the text format, and the whitespace after it: sign, magnitude,
+# then t with an optional braced or bare exponent.  Whitespace may not split a
+# number; an exponent's sign owns the space after it, so backtracking is linear.
+_TERM = re.compile(
+    r"([+-]?)\s*(\d*)\s*"
+    r"(t(?:\s*\^\s*(?:\{\s*(?:([+-])\s*)?(\d+)\s*\}|(?:(-)\s*)?(\d+)))?)?\s*"
+)
 
 
 class NonExactDivision(ArithmeticError):
@@ -293,22 +296,21 @@ class LaurentPolynomial:
     def from_text(cls, text: str) -> "LaurentPolynomial":
         """Parse the typeset style produced by :meth:`to_text`.
 
+        The offset a malformed term's error names indexes ``text`` as given.
+
         >>> LaurentPolynomial.from_text("t^{-1}-1+t").support()
         [-1, 0, 1]
         """
-        s = "".join(text.split())
-        if not s:
+        i = len(text) - len(text.lstrip())  # each term then eats its trailing space
+        if i == len(text):
             raise ValueError("empty polynomial text")
-        if _SPLIT_NUMBER.search(text):
-            raise ValueError(f"whitespace inside a number in {text!r}")
         terms: list[tuple[int, int]] = []
-        i = 0
-        while i < len(s):
-            term = _TERM.match(s, i)
-            sign, digits, power, braced, bare = term.groups()
-            if not (digits or power) or i and not sign:  # a term after the first
+        while i < len(text):
+            term = _TERM.match(text, i)
+            sign, digits, power, *exponent_parts = term.groups("")
+            if not (digits or power) or terms and not sign:  # a term after the first
                 raise ValueError(f"malformed term at offset {i} in {text!r}")
-            exponent = int(braced or bare or 1) if power else 0
+            exponent = int("".join(exponent_parts) or 1) if power else 0
             terms.append((exponent, int(sign + (digits or "1"))))
             i = term.end()
         return cls.from_terms(terms)

@@ -52,16 +52,25 @@ def test_link_lower_bound_is_zero():
 
 def test_parameters_normalized():
     assert bounds(7, 4) == bounds(4, 7)
-    with pytest.raises(ValueError):
-        bounds(0, 5)
-    with pytest.raises(ValueError):
-        bounds(3, -1)
+    # known_dealternating_upper once returned None where bounds refused
+    for p, q in ((0, 5), (3, -1)):
+        with pytest.raises(ValueError) as refused:
+            bounds(p, q)
+        with pytest.raises(ValueError) as known:
+            known_dealternating_upper(p, q)
+        assert str(known.value) == str(refused.value)
 
 
 def test_parameters_must_be_ints():
-    # math.gcd once raised first, naming neither parameter
-    for call, p, q in ((bounds, 4.0, 5), (bounds_report, 2, 4.0), (bounds, True, 5)):
-        with pytest.raises(TypeError, match=rf"must be ints, got \({p!r}, {q!r}\)"):
+    # math.gcd once raised first, naming neither parameter, and min compared
+    # "4" with 5 before anything was checked
+    for call, p, q in (
+        (bounds, 4.0, 5), (bounds_report, 2, 4.0), (bounds, True, 5),
+        (bounds_report, "4", 5), (bounds_report, 5, None),
+        (known_dealternating_upper, "4", 5), (known_dealternating_upper, None, 5),
+    ):
+        want = rf"^torus parameters must be ints, got \({p!r}, {q!r}\)$"
+        with pytest.raises(TypeError, match=want):
             call(p, q)
 
 

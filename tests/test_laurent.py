@@ -60,16 +60,28 @@ def test_parse_whitespace_and_braces():
     assert LaurentPolynomial.from_text("-t^2+t^{11}") == LaurentPolynomial.from_terms(
         {2: -1, 11: 1}
     )
+    assert LaurentPolynomial.from_text(" - 2 t ^ { - 12 }\t+ t ^ - 3 + 4 ") == (
+        LaurentPolynomial.from_terms({-12: -2, -3: 1, 0: 4})
+    )
 
 
 # The last five once parsed as 2+t, 2t, 3+2t, t^{23} and 12: a term after the
 # first needs its sign, and whitespace may not split a number.
 @pytest.mark.parametrize(
-    "bad", ["", "t^", "t^{3", "q+1", "1+", "t^{}", "t2", "tt", "2t3", "t^2 3", "1 2"]
+    "bad",
+    ["", "t^", "t^{3", "q+1", "1+", "t^{}", "t^{1 2}", "t2", "tt", "2t3", "t^2 3", "1 2"],
 )
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         LaurentPolynomial.from_text(bad)
+
+
+def test_parse_error_offset_indexes_the_given_text():
+    # the offset once indexed a copy with the whitespace removed, and read 3
+    with pytest.raises(ValueError, match=r"^malformed term at offset 8 in '1 \+  t  t'$"):
+        LaurentPolynomial.from_text("1 +  t  t")
+    with pytest.raises(ValueError, match="at offset 2 in '  \\^'"):
+        LaurentPolynomial.from_text("  ^")
 
 
 def test_immutable():
