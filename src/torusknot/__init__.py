@@ -7,8 +7,9 @@ The package computes, with integer arithmetic throughout:
   :mod:`torusknot.laurent`;
 * knot Floer staircase complexes, their delta-grading widths, and the
   width-jump scan -- :mod:`torusknot.hfk`;
-* positive braid words, Garside normal forms, and the tabulated
-  low-crossing rewritings of torus words -- :mod:`torusknot.braid`;
+* positive braid words and the tabulated low-crossing rewritings of torus
+  words -- :mod:`torusknot.words`; their Garside normal forms and equality
+  -- :mod:`torusknot.braid`;
 * closed-braid and PD-code diagrams, Kauffman state component counts,
   Turaev genus, and exact dealternating numbers -- :mod:`torusknot.diagram`;
 * certified two-sided bounds combining all of the above --
@@ -46,10 +47,8 @@ _EXPORTS = {
         ),
         (
             "braid",
-            "BraidWord IndexOutOfRange LemmaCheck NormalForm ParseError "
-            "SearchBudgetExceeded StrandMismatch UnknownMacro UnsupportedTorusFamily "
-            "WordTooLong cyclically_equal lemma_word normal_form parse_braid "
-            "torus_braid_word underlying_permutation verify_lemmas words_equal",
+            "LemmaCheck NormalForm SearchBudgetExceeded cyclically_equal normal_form "
+            "underlying_permutation verify_lemmas words_equal",
         ),
         (
             "diagram",
@@ -67,6 +66,11 @@ _EXPORTS = {
         ),
         ("laurent", "LaurentPolynomial NonExactDivision"),
         ("verify", "CheckResult run_checks"),
+        (
+            "words",
+            "BraidWord IndexOutOfRange ParseError StrandMismatch UnknownMacro "
+            "UnsupportedTorusFamily WordTooLong lemma_word parse_braid torus_braid_word",
+        ),
     )
     for name in names.split()
 }

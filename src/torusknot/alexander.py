@@ -27,9 +27,9 @@ expansion.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
+from ._gate import MAX_TORUS_PRODUCT, KnotTooLarge, NotCoprime, normalize_torus_params
 from .laurent import LaurentPolynomial
 
 __all__ = [
@@ -44,37 +44,8 @@ __all__ = [
 ]
 
 
-class NotCoprime(ValueError):
-    """Raised when (p, q) with gcd(p, q) != 1 is passed where a knot is required."""
-
-
 class UnsupportedFamily(ValueError):
     """Raised for family parameters outside the supported patterns."""
-
-
-class KnotTooLarge(ValueError):
-    """Raised, before anything is allocated, for a knot above a size cap."""
-
-
-# alexander_torus holds about p*q coefficients; the cap leaves room for the
-# width-jump scan up to bound 2048.  width_torus has a cap of its own.
-MAX_TORUS_PRODUCT = 2**22
-
-
-def normalize_torus_params(p: int, q: int) -> tuple[int, int]:
-    """Validate and order torus-knot parameters: both positive, coprime, p <= q.
-
-    The (p, q) and (q, p) torus knots are isotopic, so all invariants here
-    normalize to p <= q first.  Booleans are ints to Python, but not
-    parameters: ``True`` is refused rather than read as 1.
-    """
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (p, q)):
-        raise TypeError(f"torus parameters must be integers, got ({p!r}, {q!r})")
-    if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) = {math.gcd(p, q)} != 1; not a knot")
-    return (p, q) if p <= q else (q, p)
 
 
 def _check_torus_size(p: int, q: int) -> None:

@@ -22,7 +22,7 @@ import math
 from operator import itemgetter
 from typing import NamedTuple
 
-from .braid import _check_ints, _family, lemma_word, torus_braid_word
+from ._gate import _torus_pair
 from .diagram import (
     Diagram,
     closure_diagram,
@@ -30,6 +30,7 @@ from .diagram import (
     turaev_genus_diagram,
 )
 from .hfk import width_torus
+from .words import _family, lemma_word, torus_braid_word
 
 __all__ = [
     "BoundBracket",
@@ -97,14 +98,6 @@ def known_dealternating_upper(p: int, q: int) -> KnownUpper | None:
         return None
     (x, y), (u, v) = family.known_upper, family.dealternating
     return KnownUpper(x * n + y, u * n + v > x * n + y, family.note)
-
-
-def _torus_pair(p: int, q: int) -> tuple[int, int]:
-    """(p, q) checked as given -- both ints, not bools, both >= 1 -- then ordered."""
-    _check_ints(p, q)  # before any comparison, whose TypeError names neither
-    if p < 1 or q < 1:
-        raise ValueError(f"torus link parameters must be positive, got ({p}, {q})")
-    return (p, q) if p <= q else (q, p)
 
 
 def _best(pool: list[tuple[str, Diagram]], evaluate) -> tuple[int, str]:

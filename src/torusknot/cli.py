@@ -14,10 +14,11 @@ output: a command returns ``(document, text, exit_code)`` and
 
 Imports are per command: importing this module loads no other module of
 the package.  Each command imports what it runs inside its own body, and
-a subcommand's arguments are added only when the command line selects it,
-so ``alexander`` loads :mod:`~torusknot.alexander` and
-:mod:`~torusknot.laurent` alone, and only ``verify-paper`` loads
-:mod:`~torusknot.verify`, whose check names are the choices of ``--only``.
+a subcommand's arguments are added only when the command line selects it.
+So ``width`` loads :mod:`~torusknot.hfk` and the (p, q) gate alone, a
+diagram built from a word loads :mod:`~torusknot.words` but no normal-form
+code, and only ``verify-paper`` loads :mod:`~torusknot.verify`, whose check
+names are the choices of ``--only``.
 
 Worker counts for the scanning subcommands default to the
 ``TORUSKNOT_JOBS`` environment variable when set.
@@ -64,7 +65,7 @@ def _diagram_from_args(args: argparse.Namespace) -> Diagram:
     if args.pd is not None:
         with open(args.pd, "r", encoding="utf-8") as handle:
             return import_pd(handle.read())
-    from .braid import lemma_word, parse_braid, torus_braid_word
+    from .words import lemma_word, parse_braid, torus_braid_word
 
     if args.tabulated is not None:
         p, q = args.tabulated

@@ -55,6 +55,9 @@ the walked minimum disagrees with its recount or a neighbour lies lower.
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 serially or in a process pool, and checks the jumps in one fixed order.
 Small scans run serially, because starting the pool costs more than they do.
+No width needs a polynomial, so the module loads neither
+:mod:`~torusknot.laurent` nor :mod:`~torusknot.alexander`, whose closed-form
+table :func:`width_formula` imports when it is called.
 """
 
 from __future__ import annotations
@@ -63,24 +66,17 @@ import math
 import os
 from itertools import accumulate, compress, cycle, repeat, starmap
 from operator import add, floordiv, lt, mul, sub
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .alexander import _CLOSED_FORMS, MAX_TORUS_PRODUCT, KnotTooLarge
-from .alexander import normalize_torus_params
-from .laurent import LaurentPolynomial
+from ._gate import MAX_TORUS_PRODUCT, KnotTooLarge, normalize_torus_params
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPolynomial
 
 __all__ = [
-    "NotLSpaceForm",
-    "Staircase",
-    "WidthReport",
-    "ConjectureViolation",
-    "extract_staircase",
-    "hfk_from_staircase",
-    "delta_sequence",
-    "width_torus",
-    "width_formula",
-    "scan_conjecture",
-    "scan_conjecture_parallel",
+    "NotLSpaceForm", "Staircase", "WidthReport", "ConjectureViolation",
+    "extract_staircase", "hfk_from_staircase", "delta_sequence", "width_torus",
+    "width_formula", "scan_conjecture", "scan_conjecture_parallel",
 ]
 
 
@@ -137,6 +133,7 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     nonzero, the signs strictly alternate along the support (by the symmetry,
     along its nonnegative half), and the leading coefficient is +1.
 
+    >>> from torusknot.laurent import LaurentPolynomial
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
     Staircase(s=(0, 1))
     """
@@ -248,6 +245,8 @@ def width_formula(p: int, q: int) -> int:
     5n+3 for p = 5.  Raises ValueError for parameters outside those families
     (use :func:`width_torus` instead, which always works).
     """
+    from .alexander import _CLOSED_FORMS
+
     p, q = normalize_torus_params(p, q)
     for r, strands, _, width in _CLOSED_FORMS.values():
         n, rest = divmod(q - r, p)

@@ -31,14 +31,7 @@ from .alexander import (
     alexander_torus,
 )
 from .bounds import bounds, known_dealternating_upper
-from .braid import (
-    _FAMILIES,
-    BraidWord,
-    lemma_word,
-    normal_form,
-    torus_braid_word,
-    verify_lemmas,
-)
+from .braid import normal_form, verify_lemmas
 from .diagram import (
     all_a,
     all_b,
@@ -58,6 +51,7 @@ from .hfk import (
     width_torus,
 )
 from .laurent import LaurentPolynomial
+from .words import _FAMILIES, BraidWord, lemma_word, torus_braid_word
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 

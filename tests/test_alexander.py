@@ -64,9 +64,9 @@ def test_non_coprime_rejected(p, q):
 @pytest.mark.parametrize("p,q", [(True, 3), (3, True), (False, 1), (2.0, 3), ("2", 3)])
 def test_non_integer_parameters_rejected(p, q):
     # True is an int to Python: it must not pass as 1 and make T(1, 3).
-    with pytest.raises(TypeError, match="must be integers"):
+    with pytest.raises(TypeError, match="torus parameters must be ints"):
         normalize_torus_params(p, q)
-    with pytest.raises(TypeError, match="must be integers"):
+    with pytest.raises(TypeError, match="torus parameters must be ints"):
         width_torus(p, q)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _oracles import rebuilt_cyclically_equal, sweep_normal_form
 from torusknot import braid
+from torusknot import words as words_module
 from torusknot.braid import (
     BraidWord,
     IndexOutOfRange,
@@ -30,6 +31,13 @@ from torusknot.braid import (
     verify_lemmas,
     words_equal,
 )
+
+
+def test_braid_reexports_the_word_layer():
+    # the word names moved to torusknot.words; torusknot.braid.X still resolves
+    assert words_module.__all__ and set(words_module.__all__) <= set(braid.__all__)
+    for name in words_module.__all__:
+        assert getattr(braid, name) is getattr(words_module, name), name
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +107,7 @@ def test_word_length_cap(monkeypatch):
         torus_braid_word(100000, 100001)
     with pytest.raises(WordTooLong):
         lemma_word(4, 40000000001)
-    monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 4)
+    monkeypatch.setattr(words_module, "MAX_WORD_LETTERS", 4)  # the module that reads it
     assert parse_braid("1^4", 2).letters == (1,) * 4
     assert torus_braid_word(3, 2).letters == (1, 2, 1, 2)
     for text in ("1^5", "(11)^3", "(11)(11)1", "11 1 1 1", "{delta_p}"):

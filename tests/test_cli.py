@@ -481,22 +481,24 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
 
 # The package modules each command loads, besides torusknot.cli: every
 # command imports what it runs when it runs, and nothing at start-up.
-_ALEXANDER = {"alexander", "laurent"}
-_WIDTH = _ALEXANDER | {"hfk"}
-_DIAGRAM = {"braid", "diagram"}  # a diagram built from a braid word
+# _gate is the (p, q) gate that every layer shares.
+_ALEXANDER = {"alexander", "laurent", "_gate"}
+_WIDTH = {"hfk", "_gate"}  # no polynomial
+_WORDS = {"words", "_gate"}  # no normal form
+_DIAGRAM = _WORDS | {"diagram"}  # a diagram built from a braid word
 _BOUNDS = _WIDTH | _DIAGRAM | {"bounds"}
 _LOADS = {
     "alexander": _ALEXANDER,
-    "hfk": _WIDTH,
+    "hfk": _ALEXANDER | _WIDTH,  # the staircase of alexander_torus
     "width": _WIDTH,
     "scan": _WIDTH,
-    "braid-eq": {"braid"},
-    "verify-lemmas": {"braid"},
+    "braid-eq": _WORDS | {"braid"},
+    "verify-lemmas": _WORDS | {"braid"},
     "turaev-genus": _DIAGRAM,
     "dalt": _DIAGRAM,
     "states": _DIAGRAM,
     "bounds": _BOUNDS,
-    "verify-paper": _BOUNDS | {"verify"},
+    "verify-paper": _ALEXANDER | _BOUNDS | {"braid", "verify"},
 }
 
 

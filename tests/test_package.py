@@ -35,7 +35,9 @@ _EXPORTED = [
 ]
 # The submodules that define exports, which dir() lists as before; the
 # package attribute ``bounds`` is the function, not the submodule.
-_SUBMODULES = ["alexander", "bounds", "braid", "diagram", "hfk", "laurent", "verify"]
+_SUBMODULES = [
+    "alexander", "bounds", "braid", "diagram", "hfk", "laurent", "verify", "words"
+]
 
 
 def _fresh(code: str) -> object:
@@ -133,7 +135,24 @@ def test_import_torusknot_loads_no_submodule():
         "print(json.dumps([before, loaded()]))"
     )
     assert before == []
-    assert after == ["torusknot.alexander", "torusknot.hfk", "torusknot.laurent"]
+    assert after == ["torusknot._gate", "torusknot.hfk"]
+
+
+def test_hfk_loads_no_polynomial_code():
+    # widths need no Laurent polynomial: importing hfk loads the (p, q) gate
+    # alone, and width_formula loads the closed-form table when it is called
+    before, after = _fresh(
+        "import json, sys, torusknot.hfk\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('torusknot.'))\n"
+        "before = loaded()\n"
+        "torusknot.hfk.width_formula(4, 5)\n"
+        "print(json.dumps([before, loaded()]))"
+    )
+    assert before == ["torusknot._gate", "torusknot.hfk"]
+    assert after == [
+        "torusknot._gate", "torusknot.alexander", "torusknot.hfk", "torusknot.laurent"
+    ]
 
 
 def test_tracer_targets_resolve_to_package_callables(monkeypatch):
