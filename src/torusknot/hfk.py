@@ -41,20 +41,26 @@ consecutive integers hold one element of each class, and the class of b*q
 which never decreases as x grows: it is negative exactly for
 x < L = q(ceil(p/2) - 1) - p + 1.  So h(x) > h(x+p) below L and
 h(x) <= h(x+p) from L on, and min h is attained on the p integers
-[L, L+p).  :func:`_torus_width` starts from h(L), counted with
+[L, L+p).  As L + p = q(ceil(p/2) - 1) + 1, the window's members of S are
+the ceil(p/2) elements of the classes of c*q, c < ceil(p/2), and they sit at
+L + ((-1 - c*q) mod p).  So the walk of h over the window, taken from h(L),
+depends on p and q mod p alone: its shape is the offset of min h from h(L)
+and the first argmin.  :func:`_column_widths` takes a column of knots
+T(p, q), one p: it walks each shape once per residue q mod p, and reads the
+h(L) of every knot with
 
     #(S n [0, x)) = sum_{0 <= b < p, b*q < x} ceil((x - b*q)/p),
 
-and walks the window, whose members of S are the ceil(p/2) window elements
-of the classes of b*q < L + p: O(p) Python-int work per knot, no arrays.
+O(p) Python-int work per knot, no arrays.
 
-Each call certifies its result: it recounts h at the argmin and at the
-argmin +- p with the sum above, and raises RuntimeError naming T(p, q) if
-the walked minimum disagrees with its recount or a neighbour lies lower.
+Each width is certified: h is recounted at the argmin and at the argmin +- p
+with the sum above, and a RuntimeError naming T(p, q) is raised if the walked
+minimum disagrees with its recount or a neighbour lies lower.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
-serially or in a process pool, and checks the jumps in one fixed order.
-Small scans run serially, because starting the pool costs more than they do.
+column by column, serially or with one column per task of a process pool,
+and checks the jumps in one fixed order.  Small scans run serially, because
+starting the pool costs more than they do.
 No width needs a polynomial, so the module loads neither
 :mod:`~torusknot.laurent` nor :mod:`~torusknot.alexander`, whose closed-form
 table :func:`width_formula` imports when it is called.
@@ -138,7 +144,7 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     Staircase(s=(0, 1))
     """
     coefficients = delta.coefficients or (0,)  # the zero polynomial as 0 * t^0
-    if min(coefficients) < -1 or max(coefficients) > 1:
+    if not set(compress(coefficients, coefficients)) <= {-1, 1}:  # one pass, nonzero only
         raise NotLSpaceForm("coefficients must all be +-1")
     if not delta.is_palindromic():
         raise NotLSpaceForm("polynomial is not palindromic")
@@ -198,27 +204,43 @@ def _semigroup_count(p: int, q: int, x: int) -> int:
 _MAX_WIDTH_BITS = 2**21  # T(65535, 65536) is the largest T(p, p+1) width_torus takes
 
 
-def _torus_width(p: int, q: int) -> int:
-    """Width of T(p, q), 1 <= p <= q coprime, as 1 - min h, certified.
-
-    Walks h over the window [L, L+p) that holds its minimum (see the module
-    docstring), then recounts h at the argmin and at the argmin +- p.
-    """
-    low = q * ((p + 1) // 2 - 1) - p + 1
+def _window_shape(p: int, r: int) -> tuple[int, int]:
+    """The offset of min h from h(L), and its first argmin - L, over the
+    window [L, L+p) of every T(p, q) with q = r mod p (see the module
+    docstring)."""
     step = [-1] * p
-    for y in range(0, low + p, q):  # classes with an element of <p, q> in the window
-        step[(y - low) % p] = 1
-    walk = list(accumulate(step[:-1], initial=2 * _semigroup_count(p, q, low) - low))
+    for c in range((p + 1) // 2):  # the window's elements of <p, q>
+        step[(-1 - c * r) % p] = 1
+    walk = list(accumulate(step[:-1], initial=0))
     least = min(walk)
-    at = low + walk.index(least)
-    for x in (at - p, at, at + p):
-        h = 2 * _semigroup_count(p, q, x) - x
-        if h < least or (x == at and h != least):
-            raise RuntimeError(
-                f"width certificate of T({p},{q}) failed: the walk gives min h = "
-                f"{least} at {at}, a recount gives h({x}) = {h}"
-            )
-    return 1 - least
+    return least, walk.index(least)
+
+
+def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
+    """Widths of T(p, q) for q in ``qs``, 1 <= p <= q coprime, as 1 - min h,
+    certified.
+
+    Walks the window shape once per residue q mod p, then for every knot
+    counts h(L) and recounts h at the argmin and at the argmin +- p.
+    """
+    shapes: dict[int, tuple[int, int]] = {}
+    widths = []
+    for q in qs:
+        r = q % p
+        if r not in shapes:
+            shapes[r] = _window_shape(p, r)
+        offset, index = shapes[r]
+        low = q * ((p + 1) // 2 - 1) - p + 1
+        least, at = 2 * _semigroup_count(p, q, low) - low + offset, low + index
+        for x in (at - p, at, at + p):
+            h = 2 * _semigroup_count(p, q, x) - x
+            if h < least or (x == at and h != least):
+                raise RuntimeError(
+                    f"width certificate of T({p},{q}) failed: the walk gives min h = "
+                    f"{least} at {at}, a recount gives h({x}) = {h}"
+                )
+        widths.append(1 - least)
+    return widths
 
 
 def width_torus(p: int, q: int) -> WidthReport:
@@ -228,13 +250,13 @@ def width_torus(p: int, q: int) -> WidthReport:
     3
     """
     p, q = normalize_torus_params(p, q)
-    bits = (p * q).bit_length()  # the walk holds p values of h, each within +-p*q
+    bits = (p * q).bit_length()  # the walk holds p integers; h is within +-p*q
     if p * bits > _MAX_WIDTH_BITS:
         raise KnotTooLarge(
             f"the width walk of T({p},{q}) holds {p} integers of {bits} bits, "
             f"above the cap of {_MAX_WIDTH_BITS} bits"
         )
-    genus, width = (p - 1) * (q - 1) // 2, _torus_width(p, q)
+    genus, (width,) = (p - 1) * (q - 1) // 2, _column_widths(p, [q])
     return WidthReport(genus, genus + 1 - width, width)
 
 
@@ -257,10 +279,10 @@ def width_formula(p: int, q: int) -> int:
 
 # A scan whose knots' p sum to less than this runs serially: a width costs
 # O(p), and below it starting a pool cost more than it saved (2 cores, best of
-# 5 in each of 2 runs: bound 90, sum 7.3e4, took 31-40 ms serially and 36-44 ms
-# with 2 workers; they broke even between bound 100 and 120, sums 9.9e4 and
-# 1.7e5; bound 140, 2.8e5, took 105-141 ms and 89-102 ms).
-_SERIAL_BELOW = 150_000
+# 5 in each of 3 runs: bound 90, sum 7.3e4, took 19-24 ms serially and 19-25 ms
+# with 2 workers; bound 100, sum 9.9e4, 25-31 and 22-26 ms; bound 140, sum
+# 2.8e5, 59-64 and 45-50 ms).
+_SERIAL_BELOW = 100_000
 
 
 def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureViolation]]:
@@ -306,13 +328,21 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(pairs)))
     if sum(p for p, _ in pairs) < _SERIAL_BELOW:
         jobs = 1
+    columns: dict[int, list[int]] = {}
+    for p, q in pairs:
+        columns.setdefault(p, []).append(q)
     if jobs == 1:
-        width = dict(zip(pairs, starmap(_torus_width, pairs)))
+        column_widths = list(starmap(_column_widths, columns.items()))
     else:
         import multiprocessing
 
         with multiprocessing.Pool(processes=jobs) as pool:
-            width = dict(zip(pairs, pool.starmap(_torus_width, pairs)))
+            column_widths = pool.starmap(_column_widths, columns.items())
+    width = {
+        (p, q): w
+        for (p, qs), ws in zip(columns.items(), column_widths)
+        for q, w in zip(qs, ws)
+    }
 
     violations: list[ConjectureViolation] = []
     for (p, q), prev in zip(pairs, previous):

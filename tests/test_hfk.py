@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -133,15 +132,43 @@ def test_staircase_is_its_steps():
 
 def test_semigroup_kernel_matches_rational_formula():
     """Delta spreads of every coprime 2 <= p < q < 120, walked over <p, q>
-    knot by knot, equal those read off the Alexander polynomial divided out
-    of the rational formula (the test oracle, not the package's grid)."""
+    column by column and knot by knot, equal those read off the Alexander
+    polynomial divided out of the rational formula (the test oracle, not the
+    package's grid)."""
     for p in range(2, 119):
-        for q in range(p + 1, 120):
-            if math.gcd(p, q) != 1:
-                continue
-            want = delta_sequence(extract_staircase(rational_alexander(p, q)))
-            assert hfk._torus_width(p, q) == want.width, (p, q)
+        qs = [q for q in range(p + 1, 120) if math.gcd(p, q) == 1]
+        wants = [delta_sequence(extract_staircase(rational_alexander(p, q))) for q in qs]
+        assert hfk._column_widths(p, qs) == [want.width for want in wants], p
+        for q, want in zip(qs, wants):
             assert width_torus(p, q) == want == width_torus(q, p), (p, q)
+
+
+def _walked_shape(p, q):
+    """The window walk of T(p, q) from h(L) = 0, knot by knot, no memo:
+    the classes of y = b*q < L + p hold the window's elements of <p, q>."""
+    low = q * ((p + 1) // 2 - 1) - p + 1
+    step = [-1] * p
+    for y in range(0, low + p, q):
+        step[(y - low) % p] = 1
+    walk = [0]
+    for s in step[:-1]:
+        walk.append(walk[-1] + s)
+    return min(walk), walk.index(min(walk))
+
+
+def test_window_shape_depends_on_q_mod_p():
+    """(offset of min h from h(L), first argmin) is one shape per residue
+    q mod p: equal for q and q + kp over coprime p < q <= 150."""
+    shapes, knots = {}, 0
+    for q in range(2, 151):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                knots += 1
+                walked = _walked_shape(p, q)
+                assert shapes.setdefault((p, q % p), walked) == walked, (p, q)
+    assert len(shapes) < knots
+    for (p, r), shape in shapes.items():
+        assert hfk._window_shape(p, r) == shape, (p, r)
 
 
 @pytest.mark.parametrize("x,shift", [(2, 1), (4, 1), (4, -1), (0, -2), (8, -1)])
@@ -177,13 +204,17 @@ def _load_widths_golden() -> dict:
 
 
 def test_widths_kernel_matches_golden_in_one_call():
-    """The kernel mapped over every golden knot, shuffled, some knots twice."""
+    """The kernel over every golden knot, one column per p, each column
+    shuffled with some knots twice."""
     golden = _load_widths_golden()
     rng = random.Random(20240613)
     knots = _WIDTHS_GRID + rng.sample(_WIDTHS_GRID, 300)
     rng.shuffle(knots)
-    got = list(starmap(hfk._torus_width, knots))
-    assert got == [golden[f"{p},{q}"][2] for p, q in knots]
+    columns = {}
+    for p, q in knots:
+        columns.setdefault(p, []).append(q)
+    for p, qs in columns.items():
+        assert hfk._column_widths(p, qs) == [golden[f"{p},{q}"][2] for q in qs], p
 
 
 def test_widths_match_golden_knot_by_knot():
@@ -351,17 +382,49 @@ def test_parallel_scan_matches_serial(monkeypatch):
         assert scan_conjecture_parallel(60, jobs=jobs) == scan_conjecture(60)
 
 
-def test_scan_computes_each_width_once(monkeypatch):
+@pytest.fixture
+def walks(monkeypatch):
+    """Every (p, q mod p) whose window shape the width kernel walks."""
+    seen = []
+    real = hfk._window_shape
+
+    def counted(p, r):
+        seen.append((p, r))
+        return real(p, r)
+
+    monkeypatch.setattr(hfk, "_window_shape", counted)
+    return seen
+
+
+def test_scan_computes_each_width_once(monkeypatch, walks):
     calls = []  # every knot the width kernel gets
-    real = hfk._torus_width
+    real = hfk._column_widths
 
-    def counted(p, q):
-        calls.append((p, q))
-        return real(p, q)
+    def counted(p, qs):
+        calls.extend((p, q) for q in qs)
+        return real(p, qs)
 
-    monkeypatch.setattr(hfk, "_torus_width", counted)
+    monkeypatch.setattr(hfk, "_column_widths", counted)
     checked, _ = scan_conjecture(40)
     assert len(calls) == len(set(calls)) == checked
+    # one walk per (p, q mod p), fewer walks than knots
+    assert len(walks) == len(set(walks)) < checked
+    assert set(walks) == {(p, q % p) for p, q in calls}
+    # the memo lives for one scan: a second scan walks every shape again
+    scan_conjecture(40)
+    assert walks[len(walks) // 2 :] == walks[: len(walks) // 2]
+
+
+def test_width_certificate_fires_on_a_shape_already_walked(monkeypatch, walks):
+    """T(4,9) reuses the shape that T(4,5) walked (q = 1 mod 4): least h at
+    L + 2 = 8.  A count off there fails the certificate, which names T(4,9)."""
+    real = hfk._semigroup_count
+    monkeypatch.setattr(
+        hfk, "_semigroup_count", lambda p, q, x: real(p, q, x) + ((p, q, x) == (4, 9, 8))
+    )
+    with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,9) failed")):
+        scan_conjecture(10)
+    assert walks.count((4, 1)) == 1
 
 
 def test_small_scans_run_serially(monkeypatch, inline_pool):
@@ -369,7 +432,7 @@ def test_small_scans_run_serially(monkeypatch, inline_pool):
     assert scan_conjecture(50, jobs=2) == scan_conjecture(50)
     assert inline_pool == []
     # bound 250 still uses the pool; a stand-in width keeps this test fast
-    monkeypatch.setattr(hfk, "_torus_width", lambda p, q: 1)
+    monkeypatch.setattr(hfk, "_column_widths", lambda p, qs: [1] * len(qs))
     scan_conjecture(250, jobs=2)
     assert inline_pool == [2]
 
