@@ -398,11 +398,15 @@ _SUBCOMMANDS = [
     "alexander", "hfk", "width", "scan", "braid-eq", "verify-lemmas",
     "turaev-genus", "dalt", "states", "bounds", "verify-paper",
 ]
+# argparse's own exits: no command, an unknown command, an unknown option
+# (refused with the top-level usage, which lists every command) and an
+# option with no command
+_PARSER_CASES = ["", "bogus", "bounds 5 8 --bogus", "--json"]
 _TRANSCRIPT_CASES = [
     command + mode
     for command in _TRANSCRIPT_COMMANDS
     for mode in ("", " --json", " --json --compact")
-] + ["--help"] + [f"{name} --help" for name in _SUBCOMMANDS]
+] + ["--help"] + [f"{name} --help" for name in _SUBCOMMANDS] + _PARSER_CASES
 _GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
 # verify-paper timings vary from run to run; every other field is pinned.
 _SECONDS = re.compile(r'(?<=\()[0-9.]+(?=s\))|(?<="seconds": )[0-9.e-]+')
@@ -437,8 +441,9 @@ def golden():
 
 @pytest.mark.parametrize("case", _TRANSCRIPT_CASES)
 def test_golden_transcript(case, golden, monkeypatch, tmp_path):
-    if "--help" in case and golden["python"] != "%d.%d" % sys.version_info[:2]:
-        pytest.skip(f"argparse help was recorded under Python {golden['python']}")
+    argparse_text = "--help" in case or case in _PARSER_CASES
+    if argparse_text and golden["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"argparse text was recorded under Python {golden['python']}")
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("TORUSKNOT_JOBS", raising=False)
     assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
@@ -461,7 +466,9 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
     cases = [
         case
         for case in _TRANSCRIPT_CASES
-        if case.split()[0] in _NUMPY_FREE and "--help" not in case
+        if case.partition(" ")[0] in _NUMPY_FREE
+        and "--help" not in case
+        and case not in _PARSER_CASES
     ]
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
