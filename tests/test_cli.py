@@ -1,10 +1,13 @@
 """Command-line interface: output documents and exit codes."""
 
+import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -486,9 +489,9 @@ def test_numpy_free_commands_match_golden(golden, tmp_path):
         assert transcripts[case] == golden["cases"][case], case
 
 
-# The package modules each command loads, besides torusknot.cli: every
-# command imports what it runs when it runs, and nothing at start-up.
-# _gate is the (p, q) gate that every layer shares.
+# The layer modules each command loads, besides torusknot.cli and its
+# body's module: every command imports what it runs when it runs, and
+# nothing at start-up.  _gate is the (p, q) gate that every layer shares.
 _ALEXANDER = {"alexander", "laurent", "_gate"}
 _WIDTH = {"hfk", "_gate"}  # no polynomial
 _WORDS = {"words", "_gate"}  # no normal form
@@ -507,16 +510,32 @@ _LOADS = {
     "bounds": _BOUNDS,
     "verify-paper": _ALEXANDER | _BOUNDS | {"braid", "verify"},
 }
+# The module of torusknot.cli that holds each command's body, loaded only
+# once the command line has parsed.
+_BODIES = {
+    "alexander": "_floer",
+    "hfk": "_floer",
+    "width": "_floer",
+    "scan": "_floer",
+    "braid-eq": "_braids",
+    "verify-lemmas": "_braids",
+    "turaev-genus": "_diagrams",
+    "dalt": "_diagrams",
+    "states": "_diagrams",
+    "bounds": "_brackets",
+    "verify-paper": "_paper",
+}
 
 
 def _expected_modules(case: str) -> list[str]:
     words = case.split()
-    if "--pd" in words:
-        names = {"diagram"}
+    if case in _PARSER_CASES:  # refused before any command runs
+        names = set()
     elif "--help" in words:  # only verify-paper's arguments need a module
         names = _LOADS["verify-paper"] if words[0] == "verify-paper" else set()
     else:
-        names = _LOADS[words[0]]
+        layers = {"diagram"} if "--pd" in words else _LOADS[words[0]]
+        names = layers | {f"cli.{_BODIES[words[0]]}"}
     return sorted(f"torusknot.{name}" for name in names | {"cli"})
 
 
@@ -543,9 +562,11 @@ print(json.dumps(after))
 
 
 def test_each_command_loads_only_what_it_uses(tmp_path):
-    # One golden case per command (the output mode loads nothing), and every
-    # --help; each runs after the other package modules are unloaded.
-    cases = _TRANSCRIPT_COMMANDS + [c for c in _TRANSCRIPT_CASES if "--help" in c]
+    # One golden case per command (the output mode loads nothing), every
+    # --help and every refusal by the parser; each runs after the other
+    # package modules are unloaded.
+    help_cases = [c for c in _TRANSCRIPT_CASES if "--help" in c]
+    cases = _TRANSCRIPT_COMMANDS + help_cases + _PARSER_CASES
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
     done = subprocess.run(
@@ -559,9 +580,70 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
     after = json.loads(done.stdout)
     assert after.pop("import torusknot") == []
     assert after.pop("import torusknot.cli") == ["torusknot.cli"]
-    assert len(after) == 34  # 22 commands and 12 --help cases
+    assert len(after) == 38  # 22 commands, 12 --help cases and 4 refusals
     for case in cases:
         assert after[case] == _expected_modules(case), case
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    build = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **options):
+        built.append(options.get("prog"))
+        build(parser, *args, **options)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "width", "4", "5")[0] == 0
+    assert built == ["torusknot", "torusknot width"]
+    built.clear()
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert built == ["torusknot"]
+    assert "verify-paper" in capsys.readouterr().out  # every command is listed
+
+
+def test_the_table_names_every_command_body():
+    from torusknot import cli
+
+    bodies = {name: command.body() for name, command in cli._COMMANDS.items()}
+    assert list(bodies) == _SUBCOMMANDS
+    assert all(callable(body) for body in bodies.values())
+    # every module of the package but __main__ holds bodies, and each public
+    # function there is the body of a command in the table
+    modules = {m.name for m in pkgutil.iter_modules(cli.__path__)} - {"__main__"}
+    assert modules == {command.module for command in cli._COMMANDS.values()}
+    defined = {
+        function
+        for name in modules
+        for attribute, function in vars(
+            importlib.import_module(f"torusknot.cli.{name}")
+        ).items()
+        if inspect.isfunction(function)
+        and function.__module__ == f"torusknot.cli.{name}"
+        and not attribute.startswith("_")
+    }
+    assert defined == set(bodies.values())
+
+
+@pytest.mark.parametrize("argv", ["width 4 5", "hfk 300 301"])
+def test_a_closed_output_pipe_is_no_error(argv):
+    # The reader is gone before the command writes: a short output fails at
+    # the flush, a long one (hfk 300 301) already in print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "torusknot.cli", *argv.split()],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # The seven command shapes of the benchmark's cold-process workload.  Each
