@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from argparse import Namespace
 
-if TYPE_CHECKING:
-    from argparse import Namespace
-
-    from . import _Output
+from . import _Output
 
 
 def bounds(args: Namespace) -> _Output:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+from argparse import Namespace
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from argparse import Namespace
+from . import _Output
 
+if TYPE_CHECKING:
     from ..diagram import Diagram
-    from . import _Output
 
 
 def _diagram_from_args(args: Namespace) -> Diagram:
