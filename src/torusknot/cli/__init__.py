@@ -125,9 +125,7 @@ _COMMON = (
     _arg("--compact", action="store_true", help="single-line JSON (with --json)"),
 )
 
-# In the order the help lists them.  The modules: _floer (Alexander
-# polynomial and knot Floer width), _braids (the word problem), _diagrams
-# (a diagram from one of its sources), _brackets and _paper.
+# In the order the help lists them.
 _COMMANDS = {
     command.name: command
     for command in (
