@@ -41,26 +41,38 @@ consecutive integers hold one element of each class, and the class of b*q
 which never decreases as x grows: it is negative exactly for
 x < L = q(ceil(p/2) - 1) - p + 1.  So h(x) > h(x+p) below L and
 h(x) <= h(x+p) from L on, and min h is attained on the p integers
-[L, L+p).  As L + p = q(ceil(p/2) - 1) + 1, the window's members of S are
-the ceil(p/2) elements of the classes of c*q, c < ceil(p/2), and they sit at
-L + ((-1 - c*q) mod p).  So the walk of h over the window, taken from h(L),
-depends on p and q mod p alone: its shape is the offset of min h from h(L)
-and the first argmin.  :func:`_column_widths` takes a column of knots
-T(p, q), one p: it walks each shape once per residue q mod p, and reads the
-h(L) of every knot with
+[L, L+p).  With c = ceil(p/2), L + p = q(c - 1) + 1, so the window's
+members of S are the c elements of the classes of j*q, j < c, and they sit
+at L + x_j, x_j = (-1 - j*q) mod p.  So the walk of h over the window,
+taken from h(L), depends on p and q mod p alone: its shape is the offset of
+min h from h(L) and the first argmin.  The start h(L) needs no count
+either.  The elements of S below L + p are those of the same classes, so
+with q = k*p + r,
+
+    #(S n [0, L)) = sum_{j<c} floor(j*q/p) = b_r + k*c(c-1)/2,
+
+where b_r = sum_{j<c} floor(j*r/p) = (r*c(c-1)/2 + sum x_j) // p - (c - 1)
+depends on p and r alone and is read off the positions x_j the walk lists.
+:func:`_column_widths` takes a column of knots T(p, q), one p: it walks each
+shape and sums its b_r once per residue q mod p, and reads the minimum of
+every knot off them.
+
+Each width is certified by three independent counts,
 
     #(S n [0, x)) = sum_{0 <= b < p, b*q < x} ceil((x - b*q)/p),
 
-O(p) Python-int work per knot, no arrays.
-
-Each width is certified: h is recounted at the argmin and at the argmin +- p
-with the sum above, and a RuntimeError naming T(p, q) is raised if the walked
-minimum disagrees with its recount or a neighbour lies lower.
+O(p) Python-int work per knot, no arrays: h is recounted at the argmin and
+at the argmin +- p, and a RuntimeError naming T(p, q) is raised if the
+walked minimum disagrees with its recount or a neighbour lies lower.  The
+recount at the argmin checks the closed-form start and the walk's offset
+together; the neighbours check that the window holds the minimum.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
-column by column, serially or with one column per task of a process pool,
-and checks the jumps in one fixed order.  Small scans run serially, because
-starting the pool costs more than they do.
+column by column, serially or with one column per task of a process pool.
+It checks each jump inside the column, against the previous knot T(p, q-p)
+of the same column, T(q-p, p) of column q-p, or the unknot, and sorts the
+violations by (q, p), so the result is the same for every worker count.
+Small scans run serially, because starting the pool costs more than they do.
 No width needs a polynomial, so the module loads neither
 :mod:`~torusknot.laurent` nor :mod:`~torusknot.alexander`, whose closed-form
 table :func:`width_formula` imports when it is called.
@@ -143,18 +155,21 @@ def extract_staircase(delta: LaurentPolynomial) -> Staircase:
     >>> extract_staircase(LaurentPolynomial.from_text("t^{-1}-1+t"))
     Staircase(s=(0, 1))
     """
-    coefficients = delta.coefficients or (0,)  # the zero polynomial as 0 * t^0
-    if not set(compress(coefficients, coefficients)) <= {-1, 1}:  # one pass, nonzero only
+    coefficients, low = delta.coefficients, delta.min_exponent
+    # One pass over the dense coefficients: the exponents of the nonzero
+    # terms.  Every check below reads the terms alone.
+    at = list(compress(range(low, low + len(coefficients)), coefficients))
+    c = [coefficients[e - low] for e in at]
+    if not set(c) <= {-1, 1}:
         raise NotLSpaceForm("coefficients must all be +-1")
-    if not delta.is_palindromic():
+    if at != [-e for e in reversed(at)] or c != c[::-1]:
         raise NotLSpaceForm("polynomial is not palindromic")
-    upper = coefficients[-delta.min_exponent :]
-    if not upper[0]:  # a palindrome with a zero middle, or zero everywhere
-        if not any(coefficients):
+    if not len(at) % 2:  # symmetric terms pair off unless one sits at t^0
+        if not at:
             raise NotLSpaceForm("the zero polynomial has no staircase")
         raise NotLSpaceForm("constant coefficient must be nonzero")
-    s = tuple(compress(range(len(upper)), upper))
-    c = list(compress(upper, upper))
+    half = len(at) // 2  # the constant term
+    s, c = at[half:], c[half:]
     if c[::2].count(c[0]) + c[1::2].count(-c[0]) != len(c):
         raise NotLSpaceForm("signs must alternate along the support")
     if c[-1] != 1:
@@ -204,34 +219,42 @@ def _semigroup_count(p: int, q: int, x: int) -> int:
 _MAX_WIDTH_BITS = 2**21  # T(65535, 65536) is the largest T(p, p+1) width_torus takes
 
 
-def _window_shape(p: int, r: int) -> tuple[int, int]:
-    """The offset of min h from h(L), and its first argmin - L, over the
-    window [L, L+p) of every T(p, q) with q = r mod p (see the module
-    docstring)."""
+def _window_shape(p: int, r: int) -> tuple[int, int, int]:
+    """The offset of min h from h(L), its first argmin - L, and b_r, over
+    the window [L, L+p) of every T(p, q) with q = r mod p (see the module
+    docstring): #(S n [0, L)) = b_r + (q // p) * c(c-1)/2, c = ceil(p/2)."""
+    c = (p + 1) // 2
+    at = [(-1 - j * r) % p for j in range(c)]  # the window's elements of <p, q>, less L
     step = [-1] * p
-    for c in range((p + 1) // 2):  # the window's elements of <p, q>
-        step[(-1 - c * r) % p] = 1
+    for x in at:
+        step[x] = 1
     walk = list(accumulate(step[:-1], initial=0))
     least = min(walk)
-    return least, walk.index(least)
+    return least, walk.index(least), (r * c * (c - 1) // 2 + sum(at)) // p - (c - 1)
 
 
 def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
     """Widths of T(p, q) for q in ``qs``, 1 <= p <= q coprime, as 1 - min h,
     certified.
 
-    Walks the window shape once per residue q mod p, then for every knot
-    counts h(L) and recounts h at the argmin and at the argmin +- p.
+    Walks the window shape and sums its b_r once per residue q mod p, so
+    h(L) of every knot comes in closed form; then recounts h at the argmin
+    and at the argmin +- p, three semigroup counts per knot.  The widths
+    come in the order of ``qs``, for :func:`scan_conjecture` to check the
+    jumps of the column against.
     """
-    shapes: dict[int, tuple[int, int]] = {}
+    shapes: dict[int, tuple[int, int, int]] = {}
+    c = (p + 1) // 2
+    tri = c * (c - 1) // 2  # sum of j < c: #(S n [0, L)) = b_r + k * tri
     widths = []
     for q in qs:
-        r = q % p
+        k, r = divmod(q, p)
         if r not in shapes:
             shapes[r] = _window_shape(p, r)
-        offset, index = shapes[r]
-        low = q * ((p + 1) // 2 - 1) - p + 1
-        least, at = 2 * _semigroup_count(p, q, low) - low + offset, low + index
+        offset, index, count = shapes[r]
+        low = q * (c - 1) - p + 1
+        least = 2 * (count + k * tri) - low + offset
+        at = low + index
         for x in (at - p, at, at + p):
             h = 2 * _semigroup_count(p, q, x) - x
             if h < least or (x == at and h != least):
@@ -278,20 +301,23 @@ def width_formula(p: int, q: int) -> int:
 
 
 # A scan whose knots' p sum to less than this runs serially: a width costs
-# O(p), and below it starting a pool cost more than it saved (2 cores, best of
-# 5 in each of 3 runs: bound 90, sum 7.3e4, took 19-24 ms serially and 19-25 ms
-# with 2 workers; bound 100, sum 9.9e4, 25-31 and 22-26 ms; bound 140, sum
-# 2.8e5, 59-64 and 45-50 ms).
-_SERIAL_BELOW = 100_000
+# O(p), and below it starting a pool cost about what it saved (2 cores, best
+# of 5 in each of 6 runs: bound 100, sum 9.9e4, took 24-42 ms serially and
+# 25-57 ms with 2 workers, serial faster in 4 runs; bound 110, sum 1.3e5,
+# 30-51 and 25-69 ms, 3 runs; bound 120, sum 1.7e5, 38-65 and 35-52 ms, 1
+# run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).
+_SERIAL_BELOW = 150_000
 
 
 def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureViolation]]:
     """Check the width jump width(p,q) - width(p,q-p) == floor((p-1)^2/4).
 
-    Scans all coprime pairs 1 < p < q < bound, comparing each width with
-    the width of the previous knot in its column; (p, q-p) pairs with
-    q - p <= 1 have width 1.  Returns (number of pairs checked,
-    violations), violations ordered by (q, p).  An empty violation list is
+    Scans all coprime pairs 1 < p < q < bound, one column of fixed p at a
+    time, comparing each width with that of the previous knot: T(p, q-p)
+    in the same column when q - p > p, T(q-p, p) in column q - p when
+    q - p > 1, and the unknot, of width 1, when q - p = 1.  Returns (number
+    of pairs checked, violations), the violations sorted by (q, p) once
+    every column is checked.  An empty violation list is
     the conjecture holding below the bound.  A bound with no coprime pair
     below it is a ``ValueError``: the scan would check nothing.  A bound
     whose largest knot T(q-1, q) is above the size cap raises KnotTooLarge
@@ -300,8 +326,8 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     Every width the check needs is computed exactly once.  With ``jobs`` > 1
     (clamped to [1, os.cpu_count()]) a process pool computes them, unless
     the knots' p total less than ``_SERIAL_BELOW``; the check itself always
-    runs here in one fixed order, so the result is identical for every
-    worker count.  A ``bound`` or ``jobs`` that is not an int is a
+    runs here, and the sort makes the result identical for every worker
+    count.  A ``bound`` or ``jobs`` that is not an int is a
     ``TypeError``.
     """
     if type(bound) is not int:  # bools are ints to isinstance
@@ -317,20 +343,15 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
             f"T({q_max - 1},{q_max}), whose p * q = {(q_max - 1) * q_max} is "
             f"above the cap of {MAX_TORUS_PRODUCT}"
         )
-    pairs = [
-        (p, q) for q in range(3, bound) for p in range(2, q) if math.gcd(p, q) == 1
-    ]
-    if not pairs:
+    columns = {
+        p: [q for q in range(p + 1, bound) if math.gcd(p, q) == 1] for p in range(2, bound - 1)
+    }
+    checked = sum(map(len, columns.values()))
+    if not checked:
         raise ValueError(f"no coprime pair 1 < p < q < {bound}: nothing to scan")
-    # A previous knot (p', q') with p' > 1 is coprime with q' < q: one of the
-    # pairs.  So the pairs are all the knots whose widths the check needs.
-    previous = [(min(p, q - p), max(p, q - p)) for p, q in pairs]
-    jobs = max(1, min(jobs, os.cpu_count() or 1, len(pairs)))
-    if sum(p for p, _ in pairs) < _SERIAL_BELOW:
+    jobs = max(1, min(jobs, os.cpu_count() or 1, checked))
+    if sum(p * len(qs) for p, qs in columns.items()) < _SERIAL_BELOW:
         jobs = 1
-    columns: dict[int, list[int]] = {}
-    for p, q in pairs:
-        columns.setdefault(p, []).append(q)
     if jobs == 1:
         column_widths = list(starmap(_column_widths, columns.items()))
     else:
@@ -338,20 +359,19 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
 
         with multiprocessing.Pool(processes=jobs) as pool:
             column_widths = pool.starmap(_column_widths, columns.items())
-    width = {
-        (p, q): w
-        for (p, qs), ws in zip(columns.items(), column_widths)
-        for q, w in zip(qs, ws)
-    }
+    width = {p: dict(zip(qs, ws)) for (p, qs), ws in zip(columns.items(), column_widths)}
 
+    # T(p, q-p) and T(q-p, p) are knots of the scan: gcd(p, q-p) = gcd(p, q) = 1.
     violations: list[ConjectureViolation] = []
-    for (p, q), prev in zip(pairs, previous):
-        w = width[p, q]
-        w_prev = width[prev] if prev[0] > 1 else 1
+    for p, column in width.items():
         jump = ((p - 1) ** 2) // 4
-        if w - w_prev != jump:
-            violations.append(ConjectureViolation(p, q, w, w_prev, jump))
-    return len(pairs), violations
+        for q, w in column.items():
+            d = q - p
+            w_prev = column[d] if d > p else width[d][p] if d > 1 else 1
+            if w - w_prev != jump:
+                violations.append(ConjectureViolation(p, q, w, w_prev, jump))
+    violations.sort(key=lambda v: (v.q, v.p))
+    return checked, violations
 
 
 # The same function under the name that existing callers of the parallel scan use.

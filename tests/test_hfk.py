@@ -158,7 +158,9 @@ def _walked_shape(p, q):
 
 def test_window_shape_depends_on_q_mod_p():
     """(offset of min h from h(L), first argmin) is one shape per residue
-    q mod p: equal for q and q + kp over coprime p < q <= 150."""
+    q mod p: equal for q and q + kp over coprime p < q <= 150.  The third
+    field b_r gives the count below every window start L:
+    #(<p, q> n [0, L)) = b_r + (q // p) * c(c-1)/2, c = ceil(p/2)."""
     shapes, knots = {}, 0
     for q in range(2, 151):
         for p in range(1, q):
@@ -166,20 +168,39 @@ def test_window_shape_depends_on_q_mod_p():
                 knots += 1
                 walked = _walked_shape(p, q)
                 assert shapes.setdefault((p, q % p), walked) == walked, (p, q)
+                c = (p + 1) // 2
+                low = q * (c - 1) - p + 1
+                start = hfk._semigroup_count(p, q, low) - (q // p) * c * (c - 1) // 2
+                assert hfk._window_shape(p, q % p)[2] == start, (p, q)
     assert len(shapes) < knots
     for (p, r), shape in shapes.items():
-        assert hfk._window_shape(p, r) == shape, (p, r)
+        assert hfk._window_shape(p, r)[:2] == shape, (p, r)
 
 
-@pytest.mark.parametrize("x,shift", [(2, 1), (4, 1), (4, -1), (0, -2), (8, -1)])
+@pytest.mark.parametrize("x,shift", [(4, 1), (4, -1), (0, -2), (8, -1)])
 def test_width_certificate_catches_a_wrong_count(monkeypatch, x, shift):
     """T(4,5) walks h over [2, 6) from h(2), with least h(4) = -2 and
-    neighbours h(0) = 0 and h(8) = -2.  A count that is off at the start, at
-    the argmin or at a neighbour fails the certificate, which names the knot."""
+    neighbours h(0) = 0 and h(8) = -2.  A count that is off at the argmin or
+    at a neighbour fails the certificate, which names the knot."""
     real = hfk._semigroup_count
     monkeypatch.setattr(
         hfk, "_semigroup_count", lambda p, q, y: real(p, q, y) + shift * (y == x)
     )
+    with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,5)")):
+        width_torus(5, 4)
+
+
+def test_width_certificate_catches_a_wrong_walk_start(monkeypatch):
+    """The walk of T(4,5) starts from h(2) = 2 * b_1 + 2 - 2, b_1 the count
+    the shape of (4, 1) gives in closed form.  One too many there lifts the
+    walked minimum off the recount at the argmin, which names the knot."""
+    real = hfk._window_shape
+
+    def shifted(p, r):
+        offset, index, count = real(p, r)
+        return offset, index, count + ((p, r) == (4, 1))
+
+    monkeypatch.setattr(hfk, "_window_shape", shifted)
     with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,5)")):
         width_torus(5, 4)
 
@@ -380,6 +401,36 @@ def test_parallel_scan_matches_serial(monkeypatch):
     monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)  # a real pool, even this small
     for jobs in (1, 2, 3):
         assert scan_conjecture_parallel(60, jobs=jobs) == scan_conjecture(60)
+
+
+def test_scan_reports_violations_by_q_then_p(monkeypatch):
+    """Column 5 widened by 1, and column 7 narrowed by 2 from q = 30 on:
+    every knot whose width or previous width moved by a different amount
+    breaks its jump, and the scan reports them ordered by (q, p), as the
+    list built here from the golden widths knot by knot says."""
+
+    def moved(p, q):
+        return (p == 5) - 2 * (p == 7 and q >= 30)
+
+    real = hfk._column_widths
+    monkeypatch.setattr(
+        hfk, "_column_widths", lambda p, qs: [w + moved(p, q) for q, w in zip(qs, real(p, qs))]
+    )
+    golden = _load_widths_golden()
+
+    def width(p, q):
+        return golden[f"{p},{q}"][2] + moved(p, q)
+
+    want = []
+    for q in range(3, 40):
+        for p in range(2, q):
+            if math.gcd(p, q) == 1:
+                w, w_prev = width(p, q), width(min(p, q - p), max(p, q - p))
+                if w - w_prev != (p - 1) ** 2 // 4:
+                    want.append((p, q, w, w_prev, (p - 1) ** 2 // 4))
+    # previous knots in another column, in the same one, and the unknot
+    assert {(7, 12), (7, 30), (5, 6)} <= {(p, q) for p, q, *_ in want}
+    assert scan_conjecture(40) == (coprime_pair_count(40), want)
 
 
 @pytest.fixture
