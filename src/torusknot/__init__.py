@@ -36,10 +36,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
+        ("_gate", "KnotTooLarge NotCoprime normalize_torus_params"),
         (
             "alexander",
-            "KnotTooLarge NotCoprime TorusFamily UnsupportedFamily "
-            "alexander_closed_form alexander_torus normalize_torus_params",
+            "TorusFamily UnsupportedFamily alexander_closed_form alexander_torus",
         ),
         (
             "bounds",
@@ -62,7 +62,7 @@ _EXPORTS = {
             "hfk",
             "ConjectureViolation NotLSpaceForm Staircase WidthReport "
             "delta_sequence extract_staircase hfk_from_staircase scan_conjecture "
-            "scan_conjecture_parallel width_formula width_torus",
+            "width_formula width_torus",
         ),
         ("laurent", "LaurentPolynomial NonExactDivision"),
         ("verify", "CheckResult run_checks"),

@@ -29,16 +29,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._gate import MAX_TORUS_PRODUCT, KnotTooLarge, NotCoprime, normalize_torus_params
+from ._gate import MAX_TORUS_PRODUCT, KnotTooLarge, normalize_torus_params
 from .laurent import LaurentPolynomial
 
 __all__ = [
-    "KnotTooLarge",
-    "MAX_TORUS_PRODUCT",
-    "NotCoprime",
     "UnsupportedFamily",
     "TorusFamily",
-    "normalize_torus_params",
     "alexander_torus",
     "alexander_closed_form",
 ]

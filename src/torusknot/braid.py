@@ -18,7 +18,7 @@ with 1-based entries; the strand entering the braid at bottom position ``j``
 ``perm(v * w)[j] = perm(w)[perm(v)[j]]``.
 
 The word type, its parser and the torus words live in
-:mod:`torusknot.words`, and every name of that module is re-exported here.
+:mod:`torusknot.words`.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
-from .words import _FAMILIES, MAX_WORD_LETTERS, BraidWord, IndexOutOfRange, ParseError
-from .words import StrandMismatch, UnknownMacro, UnsupportedTorusFamily, WordTooLong
-from .words import _check_length, lemma_word, parse_braid, torus_braid_word
+from .words import _FAMILIES, BraidWord, StrandMismatch, _check_length
+from .words import lemma_word, parse_braid, torus_braid_word
 
 __all__ = [
-    "ParseError", "UnknownMacro", "IndexOutOfRange", "StrandMismatch",
-    "UnsupportedTorusFamily", "SearchBudgetExceeded", "WordTooLong",
-    "MAX_WORD_LETTERS", "BraidWord", "NormalForm", "LemmaCheck", "parse_braid",
-    "underlying_permutation", "normal_form", "words_equal", "cyclically_equal",
-    "torus_braid_word", "lemma_word", "verify_lemmas",
+    "SearchBudgetExceeded", "NormalForm", "LemmaCheck", "underlying_permutation",
+    "normal_form", "words_equal", "cyclically_equal", "verify_lemmas",
 ]
 
 

@@ -23,9 +23,6 @@ imports what it runs when it runs.  So ``width`` loads
 word loads :mod:`~torusknot.words` but no normal-form code, and only
 ``verify-paper`` loads :mod:`~torusknot.verify`, whose check names are the
 choices of ``--only``.
-
-Worker counts for the scanning subcommands default to the
-``TORUSKNOT_JOBS`` environment variable when set.
 """
 
 from __future__ import annotations
@@ -37,21 +34,6 @@ from importlib import import_module
 from typing import Callable, NamedTuple
 
 __all__ = ["main"]
-
-
-def _jobs(text: str) -> int:
-    """Parse a worker count; the scan clamps it to [1, os.cpu_count()]."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"worker count (--jobs or TORUSKNOT_JOBS) must be an integer, got {text!r}"
-        ) from None
-
-
-def _default_jobs() -> str:
-    """TORUSKNOT_JOBS, or "1"; argparse parses it with :func:`_jobs`."""
-    return os.environ.get("TORUSKNOT_JOBS") or "1"
 
 
 # ----------------------------------------------------------------------
@@ -76,13 +58,6 @@ class _Command(NamedTuple):
 
 def _arg(*names: str, **options) -> _Adder:
     return lambda sub: sub.add_argument(*names, **options)
-
-
-def _jobs_arg(help: str) -> _Adder:
-    # TORUSKNOT_JOBS is read each time a parser is built, not at import.
-    return lambda sub: sub.add_argument(
-        "--jobs", type=_jobs, default=_default_jobs(), help=help
-    )
 
 
 def _check_names_arg(sub: argparse.ArgumentParser) -> None:
@@ -140,10 +115,7 @@ _COMMANDS = {
             "scan",
             "check the width-jump rule for all coprime pairs below a bound",
             "_floer",
-            (
-                _arg("--bound", type=int, default=250, help="upper bound (default 250)"),
-                _jobs_arg("worker processes (default: TORUSKNOT_JOBS or 1)"),
-            ),
+            (_arg("--bound", type=int, default=250, help="upper bound (default 250)"),),
         ),
         _Command(
             "braid-eq",
@@ -205,7 +177,6 @@ _COMMANDS = {
                     default=250,
                     help="bound for the conjecture scan (default 250)",
                 ),
-                _jobs_arg("worker processes for the scan (default: TORUSKNOT_JOBS or 1)"),
                 _arg("--n-max", type=int, default=4, help="largest n for identities"),
                 _check_names_arg,
             ),

@@ -8,7 +8,8 @@ from . import _Output
 
 
 def braid_eq(args: Namespace) -> _Output:
-    from ..braid import cyclically_equal, parse_braid, words_equal
+    from ..braid import cyclically_equal, words_equal
+    from ..words import parse_braid
 
     a = parse_braid(args.word1, args.strands)
     b = parse_braid(args.word2, args.strands)

@@ -58,7 +58,7 @@ def width(args: Namespace) -> _Output:
 def scan(args: Namespace) -> _Output:
     from ..hfk import scan_conjecture
 
-    checked, violations = scan_conjecture(args.bound, jobs=args.jobs)
+    checked, violations = scan_conjecture(args.bound)
     document = {
         "bound": args.bound,
         "pairs_checked": checked,

@@ -68,11 +68,11 @@ recount at the argmin checks the closed-form start and the walk's offset
 together; the neighbours check that the window holds the minimum.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
-column by column, serially or with one column per task of a process pool.
-It checks each jump inside the column, against the previous knot T(p, q-p)
-of the same column, T(q-p, p) of column q-p, or the unknot, and sorts the
-violations by (q, p), so the result is the same for every worker count.
-Small scans run serially, because starting the pool costs more than they do.
+column by column, serially or with one column per task of a process pool
+that it sizes from the usable cores and its own size, so a small scan runs
+serially.  It checks each jump inside the column, against the previous
+knot T(p, q-p) of the same column, T(q-p, p) of column q-p, or the unknot,
+and sorts the violations by (q, p), the same for every worker count.
 No width needs a polynomial, so the module loads neither
 :mod:`~torusknot.laurent` nor :mod:`~torusknot.alexander`, whose closed-form
 table :func:`width_formula` imports when it is called.
@@ -94,7 +94,7 @@ if TYPE_CHECKING:
 __all__ = [
     "NotLSpaceForm", "Staircase", "WidthReport", "ConjectureViolation",
     "extract_staircase", "hfk_from_staircase", "delta_sequence", "width_torus",
-    "width_formula", "scan_conjecture", "scan_conjecture_parallel",
+    "width_formula", "scan_conjecture",
 ]
 
 
@@ -300,16 +300,18 @@ def width_formula(p: int, q: int) -> int:
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 
-# A scan whose knots' p sum to less than this runs serially: a width costs
-# O(p), and below it starting a pool cost about what it saved (2 cores, best
-# of 5 in each of 6 runs: bound 100, sum 9.9e4, took 24-42 ms serially and
-# 25-57 ms with 2 workers, serial faster in 4 runs; bound 110, sum 1.3e5,
-# 30-51 and 25-69 ms, 3 runs; bound 120, sum 1.7e5, 38-65 and 35-52 ms, 1
-# run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).
+# A scan gets a worker per this much of its knots' p, the first one free:
+# below it a pool cost about what it saved, as a width costs O(p) (2 cores,
+# best of 5 in each of 6 runs: bound 100, sum 9.9e4, took 24-42 ms serially
+# and 25-57 ms with 2 workers, serial faster in 4 runs; bound 110, sum
+# 1.3e5, 30-51 and 25-69 ms, 3 runs; bound 120, sum 1.7e5, 38-65 and 35-52
+# ms, 1 run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).
 _SERIAL_BELOW = 150_000
 
 
-def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureViolation]]:
+def scan_conjecture(
+    bound: int, *, jobs: int | None = None
+) -> tuple[int, list[ConjectureViolation]]:
     """Check the width jump width(p,q) - width(p,q-p) == floor((p-1)^2/4).
 
     Scans all coprime pairs 1 < p < q < bound, one column of fixed p at a
@@ -323,16 +325,16 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     whose largest knot T(q-1, q) is above the size cap raises KnotTooLarge
     at once.
 
-    Every width the check needs is computed exactly once.  With ``jobs`` > 1
-    (clamped to [1, os.cpu_count()]) a process pool computes them, unless
-    the knots' p total less than ``_SERIAL_BELOW``; the check itself always
-    runs here, and the sort makes the result identical for every worker
-    count.  A ``bound`` or ``jobs`` that is not an int is a
-    ``TypeError``.
+    Every width the check needs is computed exactly once, by a pool of
+    min(usable cores, columns, 1 + sum_p // ``_SERIAL_BELOW``) workers, or
+    serially for one; sum_p sums p over the knots, and ``jobs`` caps the
+    count if given.  The check always runs here, and the sort makes the
+    result the same for every worker count.  A ``bound`` that is not an
+    int, or a ``jobs`` that is neither an int nor None, is a ``TypeError``.
     """
     if type(bound) is not int:  # bools are ints to isinstance
         raise TypeError(f"bound {bound!r} is not an int")
-    if type(jobs) is not int:
+    if jobs is not None and type(jobs) is not int:
         raise TypeError(f"jobs {jobs!r} is not an int")
     q_max = bound - 1
     # Refuse a too-large scan before listing any pair.  The cap is the
@@ -349,15 +351,17 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     checked = sum(map(len, columns.values()))
     if not checked:
         raise ValueError(f"no coprime pair 1 < p < q < {bound}: nothing to scan")
-    jobs = max(1, min(jobs, os.cpu_count() or 1, checked))
-    if sum(p * len(qs) for p, qs in columns.items()) < _SERIAL_BELOW:
-        jobs = 1
-    if jobs == 1:
+    affinity = getattr(os, "sched_getaffinity", None)  # the cores this process may use
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    sum_p = sum(p * len(qs) for p, qs in columns.items())
+    limit = len(columns) if jobs is None else min(jobs, len(columns))
+    workers = min(cores, limit, 1 + sum_p // _SERIAL_BELOW)
+    if workers <= 1:
         column_widths = list(starmap(_column_widths, columns.items()))
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             column_widths = pool.starmap(_column_widths, columns.items())
     width = {p: dict(zip(qs, ws)) for (p, qs), ws in zip(columns.items(), column_widths)}
 
@@ -374,5 +378,5 @@ def scan_conjecture(bound: int, *, jobs: int = 1) -> tuple[int, list[ConjectureV
     return checked, violations
 
 
-# The same function under the name that existing callers of the parallel scan use.
+# Not exported: bench/workloads.py calls the scan by this older name.
 scan_conjecture_parallel = scan_conjecture

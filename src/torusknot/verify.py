@@ -9,9 +9,9 @@ minimality, randomized property suites, and the bound brackets.
 Each check is declared once, by the ``_check`` decorator, which names it,
 times it and builds its :class:`CheckResult`; the check body only
 collects failures and returns its detail.  ``CHECK_NAMES`` and
-:func:`run_checks` read that registry, in declaration order.  All randomness is seeded, and the scan checks its
-pairs in one fixed order whatever the worker count, so output is identical
-across runs and worker counts.
+:func:`run_checks` read that registry, in declaration order.  All
+randomness is seeded, and the scan sorts its violations whatever pool it
+ran on, so output is identical across runs and machines.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import random
 import time
 from typing import Callable, NamedTuple
 
+from ._gate import NotCoprime
 from .alexander import (
     _CLOSED_FORMS,
-    NotCoprime,
     TorusFamily,
     UnsupportedFamily,
     alexander_closed_form,
@@ -231,10 +231,10 @@ def check_width_formulas(failures: list[str]) -> str:
 # 4. width-jump conjecture scan
 
 
-@_check("conjecture-scan", "scan_bound", "jobs")
-def check_conjecture_scan(failures: list[str], bound: int = 250, jobs: int = 1) -> str:
+@_check("conjecture-scan", "scan_bound")
+def check_conjecture_scan(failures: list[str], bound: int = 250) -> str:
     """Exhaustive width-jump check for all coprime pairs below the bound."""
-    checked, violations = scan_conjecture(bound, jobs=jobs)
+    checked, violations = scan_conjecture(bound)
     failures.extend(
         f"T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, "
         f"expected jump {v.expected_jump}"
@@ -571,12 +571,11 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def run_checks(
     scan_bound: int = 250,
-    jobs: int = 1,
     n_max: int = 4,
     names: "tuple[str, ...] | None" = None,
 ) -> list[CheckResult]:
     """Run the verification checks in order; returns one result per check."""
-    settings = {"scan_bound": scan_bound, "jobs": jobs, "n_max": n_max}
+    settings = {"scan_bound": scan_bound, "n_max": n_max}
     selected = CHECK_NAMES if names is None else names
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from torusknot.braid import BraidWord, NormalForm, SearchBudgetExceeded
+from torusknot.braid import NormalForm, SearchBudgetExceeded
 from torusknot.diagram import (
     ConstraintComponent,
     DaltReport,
@@ -25,6 +25,7 @@ from torusknot.diagram import (
     InconsistentConstraints,
 )
 from torusknot.laurent import LaurentPolynomial
+from torusknot.words import BraidWord
 
 
 def rational_alexander(p: int, q: int) -> LaurentPolynomial:

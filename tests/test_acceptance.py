@@ -54,7 +54,7 @@ def test_criterion_03_width_formula_sweep(capfd):
 
 
 def test_criterion_04_conjecture_scan_250(capfd):
-    _gate(capfd, 4, check_conjecture_scan(bound=250, jobs=1), 300)
+    _gate(capfd, 4, check_conjecture_scan(bound=250), 300)
 
 
 def test_criterion_05_closed_forms(capfd):

@@ -7,15 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from torusknot import alexander
-from torusknot.alexander import (
-    KnotTooLarge,
-    NotCoprime,
-    TorusFamily,
-    alexander_closed_form,
-    alexander_torus,
-    normalize_torus_params,
-)
+from torusknot import _gate, alexander
+from torusknot._gate import KnotTooLarge, NotCoprime, normalize_torus_params
+from torusknot.alexander import TorusFamily, alexander_closed_form, alexander_torus
 from torusknot.hfk import width_formula, width_torus
 from torusknot.laurent import LaurentPolynomial
 
@@ -95,7 +89,7 @@ def test_grid_matches_rational_formula():
 
 
 def test_grid_matches_rational_formula_at_the_size_cap():
-    assert 2047 * 2048 <= alexander.MAX_TORUS_PRODUCT
+    assert 2047 * 2048 <= _gate.MAX_TORUS_PRODUCT
     assert alexander_torus(2048, 2047) == rational_alexander(2047, 2048)
 
 

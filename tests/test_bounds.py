@@ -13,7 +13,7 @@ from torusknot.bounds import (
     bounds_report,
     known_dealternating_upper,
 )
-from torusknot.braid import UnsupportedTorusFamily, lemma_word
+from torusknot.words import UnsupportedTorusFamily, lemma_word
 from torusknot.hfk import width_torus
 
 

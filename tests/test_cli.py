@@ -18,7 +18,7 @@ import pytest
 
 from torusknot.cli import main
 from torusknot.diagram import closure_diagram, export_pd
-from torusknot.braid import torus_braid_word
+from torusknot.words import torus_braid_word
 
 
 def run(capsys, *argv):
@@ -69,7 +69,7 @@ def test_scan_clean_and_json(capsys):
     code, out, _ = run(capsys, "scan", "--bound", "40")
     assert code == 0
     assert "0 violations" in out
-    code, document, _ = run_json(capsys, "scan", "--bound", "40", "--jobs", "2")
+    code, document, _ = run_json(capsys, "scan", "--bound", "40")
     assert code == 0
     assert document["violations"] == []
     assert document["pairs_checked"] > 0
@@ -340,32 +340,24 @@ def test_vacuous_verifications_exit_two(capsys, argv):
     assert err.startswith("error: ") and ("n_max" in err or "no coprime pair" in err)
 
 
-@pytest.mark.parametrize("env", ["abc", "2.5", " "])
-def test_non_integer_jobs_env_exits_two(capsys, monkeypatch, env):
+@pytest.mark.parametrize("command", ["scan", "verify-paper"])
+def test_worker_count_is_no_option(capsys, command):
+    # the scan sizes its own pool
+    with pytest.raises(SystemExit) as info:
+        main([command, "--jobs", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+# the values that used to fail the parse (exit 2) or be clamped to the cores
+@pytest.mark.parametrize("env", ["abc", "2.5", " ", "64"])
+def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, inline_pool, env):
     monkeypatch.setenv("TORUSKNOT_JOBS", env)
-    for argv in (["scan", "--bound", "10"], ["verify-paper", "--only", "golden-hfk"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert "TORUSKNOT_JOBS" in capsys.readouterr().err
-    # commands without a worker count ignore the variable
-    assert run(capsys, "width", "4", "5")[0] == 0
-
-
-def test_jobs_env_is_clamped_to_cpu_count(capsys, monkeypatch, inline_pool):
-    import os
-
-    from torusknot import hfk
-
-    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("TORUSKNOT_JOBS", "64")
-    code, document, _ = run_json(capsys, "scan", "--bound", "40")
-    assert code == 0 and document["violations"] == []
-    assert inline_pool == [2]
-    monkeypatch.setenv("TORUSKNOT_JOBS", "-4")
-    code, _, _ = run(capsys, "scan", "--bound", "40")
-    assert code == 0 and inline_pool == [2]
+    code, out, err = run(capsys, "scan", "--bound", "30")
+    assert (code, out, err) == (0, "checked 241 coprime pairs below 30: 0 violations\n", "")
+    code, out, err = run(capsys, "verify-paper", "--only", "conjecture-scan", "--scan-bound", "30")
+    assert (code, err) == (0, "") and out.startswith("PASS conjecture-scan: 241 coprime pairs")
+    assert inline_pool == []
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +371,7 @@ _TRANSCRIPT_COMMANDS = [
     "hfk 4 5",
     "hfk 1 3",
     "width 5 7",
-    "scan --bound 30 --jobs 1",
+    "scan --bound 30",
     "braid-eq --strands 3 121 212",
     "braid-eq --strands 3 12 21",
     "braid-eq --strands 4 --cyclic 123 231",
@@ -448,7 +440,6 @@ def test_golden_transcript(case, golden, monkeypatch, tmp_path):
     if argparse_text and golden["python"] != "%d.%d" % sys.version_info[:2]:
         pytest.skip(f"argparse text was recorded under Python {golden['python']}")
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("TORUSKNOT_JOBS", raising=False)
     assert _transcript(case, _write_pd(tmp_path)) == golden["cases"][case]
 
 
@@ -694,7 +685,6 @@ if __name__ == "__main__":
     import tempfile
 
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("TORUSKNOT_JOBS", None)
     with tempfile.TemporaryDirectory() as scratch:
         pd_path = _write_pd(Path(scratch))
         cases = {case: _transcript(case, pd_path) for case in _TRANSCRIPT_CASES}

@@ -17,12 +17,7 @@ from _oracles import (
     union_find_pieces,
     union_find_state_circles,
 )
-from torusknot.braid import (
-    BraidWord,
-    UnsupportedTorusFamily,
-    lemma_word,
-    torus_braid_word,
-)
+from torusknot.words import BraidWord, UnsupportedTorusFamily, lemma_word, torus_braid_word
 from torusknot import diagram as diagram_module
 from torusknot.diagram import (
     DaltReport,

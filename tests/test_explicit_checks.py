@@ -19,7 +19,7 @@ import importlib
 bounds = importlib.import_module("torusknot.bounds")  # the package re-exports bounds()
 diagram = importlib.import_module("torusknot.diagram")
 from torusknot.diagram import MalformedPDCode, closure_diagram, import_pd
-from torusknot.braid import torus_braid_word
+from torusknot.words import torus_braid_word
 from torusknot.hfk import NotLSpaceForm, Staircase, extract_staircase
 from torusknot.laurent import LaurentPolynomial
 

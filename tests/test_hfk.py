@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from torusknot import hfk
-from torusknot.alexander import KnotTooLarge, alexander_torus
+from torusknot._gate import KnotTooLarge
+from torusknot.alexander import alexander_torus
 from torusknot.hfk import (
     NotLSpaceForm,
     Staircase,
@@ -398,7 +399,7 @@ def test_smallest_scan_checks_one_pair():
 
 
 def test_parallel_scan_matches_serial(monkeypatch):
-    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)  # a real pool, even this small
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 1)  # a real pool, even this small
     for jobs in (1, 2, 3):
         assert scan_conjecture_parallel(60, jobs=jobs) == scan_conjecture(60)
 
@@ -478,14 +479,55 @@ def test_width_certificate_fires_on_a_shape_already_walked(monkeypatch, walks):
     assert walks.count((4, 1)) == 1
 
 
+def _usable(monkeypatch, cpus):
+    """Let the process use ``cpus`` cores; None stands for a platform with no
+    affinity mask whose os.cpu_count() cannot tell."""
+    if cpus is None:
+        monkeypatch.delattr(hfk.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(hfk.os, "cpu_count", lambda: None)
+    else:
+        cores = set(range(cpus))
+        monkeypatch.setattr(hfk.os, "sched_getaffinity", lambda pid: cores, raising=False)
+
+
 def test_small_scans_run_serially(monkeypatch, inline_pool):
-    monkeypatch.setattr(hfk.os, "cpu_count", lambda: 2)
-    assert scan_conjecture(50, jobs=2) == scan_conjecture(50)
+    _usable(monkeypatch, 2)
+    # the knots' p sum to 12,462 below 50, 134,642 below 110, 173,550 below 120
+    assert scan_conjecture(50) == scan_conjecture(50, jobs=1)
+    assert scan_conjecture(110)[1] == []
     assert inline_pool == []
-    # bound 250 still uses the pool; a stand-in width keeps this test fast
+    # bound 120 and up use the pool; a stand-in width keeps this test fast
     monkeypatch.setattr(hfk, "_column_widths", lambda p, qs: [1] * len(qs))
-    scan_conjecture(250, jobs=2)
-    assert inline_pool == [2]
+    scan_conjecture(120)
+    scan_conjecture(250)
+    assert inline_pool == [2, 2]
+
+
+def test_scan_on_one_usable_core_starts_no_pool(monkeypatch, inline_pool):
+    monkeypatch.setattr(hfk.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(hfk, "_column_widths", lambda p, qs: [1] * len(qs))
+    scan_conjecture(250)
+    scan_conjecture(250, jobs=8)
+    assert inline_pool == []
+
+
+def test_usable_cores_fall_back_to_the_core_count(monkeypatch, inline_pool):
+    # a platform with no affinity mask: every core of the machine, else one
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 1)
+    monkeypatch.delattr(hfk.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(hfk.os, "cpu_count", lambda: 3)
+    scan_conjecture(30)
+    monkeypatch.setattr(hfk.os, "cpu_count", lambda: None)
+    scan_conjecture(30)
+    assert inline_pool == [3]
+
+
+def test_the_benchmark_name_runs_the_serial_scan(inline_pool):
+    # bench/workloads.py times hfk.scan_conjecture_parallel(bound, jobs=1)
+    assert "scan_conjecture_parallel" not in hfk.__all__
+    assert hfk.scan_conjecture_parallel(50, jobs=1) == scan_conjecture(50)
+    assert hfk.scan_conjecture_parallel(250, jobs=1)[1] == []
+    assert inline_pool == []
 
 
 @pytest.mark.parametrize(
@@ -493,10 +535,16 @@ def test_small_scans_run_serially(monkeypatch, inline_pool):
     [(2, 64, 2), (4, 3, 3), (1, 8, None), (None, 8, None), (8, 0, None), (8, -3, None)],
 )
 def test_scan_clamps_jobs_to_cpu_count(monkeypatch, inline_pool, cpus, jobs, pool_size):
-    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 0)
-    monkeypatch.setattr(hfk.os, "cpu_count", lambda: cpus)
-    assert scan_conjecture(30, jobs=jobs) == scan_conjecture(30)
+    # the pool size is the least of the usable cores, the jobs cap and the
+    # scan's own count, here made large
+    monkeypatch.setattr(hfk, "_SERIAL_BELOW", 1)
+    _usable(monkeypatch, cpus)
+    assert scan_conjecture(30, jobs=jobs) == scan_conjecture(30, jobs=1)
     assert inline_pool == ([] if pool_size is None else [pool_size])
+    # with no cap, the usable cores alone
+    inline_pool.clear()
+    scan_conjecture(30)
+    assert inline_pool == ([] if cpus in (None, 1) else [cpus])
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ _EXPORTED = [
     "delta_sequence", "export_pd", "extract_staircase", "hfk_from_staircase",
     "import_pd", "is_alternating", "known_dealternating_upper", "lemma_word",
     "normal_form", "normalize_torus_params", "parse_braid",
-    "run_checks", "scan_conjecture", "scan_conjecture_parallel",
+    "run_checks", "scan_conjecture",
     "state_components", "torus_braid_word", "turaev_genus_diagram",
     "underlying_permutation", "verify_lemmas", "width_formula", "width_torus",
     "words_equal",
@@ -57,7 +57,7 @@ def _fresh(code: str) -> object:
 
 def test_exported_names_are_unchanged():
     assert sorted(torusknot.__all__) == _EXPORTED
-    assert len(set(torusknot.__all__)) == 63
+    assert len(set(torusknot.__all__)) == 62
 
 
 def test_dir_lists_the_same_public_names():

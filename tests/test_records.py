@@ -13,17 +13,11 @@ import pytest
 
 from torusknot.alexander import TorusFamily, UnsupportedFamily
 from torusknot.bounds import BoundBracket, KnownUpper
-from torusknot.braid import (
-    BraidWord,
-    LemmaCheck,
-    NormalForm,
-    cyclically_equal,
-    normal_form,
-    parse_braid,
-)
+from torusknot.braid import LemmaCheck, NormalForm, cyclically_equal, normal_form
 from torusknot.diagram import ConstraintComponent, DaltReport
 from torusknot.hfk import ConjectureViolation, Staircase, WidthReport
 from torusknot.verify import CheckResult
+from torusknot.words import BraidWord, parse_braid
 
 # One value of each record, with its fields in the order the dataclass
 # declared them (the order of dataclasses.asdict and so of the CLI's JSON).
