@@ -300,12 +300,13 @@ def width_formula(p: int, q: int) -> int:
     raise ValueError(f"no closed-form width is implemented for ({p}, {q})")
 
 
-# A scan gets a worker per this much of its knots' p, the first one free:
-# below it a pool cost about what it saved, as a width costs O(p) (2 cores,
+# A scan whose knots' p sum below this runs serially: there a pool cost about
+# what it saved, as a width costs O(p) (2 cores, serial against 2 workers,
 # best of 5 in each of 6 runs: bound 100, sum 9.9e4, took 24-42 ms serially
 # and 25-57 ms with 2 workers, serial faster in 4 runs; bound 110, sum
 # 1.3e5, 30-51 and 25-69 ms, 3 runs; bound 120, sum 1.7e5, 38-65 and 35-52
-# ms, 1 run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).
+# ms, 1 run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).  Above it
+# the pool takes every usable core; more than 2 workers are unmeasured.
 _SERIAL_BELOW = 150_000
 
 
@@ -325,12 +326,14 @@ def scan_conjecture(
     whose largest knot T(q-1, q) is above the size cap raises KnotTooLarge
     at once.
 
-    Every width the check needs is computed exactly once, by a pool of
-    min(usable cores, columns, 1 + sum_p // ``_SERIAL_BELOW``) workers, or
-    serially for one; sum_p sums p over the knots, and ``jobs`` caps the
-    count if given.  The check always runs here, and the sort makes the
-    result the same for every worker count.  A ``bound`` that is not an
-    int, or a ``jobs`` that is neither an int nor None, is a ``TypeError``.
+    Every width the check needs is computed exactly once: serially when the
+    knots' p sum below ``_SERIAL_BELOW``, else by a pool of min(usable cores,
+    columns, ``jobs`` if given) workers, serially for one.  The check always
+    runs here, and the sort makes the result the same for every worker
+    count.  A ``bound`` that is not an int, or a ``jobs`` that is neither an
+    int nor None, is a ``TypeError``.  Under spawn or forkserver (Python
+    3.14's default on Linux) each worker re-imports the calling script, so a
+    script must call this under ``if __name__ == "__main__":`` or pass jobs=1.
     """
     if type(bound) is not int:  # bools are ints to isinstance
         raise TypeError(f"bound {bound!r} is not an int")
@@ -353,10 +356,8 @@ def scan_conjecture(
         raise ValueError(f"no coprime pair 1 < p < q < {bound}: nothing to scan")
     affinity = getattr(os, "sched_getaffinity", None)  # the cores this process may use
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    sum_p = sum(p * len(qs) for p, qs in columns.items())
-    limit = len(columns) if jobs is None else min(jobs, len(columns))
-    workers = min(cores, limit, 1 + sum_p // _SERIAL_BELOW)
-    if workers <= 1:
+    workers = min(cores, len(columns), len(columns) if jobs is None else jobs)
+    if workers <= 1 or sum(p * len(qs) for p, qs in columns.items()) < _SERIAL_BELOW:
         column_widths = list(starmap(_column_widths, columns.items()))
     else:
         import multiprocessing

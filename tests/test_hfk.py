@@ -501,6 +501,10 @@ def test_small_scans_run_serially(monkeypatch, inline_pool):
     scan_conjecture(120)
     scan_conjecture(250)
     assert inline_pool == [2, 2]
+    # above the threshold the pool takes every usable core, whatever the size
+    _usable(monkeypatch, 8)
+    scan_conjecture(120)
+    assert inline_pool == [2, 2, 8]
 
 
 def test_scan_on_one_usable_core_starts_no_pool(monkeypatch, inline_pool):
