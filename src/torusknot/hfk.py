@@ -45,26 +45,33 @@ h(x) <= h(x+p) from L on, and min h is attained on the p integers
 members of S are the c elements of the classes of j*q, j < c, and they sit
 at L + x_j, x_j = (-1 - j*q) mod p.  So the walk of h over the window,
 taken from h(L), depends on p and q mod p alone: its shape is the offset of
-min h from h(L) and the first argmin.  The start h(L) needs no count
-either.  The elements of S below L + p are those of the same classes, so
-with q = k*p + r,
+min h from h(L) and the first argmin.  As x_0 = p - 1, h is least just
+before an element, and just before the j-th smallest x_(j), h - h(L) =
+2j - x_(j): the c sorted positions give the shape, with no step over the
+p integers.  The start h(L) needs no count either.  The elements of S
+below L + p are those of the same classes, so with q = k*p + r,
 
     #(S n [0, L)) = sum_{j<c} floor(j*q/p) = b_r + k*c(c-1)/2,
 
 where b_r = sum_{j<c} floor(j*r/p) = (r*c(c-1)/2 + sum x_j) // p - (c - 1)
-depends on p and r alone and is read off the positions x_j the walk lists.
-:func:`_column_widths` takes a column of knots T(p, q), one p: it walks each
-shape and sums its b_r once per residue q mod p, and reads the minimum of
-every knot off them.
+depends on p and r alone and is read off the positions x_j.
+:func:`_column_widths` takes a column of knots T(p, q), one p: it reads
+each shape and sums its b_r once per residue q mod p, and reads the minimum
+of every knot off them.
 
-Each width is certified by three independent counts,
+Each width is certified by three counts,
 
     #(S n [0, x)) = sum_{0 <= b < p, b*q < x} ceil((x - b*q)/p),
 
-O(p) Python-int work per knot, no arrays: h is recounted at the argmin and
-at the argmin +- p, and a RuntimeError naming T(p, q) is raised if the
-walked minimum disagrees with its recount or a neighbour lies lower.  The
-recount at the argmin checks the closed-form start and the walk's offset
+of h at the argmin a and at a +- p, taken in one pass over the classes.
+With u_b = ceil((a + p - b*q)/p) for the n classes with b*q < a + p, and
+ceil((y - j*p)/p) = ceil(y/p) - j, the counts at a + p, a and a - p are
+sum u, sum u - n and sum u - 2n + #(u_b = 1): each is the definition
+summed class by class, and none uses the increment h(x+p) - h(x) that
+placed the window.  That is O(p) Python-int work per knot, one list of at
+most p ints.  A RuntimeError naming T(p, q) is raised if the minimum read
+off the shape disagrees with its recount or a neighbour lies lower.  The
+recount at the argmin checks the closed-form start and the shape's offset
 together; the neighbours check that the window holds the minimum.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
@@ -83,7 +90,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import accumulate, compress, cycle, repeat, starmap
-from operator import add, floordiv, lt, mul, sub
+from operator import add, floordiv, lt, mod, mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._gate import MAX_TORUS_PRODUCT, KnotTooLarge, normalize_torus_params
@@ -216,32 +223,51 @@ def _semigroup_count(p: int, q: int, x: int) -> int:
     return sum(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
 
 
+def _recounts(p: int, q: int, at: int) -> tuple[int, int, int]:
+    """#(<p, q> n [0, x)) at x = at - p, at and at + p, in one pass.
+
+    The class of b*q (b < p, bq < at + p) has u_b = ceil((at + p - bq)/p)
+    elements below at + p, and u_b - j below at + p - j*p where that is
+    positive.  With n classes, the counts are sum u - 2n + #(u_b = 1),
+    sum u - n and sum u, each the definition summed class by class.
+    """
+    top = at + 2 * p - 1  # (top - bq) // p is u_b, and at least 1 iff bq < at + p
+    u = list(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
+    total, n = sum(u), len(u)
+    return total - 2 * n + u.count(1), total - n, total
+
+
 _MAX_WIDTH_BITS = 2**21  # T(65535, 65536) is the largest T(p, p+1) width_torus takes
 
 
 def _window_shape(p: int, r: int) -> tuple[int, int, int]:
     """The offset of min h from h(L), its first argmin - L, and b_r, over
     the window [L, L+p) of every T(p, q) with q = r mod p (see the module
-    docstring): #(S n [0, L)) = b_r + (q // p) * c(c-1)/2, c = ceil(p/2)."""
+    docstring): #(S n [0, L)) = b_r + (q // p) * c(c-1)/2, c = ceil(p/2).
+
+    h falls along gaps and rises past each element, and the window's last
+    integer, x_0 = p - 1, is an element; so h is least just before one.
+    Just before the j-th smallest position x_(j), h - h(L) = 2j - x_(j),
+    so the c sorted positions give both the offset and the first argmin.
+    """
     c = (p + 1) // 2
-    at = [(-1 - j * r) % p for j in range(c)]  # the window's elements of <p, q>, less L
-    step = [-1] * p
-    for x in at:
-        step[x] = 1
-    walk = list(accumulate(step[:-1], initial=0))
-    least = min(walk)
-    return least, walk.index(least), (r * c * (c - 1) // 2 + sum(at)) // p - (c - 1)
+    # the window's elements of <p, q>, less L: x_j = (-1 - j*r) = (p - 1 + j*(p - r)) mod p
+    at = sorted(map(mod, range(p - 1, p - 1 + c * (p - r), p - r), repeat(p)))
+    dips = list(map(sub, range(0, 2 * c, 2), at))  # h - h(L) just before each element
+    least = min(dips)
+    return least, at[dips.index(least)], (r * c * (c - 1) // 2 + sum(at)) // p - (c - 1)
 
 
 def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
     """Widths of T(p, q) for q in ``qs``, 1 <= p <= q coprime, as 1 - min h,
     certified.
 
-    Walks the window shape and sums its b_r once per residue q mod p, so
-    h(L) of every knot comes in closed form; then recounts h at the argmin
-    and at the argmin +- p, three semigroup counts per knot.  The widths
-    come in the order of ``qs``, for :func:`scan_conjecture` to check the
-    jumps of the column against.
+    Reads the window shape and its b_r off the sorted window residues once
+    per residue q mod p, so h(L) of every knot comes in closed form; then
+    recounts h at the argmin and at the argmin +- p, the three counts from
+    one pass over the semigroup classes of the knot.  The widths come in the
+    order of ``qs``, for :func:`scan_conjecture` to check the jumps of the
+    column against.
     """
     shapes: dict[int, tuple[int, int, int]] = {}
     c = (p + 1) // 2
@@ -255,8 +281,8 @@ def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
         low = q * (c - 1) - p + 1
         least = 2 * (count + k * tri) - low + offset
         at = low + index
-        for x in (at - p, at, at + p):
-            h = 2 * _semigroup_count(p, q, x) - x
+        for x, recount in zip((at - p, at, at + p), _recounts(p, q, at)):
+            h = 2 * recount - x
             if h < least or (x == at and h != least):
                 raise RuntimeError(
                     f"width certificate of T({p},{q}) failed: the walk gives min h = "
@@ -302,11 +328,12 @@ def width_formula(p: int, q: int) -> int:
 
 # A scan whose knots' p sum below this runs serially: there a pool cost about
 # what it saved, as a width costs O(p) (2 cores, serial against 2 workers,
-# best of 5 in each of 6 runs: bound 100, sum 9.9e4, took 24-42 ms serially
-# and 25-57 ms with 2 workers, serial faster in 4 runs; bound 110, sum
-# 1.3e5, 30-51 and 25-69 ms, 3 runs; bound 120, sum 1.7e5, 38-65 and 35-52
-# ms, 1 run; bound 140, sum 2.8e5, 56-98 and 44-71 ms, 1 run).  Above it
-# the pool takes every usable core; more than 2 workers are unmeasured.
+# best of 5 in each of 6 runs, twice over: bound 100, sum 9.9e4, took 15-17
+# ms serially and 24-30 ms with 2 workers, serial faster in 12 runs of 12;
+# bound 110, sum 1.3e5, 19-22 and 17-38 ms, 6 of 12; bound 120, sum 1.7e5,
+# 24-41 and 22-34 ms, 5 of 12; bound 130, sum 2.2e5, 29-56 and 25-37 ms, 3
+# of 12; bound 140, sum 2.8e5, 36-65 and 33-40 ms, 1 of 6).  Above it the
+# pool takes every usable core; more than 2 workers are unmeasured.
 _SERIAL_BELOW = 150_000
 
 

@@ -53,7 +53,7 @@ expect(
 )
 expect(ValueError, lambda: bounds._best([], len), "empty diagram pool")
 hfk = importlib.import_module("torusknot.hfk")
-hfk._semigroup_count = lambda p, q, x: 0  # wrong past 0: a recount contradicts the walk
+hfk._recounts = lambda p, q, at: (0, 0, 0)  # wrong past 0: a recount contradicts the walk
 expect(RuntimeError, lambda: hfk.width_torus(4, 5), "width certificate")
 '''
 

@@ -178,15 +178,43 @@ def test_window_shape_depends_on_q_mod_p():
         assert hfk._window_shape(p, r)[:2] == shape, (p, r)
 
 
+def test_recounts_match_the_semigroup_count():
+    """The one-pass recounts at at - p, at and at + p equal the class-by-class
+    count at each point, for every coprime 1 <= p < q <= 150, at the argmin
+    the kernel recounts around and at both ends of the window [L, L+p); for
+    p = 1 and p = 2 the point at - p can be negative."""
+    knots = 0
+    for q in range(2, 151):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                low = q * ((p + 1) // 2 - 1) - p + 1
+                for at in {low, low + hfk._window_shape(p, q % p)[1], low + p - 1}:
+                    want = tuple(hfk._semigroup_count(p, q, x) for x in (at - p, at, at + p))
+                    assert hfk._recounts(p, q, at) == want, (p, q, at)
+                knots += 1
+    assert knots == coprime_pair_count(151) + 149  # with T(1, q), q = 2..150
+    assert hfk._recounts(1, 2, 0) == (0, 0, 1) and hfk._recounts(2, 3, 0) == (0, 0, 1)
+
+
+def _shift_recount(monkeypatch, knot, x, shift):
+    """Make the recount of T(knot) at the point x off by ``shift``."""
+    real = hfk._recounts
+
+    def shifted(p, q, at):
+        counts = real(p, q, at)
+        if (p, q) != knot:
+            return counts
+        return tuple(n + shift * (y == x) for y, n in zip((at - p, at, at + p), counts))
+
+    monkeypatch.setattr(hfk, "_recounts", shifted)
+
+
 @pytest.mark.parametrize("x,shift", [(4, 1), (4, -1), (0, -2), (8, -1)])
 def test_width_certificate_catches_a_wrong_count(monkeypatch, x, shift):
     """T(4,5) walks h over [2, 6) from h(2), with least h(4) = -2 and
     neighbours h(0) = 0 and h(8) = -2.  A count that is off at the argmin or
     at a neighbour fails the certificate, which names the knot."""
-    real = hfk._semigroup_count
-    monkeypatch.setattr(
-        hfk, "_semigroup_count", lambda p, q, y: real(p, q, y) + shift * (y == x)
-    )
+    _shift_recount(monkeypatch, (4, 5), x, shift)
     with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,5)")):
         width_torus(5, 4)
 
@@ -470,10 +498,7 @@ def test_scan_computes_each_width_once(monkeypatch, walks):
 def test_width_certificate_fires_on_a_shape_already_walked(monkeypatch, walks):
     """T(4,9) reuses the shape that T(4,5) walked (q = 1 mod 4): least h at
     L + 2 = 8.  A count off there fails the certificate, which names T(4,9)."""
-    real = hfk._semigroup_count
-    monkeypatch.setattr(
-        hfk, "_semigroup_count", lambda p, q, x: real(p, q, x) + ((p, q, x) == (4, 9, 8))
-    )
+    _shift_recount(monkeypatch, (4, 9), 8, 1)
     with pytest.raises(RuntimeError, match=re.escape("width certificate of T(4,9) failed")):
         scan_conjecture(10)
     assert walks.count((4, 1)) == 1
