@@ -218,7 +218,10 @@ def delta_sequence(stair: Staircase) -> WidthReport:
 
 
 def _semigroup_count(p: int, q: int, x: int) -> int:
-    """#(<p, q> n [0, x)): the class of b*q (b < p) has ceil((x - bq)/p) there."""
+    """#(<p, q> n [0, x)): the class of b*q (b < p) has ceil((x - bq)/p) there.
+
+    One point at a time: the reference that :func:`_recounts` is tested against.
+    """
     top = x + p - 1  # (top - bq) // p is that ceiling, and at least 1 iff bq < x
     return sum(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
 
@@ -251,7 +254,7 @@ def _window_shape(p: int, r: int) -> tuple[int, int, int]:
     so the c sorted positions give both the offset and the first argmin.
     """
     c = (p + 1) // 2
-    # the window's elements of <p, q>, less L: x_j = (-1 - j*r) = (p - 1 + j*(p - r)) mod p
+    # the window's elements of <p, q>, less L: x_j = (-1 - j*r) mod p = (p - 1 + j*(p - r)) mod p
     at = sorted(map(mod, range(p - 1, p - 1 + c * (p - r), p - r), repeat(p)))
     dips = list(map(sub, range(0, 2 * c, 2), at))  # h - h(L) just before each element
     least = min(dips)
