@@ -68,11 +68,16 @@ With u_b = ceil((a + p - b*q)/p) for the n classes with b*q < a + p, and
 ceil((y - j*p)/p) = ceil(y/p) - j, the counts at a + p, a and a - p are
 sum u, sum u - n and sum u - 2n + #(u_b = 1): each is the definition
 summed class by class, and none uses the increment h(x+p) - h(x) that
-placed the window.  That is O(p) Python-int work per knot, one list of at
-most p ints.  A RuntimeError naming T(p, q) is raised if the minimum read
-off the shape disagrees with its recount or a neighbour lies lower.  The
-recount at the argmin checks the closed-form start and the shape's offset
-together; the neighbours check that the window holds the minimum.
+placed the window.  That is O(p) Python-int work per knot, and no list.
+A RuntimeError naming T(p, q) is raised if the minimum read off the shape
+disagrees with its recount or a neighbour lies lower.  The recount at the
+argmin checks the closed-form start and the shape's offset together: it
+proves that h attains that minimum, so a reported width never exceeds the
+true one and every lower bound drawn from a width stays sound.  The
+neighbours prove only that the argmin is least in its class mod p; they do
+not rule out a lower dip in another class, which would give a smaller
+width.  The tests check every shape a scan below bound 250 reads against
+an independent walk.
 
 :func:`scan_conjecture` computes each width of the width-jump scan once,
 column by column, serially or with one column per task of a process pool
@@ -217,27 +222,20 @@ def delta_sequence(stair: Staircase) -> WidthReport:
     return WidthReport(high, low, high - low + 1)
 
 
-def _semigroup_count(p: int, q: int, x: int) -> int:
-    """#(<p, q> n [0, x)): the class of b*q (b < p) has ceil((x - bq)/p) there.
-
-    One point at a time: the reference that :func:`_recounts` is tested against.
-    """
-    top = x + p - 1  # (top - bq) // p is that ceiling, and at least 1 iff bq < x
-    return sum(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
-
-
 def _recounts(p: int, q: int, at: int) -> tuple[int, int, int]:
-    """#(<p, q> n [0, x)) at x = at - p, at and at + p, in one pass.
+    """#(<p, q> n [0, x)) at x = at - p, at and at + p, in one pass, p <= q.
 
     The class of b*q (b < p, bq < at + p) has u_b = ceil((at + p - bq)/p)
     elements below at + p, and u_b - j below at + p - j*p where that is
     positive.  With n classes, the counts are sum u - 2n + #(u_b = 1),
-    sum u - n and sum u, each the definition summed class by class.
+    sum u - n and sum u, each the definition summed class by class.  As
+    q >= p, u_b falls by at least 1 from one class to the next, so only the
+    last class can have u_b = 1.
     """
     top = at + 2 * p - 1  # (top - bq) // p is u_b, and at least 1 iff bq < at + p
-    u = list(map(floordiv, range(top, max(p - 1, top - p * q), -q), repeat(p)))
-    total, n = sum(u), len(u)
-    return total - 2 * n + u.count(1), total - n, total
+    tops = range(top, max(p - 1, top - p * q), -q)  # each at least p: u_b = 1 iff below 2p
+    total, n = sum(map(floordiv, tops, repeat(p))), len(tops)
+    return total - 2 * n + (n and tops[-1] < 2 * p), total - n, total
 
 
 _MAX_WIDTH_BITS = 2**21  # T(65535, 65536) is the largest T(p, p+1) width_torus takes
@@ -263,14 +261,15 @@ def _window_shape(p: int, r: int) -> tuple[int, int, int]:
 
 def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
     """Widths of T(p, q) for q in ``qs``, 1 <= p <= q coprime, as 1 - min h,
-    certified.
+    certified never to exceed the true ones.
 
     Reads the window shape and its b_r off the sorted window residues once
     per residue q mod p, so h(L) of every knot comes in closed form; then
-    recounts h at the argmin and at the argmin +- p, the three counts from
-    one pass over the semigroup classes of the knot.  The widths come in the
-    order of ``qs``, for :func:`scan_conjecture` to check the jumps of the
-    column against.
+    recounts h at the argmin, which proves the minimum attained, and at the
+    argmin +- p, which proves it least in its class mod p only (see the
+    module docstring): three counts from one pass over the semigroup
+    classes of the knot.  The widths come in the order of ``qs``, for
+    :func:`scan_conjecture` to check the jumps of the column against.
     """
     shapes: dict[int, tuple[int, int, int]] = {}
     c = (p + 1) // 2
@@ -278,19 +277,23 @@ def _column_widths(p: int, qs: Iterable[int]) -> list[int]:
     widths = []
     for q in qs:
         k, r = divmod(q, p)
-        if r not in shapes:
-            shapes[r] = _window_shape(p, r)
-        offset, index, count = shapes[r]
+        shape = shapes.get(r)
+        if shape is None:
+            shape = shapes[r] = _window_shape(p, r)
+        offset, index, count = shape
         low = q * (c - 1) - p + 1
         least = 2 * (count + k * tri) - low + offset
         at = low + index
-        for x, recount in zip((at - p, at, at + p), _recounts(p, q, at)):
-            h = 2 * recount - x
-            if h < least or (x == at and h != least):
-                raise RuntimeError(
-                    f"width certificate of T({p},{q}) failed: the walk gives min h = "
-                    f"{least} at {at}, a recount gives h({x}) = {h}"
-                )
+        counts = below, here, above = _recounts(p, q, at)
+        # h(x) = 2 #(S n [0, x)) - x: h(at) = least, h(at -+ p) >= least
+        if 2 * here != least + at or 2 * below + p < least + at or 2 * above - p < least + at:
+            for x, recount in zip((at - p, at, at + p), counts):
+                h = 2 * recount - x
+                if h < least or (x == at and h != least):
+                    raise RuntimeError(
+                        f"width certificate of T({p},{q}) failed: the walk gives min h = "
+                        f"{least} at {at}, a recount gives h({x}) = {h}"
+                    )
         widths.append(1 - least)
     return widths
 

@@ -78,6 +78,15 @@ def semigroup_alexander_terms(p: int, q: int) -> dict[int, int]:
     return {e - g: c for e, c in coefficients.items() if c != 0}
 
 
+def semigroup_count(p: int, q: int, x: int) -> int:
+    """#(<p, q> n [0, x)) for coprime p, q, one point at a time.
+
+    Every element of <p, q> is a*p + b*q with one b < p, so the class of
+    b*q holds b*q, b*q + p, ..., and ceil((x - b*q)/p) of them lie below x.
+    """
+    return sum(-((b * q - x) // p) for b in range(p) if b * q < x)
+
+
 def coprime_pair_count(bound: int) -> int:
     """Number of pairs 1 < p < q < bound with gcd(p, q) = 1, by sieve."""
     count = 0

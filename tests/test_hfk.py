@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from torusknot.hfk import (
 )
 from torusknot.laurent import LaurentPolynomial
 
-from _oracles import coprime_pair_count, rational_alexander
+from _oracles import coprime_pair_count, rational_alexander, semigroup_count
 
 
 def _generators(p, q):
@@ -144,16 +145,21 @@ def test_semigroup_kernel_matches_rational_formula():
             assert width_torus(p, q) == want == width_torus(q, p), (p, q)
 
 
-def _walked_shape(p, q):
-    """The window walk of T(p, q) from h(L) = 0, knot by knot, no memo:
-    the classes of y = b*q < L + p hold the window's elements of <p, q>."""
+def _window_walk(p, q):
+    """h - h(L) over the window [L, L+p) of T(p, q), knot by knot, no memo,
+    and the points just before an element of <p, q>: the classes of
+    y = b*q < L + p hold the window's elements."""
     low = q * ((p + 1) // 2 - 1) - p + 1
     step = [-1] * p
     for y in range(0, low + p, q):
         step[(y - low) % p] = 1
-    walk = [0]
-    for s in step[:-1]:
-        walk.append(walk[-1] + s)
+    walk = list(accumulate(step[:-1], initial=0))
+    return walk, [x for x in range(p) if step[x] == 1]
+
+
+def _walked_shape(p, q):
+    """(min h - h(L), first argmin - L) over the window of T(p, q)."""
+    walk, _ = _window_walk(p, q)
     return min(walk), walk.index(min(walk))
 
 
@@ -171,11 +177,24 @@ def test_window_shape_depends_on_q_mod_p():
                 assert shapes.setdefault((p, q % p), walked) == walked, (p, q)
                 c = (p + 1) // 2
                 low = q * (c - 1) - p + 1
-                start = hfk._semigroup_count(p, q, low) - (q // p) * c * (c - 1) // 2
+                start = semigroup_count(p, q, low) - (q // p) * c * (c - 1) // 2
                 assert hfk._window_shape(p, q % p)[2] == start, (p, q)
     assert len(shapes) < knots
     for (p, r), shape in shapes.items():
         assert hfk._window_shape(p, r)[:2] == shape, (p, r)
+
+
+def test_every_shape_of_the_default_scan_matches_a_walk():
+    """The certificate checks a shape's minimum within its class mod p
+    only, so each shape the default scan (bound 250) reads, one per
+    coprime 1 <= r < p < 250, is checked here against a walk over T(p, p+r)."""
+    shapes = 0
+    for p in range(2, 250):
+        for r in range(1, p):
+            if math.gcd(p, r) == 1:
+                assert hfk._window_shape(p, r)[:2] == _walked_shape(p, p + r), (p, r)
+                shapes += 1
+    assert shapes == 18923
 
 
 def test_recounts_match_the_semigroup_count():
@@ -189,7 +208,7 @@ def test_recounts_match_the_semigroup_count():
             if math.gcd(p, q) == 1:
                 low = q * ((p + 1) // 2 - 1) - p + 1
                 for at in {low, low + hfk._window_shape(p, q % p)[1], low + p - 1}:
-                    want = tuple(hfk._semigroup_count(p, q, x) for x in (at - p, at, at + p))
+                    want = tuple(semigroup_count(p, q, x) for x in (at - p, at, at + p))
                     assert hfk._recounts(p, q, at) == want, (p, q, at)
                 knots += 1
     assert knots == coprime_pair_count(151) + 149  # with T(1, q), q = 2..150
@@ -269,6 +288,63 @@ def test_widths_kernel_matches_golden_in_one_call():
 
 def test_widths_match_golden_knot_by_knot():
     assert _widths_record() == _load_widths_golden()
+
+
+_REAL_WINDOW_SHAPE = hfk._window_shape
+
+
+def _second_dip(p, r):
+    """The second-lowest dip of the window of T(p, p + r) and its point, a
+    shape that is least in its class mod p but not in the window."""
+    offset, index, count = _REAL_WINDOW_SHAPE(p, r)
+    walk, dips = _window_walk(p, p + r)
+    if len(dips) < 2:
+        return offset, index, count
+    _, second = sorted((walk[x], x) for x in dips)[1]
+    return walk[second], second, count
+
+
+def _moved_shape(offset_shift, index_shift):
+    def moved(p, r):
+        offset, index, count = _REAL_WINDOW_SHAPE(p, r)
+        return offset + offset_shift, index + index_shift, count
+
+    return moved
+
+
+_SHAPE_FAULTS = {
+    "offset+1": _moved_shape(1, 0),
+    "offset-1": _moved_shape(-1, 0),
+    "index+1": _moved_shape(0, 1),
+    "index-1": _moved_shape(0, -1),
+    "second dip": _second_dip,
+}
+
+
+@pytest.mark.parametrize("fault", list(_SHAPE_FAULTS))
+def test_a_wrong_shape_never_widens_a_width(monkeypatch, fault):
+    """The recount at the argmin proves that the reported minimum of h is
+    attained, so a width that passes the certificate never exceeds the
+    true one: every Floer lower bound it gives stays sound.  The neighbours
+    at +-p check the argmin only within its class mod p, so a shape that
+    names a higher dip of another class passes with a smaller width; that
+    fault is left to the shape tests above."""
+    golden = _load_widths_golden()
+    monkeypatch.setattr(hfk, "_window_shape", _SHAPE_FAULTS[fault])
+    raised = narrowed = 0
+    for p, q in _WIDTHS_GRID:
+        try:
+            width = width_torus(p, q).width
+        except RuntimeError as error:
+            assert f"width certificate of T({p},{q}) failed" in str(error)
+            raised += 1
+            continue
+        assert width <= golden[f"{p},{q}"][2], (fault, p, q)
+        narrowed += width < golden[f"{p},{q}"][2]
+    if fault == "second dip":
+        assert not raised and narrowed  # 1412 knots narrowed, none caught
+    else:
+        assert raised == len(_WIDTHS_GRID)
 
 
 # ----------------------------------------------------------------------
