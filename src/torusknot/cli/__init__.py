@@ -170,16 +170,7 @@ _COMMANDS = {
             "verify-paper",
             "run every built-in verification check",
             "_paper",
-            (
-                _arg(
-                    "--scan-bound",
-                    type=int,
-                    default=250,
-                    help="bound for the conjecture scan (default 250)",
-                ),
-                _arg("--n-max", type=int, default=4, help="largest n for identities"),
-                _check_names_arg,
-            ),
+            (_check_names_arg,),
         ),
     )
 }

@@ -11,7 +11,7 @@ def verify_paper(args: Namespace) -> _Output:
     from ..verify import run_checks
 
     names = tuple(args.only) if args.only else None
-    results = run_checks(scan_bound=args.scan_bound, n_max=args.n_max, names=names)
+    results = run_checks(names)
     document = [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results]
     lines = []
     for r in results:

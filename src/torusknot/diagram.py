@@ -441,14 +441,17 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     return report
 
 
-def brute_force_dealternating(diagram: Diagram, limit: int = 14) -> int:
-    """Reference minimum by trying every crossing subset (c <= limit).
+_BRUTE_FORCE_LIMIT = 14  # crossings, so at most 2^14 subsets
+
+
+def brute_force_dealternating(diagram: Diagram) -> int:
+    """Reference minimum by trying every crossing subset (c <= _BRUTE_FORCE_LIMIT).
 
     Independent of the constraint solver; used to cross-check it.
     """
     n = diagram.n_crossings
-    if n > limit:
-        raise ValueError(f"{n} crossings exceed the brute-force limit {limit}")
+    if n > _BRUTE_FORCE_LIMIT:
+        raise ValueError(f"{n} crossings exceed the brute-force limit {_BRUTE_FORCE_LIMIT}")
     # consecutive passes 2*c1 + t1, 2*c2 + t2 of a cycle, cyclically,
     # alternate after the changes x exactly when x_c1 xor x_c2 = t1 xor t2 xor 1
     pairs = [

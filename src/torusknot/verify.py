@@ -4,14 +4,17 @@ Every headline computation in the package is re-run here against frozen
 expected values and independent cross-checks: golden polynomial and
 staircase outputs, formula-vs-computation sweeps, the width-jump scan,
 braid-word identities, state-count tables, solver-vs-brute-force
-minimality, randomized property suites, and the bound brackets.
+minimality, randomized property suites, and the bound brackets.  Each
+check runs at the one setting the paper states: the scan below 250, the
+identities up to n = 4, one seed for the random suites.  ``scan --bound``
+and ``verify-lemmas --n-max`` run further.
 
 Each check is declared once, by the ``_check`` decorator, which names it,
 times it and builds its :class:`CheckResult`; the check body only
 collects failures and returns its detail.  ``CHECK_NAMES`` and
-:func:`run_checks` read that registry, in declaration order.  All
-randomness is seeded, and the scan sorts its violations whatever pool it
-ran on, so output is identical across runs and machines.
+:func:`run_checks` read that registry, in declaration order.  The scan
+sorts its violations whatever pool it ran on, so output is identical
+across runs and machines.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .alexander import (
 from .bounds import bounds, known_dealternating_upper
 from .braid import normal_form, verify_lemmas
 from .diagram import (
+    _BRUTE_FORCE_LIMIT,
     all_a,
     all_b,
     brute_force_dealternating,
@@ -65,24 +69,23 @@ class CheckResult(NamedTuple):
     seconds: float
 
 
-_CHECKS: dict[str, tuple[Callable[..., CheckResult], tuple[str, ...]]] = {}
+_CHECKS: dict[str, Callable[[], CheckResult]] = {}
 
 
-def _check(name: str, *options: str):
+def _check(name: str):
     """Register a check under ``name``, in run order, and time it.
 
-    The decorated body takes a list to append failure strings to, then the
-    check's own parameters, and returns the detail reported on success.
-    ``options`` names the :func:`run_checks` settings passed to those
-    parameters, in order.
+    The decorated body takes a list to append failure strings to and
+    returns the detail reported on success; the registered check takes no
+    argument.
     """
 
-    def register(body: Callable[..., str]) -> Callable[..., CheckResult]:
+    def register(body: Callable[[list[str]], str]) -> Callable[[], CheckResult]:
         @functools.wraps(body)
-        def check(*args, **kwargs) -> CheckResult:
+        def check() -> CheckResult:
             start = time.perf_counter()
             failures: list[str] = []
-            detail = body(failures, *args, **kwargs)
+            detail = body(failures)
             elapsed = time.perf_counter() - start
             if failures:
                 summary = "; ".join(failures[:5])
@@ -91,7 +94,7 @@ def _check(name: str, *options: str):
                 return CheckResult(name, False, summary, elapsed)
             return CheckResult(name, True, detail, elapsed)
 
-        _CHECKS[name] = (check, options)
+        _CHECKS[name] = check
         return check
 
     return register
@@ -231,9 +234,10 @@ def check_width_formulas(failures: list[str]) -> str:
 # 4. width-jump conjecture scan
 
 
-@_check("conjecture-scan", "scan_bound")
-def check_conjecture_scan(failures: list[str], bound: int = 250) -> str:
-    """Exhaustive width-jump check for all coprime pairs below the bound."""
+@_check("conjecture-scan")
+def check_conjecture_scan(failures: list[str]) -> str:
+    """Exhaustive width-jump check for all coprime pairs below 250."""
+    bound = 250
     checked, violations = scan_conjecture(bound)
     failures.extend(
         f"T({v.p},{v.q}): width {v.width}, previous {v.previous_width}, "
@@ -265,9 +269,10 @@ def check_closed_forms(failures: list[str]) -> str:
 # 6. braid-word identities
 
 
-@_check("braid-lemmas", "n_max")
-def check_braid_lemmas(failures: list[str], n_max: int = 4) -> str:
-    """All tabulated torus-word rewritings hold in the braid group."""
+@_check("braid-lemmas")
+def check_braid_lemmas(failures: list[str]) -> str:
+    """All tabulated torus-word rewritings hold in the braid group, n = 1..4."""
+    n_max = 4
     checks = verify_lemmas(n_max=n_max)
     failures.extend(
         f"({c.p},{c.q}) n={c.n} [{c.relation}] failed" for c in checks if not c.passed
@@ -321,7 +326,7 @@ def check_state_counts(failures: list[str]) -> str:
 
 @_check("dealternating-solver")
 def check_dealternating_solver(failures: list[str]) -> str:
-    """Witness really alternates; brute force confirms minimality (<= 14 crossings)."""
+    """Witness really alternates; brute force confirms minimality within its limit."""
     # (label, diagram, its known minimum or None)
     corpus = []
     for p, _, q, _, _, minimum in _tabulated_diagrams():
@@ -342,7 +347,7 @@ def check_dealternating_solver(failures: list[str]) -> str:
             witnessed += 1
         if len(report.witness) != report.minimum_changes:
             failures.append(f"{label}: witness size != minimum")
-        if len(diagram.signs) <= 14:
+        if len(diagram.signs) <= _BRUTE_FORCE_LIMIT:
             brute = brute_force_dealternating(diagram)
             brute_checked += 1
             if brute != report.minimum_changes:
@@ -489,9 +494,9 @@ def _single_flip_properties(rng: random.Random, failures: list[str]) -> int:
 
 
 @_check("property-suites")
-def check_property_suites(failures: list[str], seed: int = 20260814) -> str:
+def check_property_suites(failures: list[str]) -> str:
     """Seeded randomized suites: ring axioms, rewriting invariance, symmetry."""
-    rng = random.Random(seed)
+    rng = random.Random(20260814)
     n_laurent = _laurent_properties(rng, failures)
     n_nf = _normal_form_properties(rng, failures)
     n_hfk = _hfk_properties(failures)
@@ -569,19 +574,15 @@ def check_bound_brackets(failures: list[str]) -> str:
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_checks(
-    scan_bound: int = 250,
-    n_max: int = 4,
-    names: "tuple[str, ...] | None" = None,
-) -> list[CheckResult]:
-    """Run the verification checks in order; returns one result per check."""
-    settings = {"scan_bound": scan_bound, "n_max": n_max}
-    selected = CHECK_NAMES if names is None else names
+def run_checks(names: "tuple[str, ...] | None" = None) -> list[CheckResult]:
+    """Run the named checks, all by default, each once in first-given order.
+
+    An unknown name, or no name, which would check nothing, is a ValueError.
+    """
+    selected = CHECK_NAMES if names is None else tuple(dict.fromkeys(names))
+    if not selected:
+        raise ValueError("no check selected")
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    results = []
-    for name in selected:
-        check, options = _CHECKS[name]
-        results.append(check(*(settings[option] for option in options)))
-    return results
+    return [_CHECKS[name]() for name in selected]

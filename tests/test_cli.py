@@ -181,6 +181,18 @@ def test_verify_paper_text_summary(capsys):
     assert "2/2 checks passed" in out
 
 
+def test_verify_paper_runs_a_repeated_check_once(capsys):
+    argv = "verify-paper --only golden-hfk --only golden-alexander --only golden-hfk"
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "PASS golden-hfk",
+        "PASS golden-alexander",
+    ]
+    assert lines[-1] == "2/2 checks passed"
+
+
 def test_deeply_nested_word_exits_two(capsys):
     deep = "(" * 3000 + "1" + ")" * 3000
     code, out, err = run(capsys, "braid-eq", "--strands", "3", deep, "1")
@@ -294,7 +306,6 @@ def test_compact_json_single_line(capsys):
         "bounds 4 40000000000",
         "scan --bound 100000",
         "scan --bound 60000",
-        "verify-paper --only conjecture-scan --scan-bound 100000",
         "verify-lemmas --n-max 100000",
     ],
 )
@@ -328,8 +339,6 @@ def test_width_above_the_alexander_cap_answers(capsys):
     [
         "verify-lemmas --n-max 0",
         "scan --bound -5",
-        "verify-paper --only braid-lemmas --n-max 0",
-        "verify-paper --only conjecture-scan --scan-bound -3",
     ],
 )
 def test_vacuous_verifications_exit_two(capsys, argv):
@@ -349,15 +358,27 @@ def test_worker_count_is_no_option(capsys, command):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["verify-paper --scan-bound 30", "verify-paper --n-max 1"])
+def test_verify_paper_has_one_setting(capsys, argv):
+    # the paper's checks run as the paper states them; scan --bound and
+    # verify-lemmas --n-max run further
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv.partition(' ')[2]}" in capsys.readouterr().err
+
+
 # the values that used to fail the parse (exit 2) or be clamped to the cores
 @pytest.mark.parametrize("env", ["abc", "2.5", " ", "64"])
 def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, inline_pool, env):
     monkeypatch.setenv("TORUSKNOT_JOBS", env)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, out, err = run(capsys, "scan", "--bound", "30")
     assert (code, out, err) == (0, "checked 241 coprime pairs below 30: 0 violations\n", "")
-    code, out, err = run(capsys, "verify-paper", "--only", "conjecture-scan", "--scan-bound", "30")
-    assert (code, err) == (0, "") and out.startswith("PASS conjecture-scan: 241 coprime pairs")
-    assert inline_pool == []
+    code, out, err = run(capsys, "verify-paper", "--only", "conjecture-scan")
+    assert (code, err) == (0, "") and out.startswith("PASS conjecture-scan: 18675 coprime pairs")
+    # the scan below 30 runs serially, the one below 250 on both usable cores
+    assert inline_pool == [2]
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +408,7 @@ _TRANSCRIPT_COMMANDS = [
     "states --torus 2 3 --assignment AAAA",
     "bounds 4 5",
     "bounds 5 7",
-    "verify-paper --only width-formulas --only state-counts --only braid-lemmas --n-max 1",
+    "verify-paper --only width-formulas --only state-counts --only braid-lemmas",
 ]
 _SUBCOMMANDS = [
     "alexander", "hfk", "width", "scan", "braid-eq", "verify-lemmas",

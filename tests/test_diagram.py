@@ -555,7 +555,7 @@ def test_component_structure_partitions_crossings():
 
 
 def test_brute_force_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^15 crossings exceed the brute-force limit 14$"):
         brute_force_dealternating(closure_diagram(torus_braid_word(4, 5)))
 
 

@@ -25,18 +25,22 @@ def test_check_names_in_run_order():
 
 
 def test_run_checks_passes_its_settings_to_the_checks():
-    scan, lemmas = run_checks(
-        scan_bound=20, n_max=1, names=("conjecture-scan", "braid-lemmas")
-    )
+    # the paper's settings are fixed: the scan below 250, the identities to n = 4
+    scan, lemmas = run_checks(("conjecture-scan", "braid-lemmas"))
     assert (scan.name, scan.passed) == ("conjecture-scan", True)
-    assert "below 20" in scan.detail
+    assert "below 250" in scan.detail
     assert (lemmas.name, lemmas.passed) == ("braid-lemmas", True)
-    assert "up to n=1" in lemmas.detail
+    assert "up to n=4" in lemmas.detail
 
 
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown checks: no-such-check"):
         run_checks(names=("golden-hfk", "no-such-check"))
+
+
+def test_run_checks_refuses_to_check_nothing():
+    with pytest.raises(ValueError, match="no check selected"):
+        run_checks(names=())
 
 
 def test_failures_replace_the_detail(monkeypatch):
