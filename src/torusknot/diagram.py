@@ -30,24 +30,24 @@ Counts are orbit walks: following the arc from end e to its partner, then a
 turn at that crossing, permutes the ends.  With the smoothing join as the
 turn each state circle is two orbits, one per direction, so one walk marking
 both ends of each arc counts it; with the next slot (s + 1) mod 4 as the
-turn each orbit is a face.  Connected pieces are the pass cycles joined at
-shared crossings, read off the pass table that ``pass_cycles()`` fills.
-A pass is the int ``v = 2*c + over`` (over = 1 on the over-strand), so
-``v >> 1`` is its crossing and ``v ^ 1`` the crossing's other visit.
+turn each orbit is a face.  A pass is the int ``v = 2*c + over`` (over = 1
+on the over-strand), so ``v >> 1`` is its crossing and ``v ^ 1`` the
+crossing's other visit.
 
 The minimum number of crossing changes making a diagram alternating is
 decided exactly: alternation fixes each link component's changes up to one
-flip bit, and each crossing ties the bits of the components through it, so
-every connected piece has two alternating change sets, complements of each
-other; the optimum takes the smaller of each, and its witness is checked on
-the flipped pass bits, with no flipped diagram built.
+flip bit, and each crossing ties the bits of the components through it.
+One cached search over these ties gives each cycle its flip; its roots are
+the connected pieces, which the Turaev genus counts.  Each piece has two
+alternating change sets, complements of each other; the optimum takes the
+smaller of each, and its witness is replayed on ``pass_cycles()``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from operator import ne
+from itertools import chain, compress
+from operator import ne, not_
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -135,6 +135,7 @@ class Diagram:
         self.free_circles, self.strands = free_circles, strands
         self._cycles: list[list[int]] | None = None
         self._tags: list[int] = []  # the pass table; pass_cycles() fills it
+        self._found: tuple | None = None  # the search over the pass cycles
 
     # -- basics ---------------------------------------------------------
 
@@ -193,6 +194,35 @@ class Diagram:
             self._cycles, self._tags = cycles, tags
         return self._cycles
 
+    def _cycle_search(self) -> tuple[list[int], list[int], tuple[int, int] | None]:
+        """Flip bits and pieces of the pass cycles, and the first clash.
+
+        Crossing c's visits, tagged u = _tags[2c] and o = _tags[2c + 1], tie
+        cycles u >> 1 and o >> 1 with bit (u ^ o) & 1; each piece's lowest
+        cycle is its root, with flip 0.  Returns (flip, root, clash): per cycle
+        its flip and root, and the first clashing tie's cycles, never raised.
+        """
+        if self._found is None:
+            cycles, tags = self.pass_cycles(), self._tags
+            ties: list[list[tuple[int, int]]] = [[] for _ in cycles]
+            for u, o in set(zip(tags[0::2], tags[1::2])):  # distinct ties, not crossings
+                ties[u >> 1].append((o >> 1, (u ^ o) & 1))
+                ties[o >> 1].append((u >> 1, (u ^ o) & 1))
+            flip, root, clash = [-1] * len(cycles), list(range(len(cycles))), None
+            for start in range(len(cycles)):
+                if flip[start] < 0:
+                    flip[start], stack = 0, [start]
+                    while stack:
+                        k = stack.pop()
+                        for j, bit in ties[k]:
+                            if flip[j] < 0:
+                                flip[j], root[j] = flip[k] ^ bit, start
+                                stack.append(j)
+                            elif flip[j] != flip[k] ^ bit and clash is None:
+                                clash = k, j
+            self._found = flip, root, clash
+        return self._found
+
     def components(self) -> int:
         """Number of link components (curve cycles plus free circles)."""
         return len(self.pass_cycles()) + self.free_circles
@@ -247,19 +277,8 @@ def _orbits(step: list[int]) -> int:
 
 
 def _pieces(diagram: Diagram) -> int:
-    """Connected pieces of the crossings: a union-find over the pass cycles
-    that joins the cycles of each crossing's two visits, read off ``_tags``."""
-    cycles, tags = diagram.pass_cycles(), diagram._tags
-    parent = list(range(len(cycles)))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]  # path halving
-        return k
-
-    for u, o in set(zip(tags[0::2], tags[1::2])):  # distinct ties, not crossings
-        parent[root(u >> 1)] = root(o >> 1)
-    return sum(k == up for k, up in enumerate(parent))
+    """Connected pieces of the crossings: the roots of Diagram._cycle_search."""
+    return sum(k == r for k, r in enumerate(diagram._cycle_search()[1]))
 
 
 def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
@@ -275,13 +294,13 @@ def state_components(diagram: Diagram, assignment: Iterable[str]) -> int:
     choice = tuple(assignment)
     if len(choice) != diagram.n_crossings:
         raise ValueError(f"need {diagram.n_crossings} smoothings, got {len(choice)}")
-    kinds = set(choice)
-    if not kinds <= {"A", "B"}:
+    a, b = choice.count("A"), choice.count("B")  # not a set: x may be unhashable
+    if a + b != len(choice):
         raise ValueError("smoothings must be 'A' or 'B'")
-    if len(kinds) == 2:  # a change swaps a crossing's A- and B-smoothings
+    if a and b:  # a change swaps a crossing's A- and B-smoothings
         changed = [c for c, x in enumerate(choice) if x == "B"]
         diagram = change_crossings(diagram, changed)
-    join = 3 if kinds == {"B"} else 1  # A joins e to e ^ 1 (slots 0-1, 2-3), B e ^ 3
+    join = 1 if a else 3  # A joins e to e ^ 1 (slots 0-1, 2-3), B e ^ 3
     partner, seen, count = diagram._partner, bytearray(4 * len(choice)), 0
     start = seen.find(0)
     while start >= 0:
@@ -396,10 +415,10 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     xor e for one bit e per component.  A crossing's two visits v and v ^ 1
     tie two such bits, so each connected piece has two alternating change
     sets, complements of each other; the minimum takes the smaller, or on a
-    tie the one holding the piece's lowest crossing.  The pass table gives
-    t_i xor (i mod 2) as ``_tags[v] & 1`` and the other visit as
-    ``_tags[v ^ 1]``; the witness is replayed on the pass bits of
-    pass_cycles(), its crossings' bits flipped, before return.
+    tie the one holding the piece's lowest crossing.  Crossing c's change
+    bit is table[_tags[2c]], table[t] = t & 1 xor the flip that
+    Diagram._cycle_search gives cycle t >> 1.  The witness is replayed on
+    the pass bits of pass_cycles(), not on those flips, before return.
 
     Raises InconsistentConstraints when no change set alternates: never for
     a planar diagram, but possible for one built directly past import_pd's
@@ -409,35 +428,26 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     for k, cycle in enumerate(cycles):
         if len(cycle) % 2:
             raise InconsistentConstraints(f"component {k} has an odd number of passes")
-    flip = [-1] * len(cycles)
+    flip, root, clash = diagram._cycle_search()
+    if clash:
+        raise InconsistentConstraints("components %d and %d receive contradictory flips" % clash)
+    table = [t & 1 ^ flip[t >> 1] for t in range(2 * len(cycles))]  # t xor i mod 2 xor e
+    under = tags[0::2]  # crossing c's change bit is table[under[c]]
+    pieces = {0: range(len(under))}  # each piece's crossings, by its root
+    if _pieces(diagram) != 1:
+        pieces = {}
+        for c, t in enumerate(under):
+            pieces.setdefault(root[t >> 1], []).append(c)
     blocks = []
-    for root in range(len(cycles)):  # a piece's first cycle starts at its lowest end
-        if flip[root] != -1:
-            continue
-        flip[root], stack, change = 0, [root], {}
-        while stack:
-            k = stack.pop()
-            for v in cycles[k]:
-                change[v >> 1] = x = tags[v] & 1 ^ flip[k]  # t xor i mod 2 xor e
-                other = tags[v ^ 1]  # the crossing's other visit
-                j = other >> 1
-                if flip[j] == -1:
-                    flip[j] = x ^ other & 1
-                    stack.append(j)
-                elif flip[j] != x ^ other & 1:
-                    raise InconsistentConstraints(
-                        f"components {k} and {j} receive contradictory flips"
-                    )
-        crossings = sorted(change)
-        near = tuple(c for c in crossings if change[c] == change[crossings[0]])
-        far = tuple(c for c in crossings if change[c] != change[crossings[0]])
+    for crossings in pieces.values():  # the root's lowest crossing has bit 0
+        bits = list(map(table.__getitem__, map(under.__getitem__, crossings)))
+        near = tuple(compress(crossings, map(not_, bits)))
+        far = tuple(compress(crossings, bits))
         blocks.append(ConstraintComponent(tuple(crossings), min(near, far, key=len)))
     witness = sorted(chain.from_iterable(block.changes for block in blocks))
     report = DaltReport(len(witness), tuple(witness), tuple(blocks))
     if not _witness_alternates(cycles, report.witness):
-        raise RuntimeError(
-            f"witness {list(report.witness)} does not make the diagram alternate"
-        )
+        raise RuntimeError(f"witness {list(report.witness)} does not make the diagram alternate")
     return report
 
 

@@ -144,6 +144,20 @@ def union_find_pieces(crossings: int, arcs) -> int:
     return uf.roots()
 
 
+def union_find_faces(crossings: int, arcs) -> int:
+    """Faces of the rotation system that orders each crossing's four slots.
+
+    A face runs along an arc from end u to its partner v, then turns to the
+    next slot of v's crossing, (slot + 1) mod 4; so each arc joins u to the
+    turn after v and v to the turn after u, and the faces are the classes.
+    """
+    uf = _UnionFind(4 * crossings)
+    for u, v in arcs:
+        uf.union(u, v - v % 4 + (v + 1) % 4)
+        uf.union(v, u - u % 4 + (u + 1) % 4)
+    return uf.roots()
+
+
 def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
     """Switch over- and under-strand at the given crossings, by rebuilding.
 

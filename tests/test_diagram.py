@@ -14,10 +14,17 @@ from _oracles import (
     crossing_graph_dealternating,
     pd_pass_cycles,
     rebuilt_change_crossings,
+    union_find_faces,
     union_find_pieces,
     union_find_state_circles,
 )
-from torusknot.words import BraidWord, UnsupportedTorusFamily, lemma_word, torus_braid_word
+from torusknot.words import (
+    _FAMILIES,
+    BraidWord,
+    UnsupportedTorusFamily,
+    lemma_word,
+    torus_braid_word,
+)
 from torusknot import diagram as diagram_module
 from torusknot.diagram import (
     DaltReport,
@@ -85,6 +92,13 @@ def test_state_components_explicit_assignment():
         state_components(d, "AA")
     with pytest.raises(ValueError):
         state_components(d, "AAX")
+
+
+def test_state_components_refuses_an_unhashable_smoothing():
+    d = closure_diagram(torus_braid_word(2, 3))
+    for assignment in (["A", ["B"], "A"], ["A", "B", {}], [["A"]] * 3):
+        with pytest.raises(ValueError, match="^smoothings must be 'A' or 'B'$"):
+            state_components(d, assignment)
 
 
 @settings(max_examples=150, deadline=None)
@@ -552,6 +566,53 @@ def test_component_structure_partitions_crossings():
         assert len(blocks) == diagram_module._pieces(d)  # one block per piece
         total = sum(len(comp.changes) for comp in blocks)
         assert total == report.minimum_changes
+
+
+def test_solver_and_pieces_match_oracles_on_the_grid_and_the_table():
+    """The full report, component structure included, and the piece count on
+    every tabulated diagram for n <= 4 and the standard closures of the
+    bounds grid (2 <= p <= 9) with q <= 40."""
+    words = [lemma_word(p, p * n + r) for p, r in _FAMILIES for n in range(1, 5)]
+    words += [torus_braid_word(p, q) for p in range(2, 10) for q in range(2, 41)]
+    assert len(words) == 356
+    for word in words:
+        d = closure_diagram(word)
+        assert dealternating_number_diagram(d) == crossing_graph_dealternating(d), word
+        assert diagram_module._pieces(d) == union_find_pieces(d.n_crossings, _arcs(d))
+
+
+def test_the_shared_search_never_raises_outside_the_solver():
+    """A clash the search records stays the solver's: the piece count, the
+    Turaev genus and the planarity check of import_pd read the same search,
+    and raise only what they raised before it was shared."""
+    rng = random.Random(3807)
+    clash = Diagram("++", _labelled([(2, 4), (6, 3), (1, 7), (5, 0)]))  # Gauss code 1212
+    cases = [clash] + [
+        _matching(rng, rng.randint(1, 9), rng.randint(0, 2)) for _ in range(200)
+    ]
+    clashes, seen = 0, set()
+    for d in cases:
+        arcs = _arcs(d)
+        pieces = diagram_module._pieces(d)
+        assert pieces == union_find_pieces(d.n_crossings, arcs), export_pd(d)
+        try:
+            dealternating_number_diagram(d)
+        except InconsistentConstraints as err:
+            clashes += "contradictory flips" in str(err)
+        try:
+            turaev_genus_diagram(d)
+        except (MalformedPDCode, DisconnectedDiagram):
+            pass
+        planar = union_find_faces(d.n_crossings, arcs) == d.n_crossings + 2 * pieces
+        if planar:
+            assert import_pd(export_pd(d)) == d
+        else:
+            with pytest.raises(MalformedPDCode, match="not planar"):
+                import_pd(export_pd(d))
+        seen.add(planar)
+    assert clashes > 1 and seen == {True, False}
+    with pytest.raises(MalformedPDCode, match="not planar"):
+        import_pd(export_pd(clash))
 
 
 def test_brute_force_limit():
