@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress
-from operator import ne, not_
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -205,7 +205,7 @@ class Diagram:
         if self._found is None:
             cycles, tags = self.pass_cycles(), self._tags
             ties: list[list[tuple[int, int]]] = [[] for _ in cycles]
-            for u, o in set(zip(tags[0::2], tags[1::2])):  # distinct ties, not crossings
+            for u, o in dict.fromkeys(zip(tags[0::2], tags[1::2])):  # distinct, in crossing order
                 ties[u >> 1].append((o >> 1, (u ^ o) & 1))
                 ties[o >> 1].append((u >> 1, (u ^ o) & 1))
             flip, root, clash = [-1] * len(cycles), list(range(len(cycles))), None
@@ -416,9 +416,11 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     tie two such bits, so each connected piece has two alternating change
     sets, complements of each other; the minimum takes the smaller, or on a
     tie the one holding the piece's lowest crossing.  Crossing c's change
-    bit is table[_tags[2c]], table[t] = t & 1 xor the flip that
-    Diagram._cycle_search gives cycle t >> 1.  The witness is replayed on
-    the pass bits of pass_cycles(), not on those flips, before return.
+    bit is t & 1 xor the flip that Diagram._cycle_search gives cycle t >> 1,
+    t = _tags[2c]; one table over the tags reads it off with the piece's
+    root, and each piece is split from one pass over the crossings.  The
+    witness is replayed on the pass bits of pass_cycles(), not on those
+    flips, before return.
 
     Raises InconsistentConstraints when no change set alternates: never for
     a planar diagram, but possible for one built directly past import_pd's
@@ -431,19 +433,14 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     flip, root, clash = diagram._cycle_search()
     if clash:
         raise InconsistentConstraints("components %d and %d receive contradictory flips" % clash)
-    table = [t & 1 ^ flip[t >> 1] for t in range(2 * len(cycles))]  # t xor i mod 2 xor e
-    under = tags[0::2]  # crossing c's change bit is table[under[c]]
-    pieces = {0: range(len(under))}  # each piece's crossings, by its root
-    if _pieces(diagram) != 1:
-        pieces = {}
-        for c, t in enumerate(under):
-            pieces.setdefault(root[t >> 1], []).append(c)
-    blocks = []
-    for crossings in pieces.values():  # the root's lowest crossing has bit 0
-        bits = list(map(table.__getitem__, map(under.__getitem__, crossings)))
-        near = tuple(compress(crossings, map(not_, bits)))
-        far = tuple(compress(crossings, bits))
-        blocks.append(ConstraintComponent(tuple(crossings), min(near, far, key=len)))
+    # code[t] is the root of tag t's piece, then its change bit t xor (i mod 2) xor e
+    code = [root[t >> 1] << 1 | t & 1 ^ flip[t >> 1] for t in range(2 * len(cycles))]
+    codes = list(map(code.__getitem__, tags[0::2]))  # per crossing, off its under-pass
+    everyone, blocks = range(len(codes)), []
+    for r in dict.fromkeys(root):  # one pass per piece; its lowest crossing has bit 0
+        near = tuple(compress(everyone, map((r << 1).__eq__, codes)))
+        far = tuple(compress(everyone, map((r << 1 | 1).__eq__, codes)))
+        blocks.append(ConstraintComponent(tuple(sorted(near + far)), min(near, far, key=len)))
     witness = sorted(chain.from_iterable(block.changes for block in blocks))
     report = DaltReport(len(witness), tuple(witness), tuple(blocks))
     if not _witness_alternates(cycles, report.witness):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -598,7 +599,12 @@ def test_the_shared_search_never_raises_outside_the_solver():
         try:
             dealternating_number_diagram(d)
         except InconsistentConstraints as err:
-            clashes += "contradictory flips" in str(err)
+            named = re.fullmatch(r"components (\d+) and (\d+) receive contradictory flips", str(err))
+            if named:  # the two cycles it names share a crossing
+                clashes += 1
+                where = {v: k for k, cycle in enumerate(d.pass_cycles()) for v in cycle}
+                pair = set(map(int, named.groups()))
+                assert any({where[v], where[v + 1]} == pair for v in range(0, len(where), 2))
         try:
             turaev_genus_diagram(d)
         except (MalformedPDCode, DisconnectedDiagram):
@@ -613,6 +619,9 @@ def test_the_shared_search_never_raises_outside_the_solver():
     assert clashes > 1 and seen == {True, False}
     with pytest.raises(MalformedPDCode, match="not planar"):
         import_pd(export_pd(clash))
+    message = "^components 0 and 0 receive contradictory flips$"  # its one cycle clashes
+    with pytest.raises(InconsistentConstraints, match=message):
+        dealternating_number_diagram(clash)
 
 
 def test_brute_force_limit():
