@@ -417,8 +417,8 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     sets, complements of each other; the minimum takes the smaller, or on a
     tie the one holding the piece's lowest crossing.  Crossing c's change
     bit is t & 1 xor the flip that Diagram._cycle_search gives cycle t >> 1,
-    t = _tags[2c]; one table over the tags reads it off with the piece's
-    root, and each piece is split from one pass over the crossings.  The
+    t = _tags[2c]; a table over the tags holds it with the piece's root,
+    and each side of each piece is read off the crossings in one pass.  The
     witness is replayed on the pass bits of pass_cycles(), not on those
     flips, before return.
 
@@ -435,11 +435,13 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         raise InconsistentConstraints("components %d and %d receive contradictory flips" % clash)
     # code[t] is the root of tag t's piece, then its change bit t xor (i mod 2) xor e
     code = [root[t >> 1] << 1 | t & 1 ^ flip[t >> 1] for t in range(2 * len(cycles))]
-    codes = list(map(code.__getitem__, tags[0::2]))  # per crossing, off its under-pass
-    everyone, blocks = range(len(codes)), []
-    for r in dict.fromkeys(root):  # one pass per piece; its lowest crossing has bit 0
-        near = tuple(compress(everyone, map((r << 1).__eq__, codes)))
-        far = tuple(compress(everyone, map((r << 1 | 1).__eq__, codes)))
+    under, blocks = tags[0::2], []  # each crossing's under-pass tag
+    everyone = range(len(under))
+    for r in dict.fromkeys(root):  # one pass over the crossings per piece and bit
+        near, far = (  # the root's lowest crossing has bit 0
+            tuple(compress(everyone, map([k == side for k in code].__getitem__, under)))
+            for side in (r << 1, r << 1 | 1)
+        )
         blocks.append(ConstraintComponent(tuple(sorted(near + far)), min(near, far, key=len)))
     witness = sorted(chain.from_iterable(block.changes for block in blocks))
     report = DaltReport(len(witness), tuple(witness), tuple(blocks))
