@@ -19,12 +19,10 @@ when importing such a diagram as a PD file would tighten the bracket.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 from ._gate import _torus_pair
 from .diagram import (
-    Diagram,
     closure_diagram,
     dealternating_number_diagram,
     turaev_genus_diagram,
@@ -100,14 +98,6 @@ def known_dealternating_upper(p: int, q: int) -> KnownUpper | None:
     return KnownUpper(x * n + y, u * n + v > x * n + y, family.note)
 
 
-def _best(pool: list[tuple[str, Diagram]], evaluate) -> tuple[int, str]:
-    """The least value over the pool with its label, the first on ties.
-
-    Raises ValueError on an empty pool.
-    """
-    return min(((evaluate(d), label) for label, d in pool), key=itemgetter(0))
-
-
 def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
     """Certified (turaev_genus, dealternating) brackets for T(p, q).
 
@@ -130,16 +120,19 @@ def bounds(p: int, q: int) -> tuple[BoundBracket, BoundBracket]:
         lower = 0
         lower_source = "none"
 
-    pool = [("standard closure", closure_diagram(torus_braid_word(a, b)))]
-    if _family(a, b)[0] is not None:  # first, so that it wins ties
-        pool.insert(0, ("tabulated diagram", closure_diagram(lemma_word(a, b))))
-    g_upper, g_label = _best(pool, turaev_genus_diagram)
-    d_upper, d_label = _best(
-        pool, lambda d: dealternating_number_diagram(d).minimum_changes
-    )
+    # A row enters _FAMILIES only if it never loses to the standard closure
+    # on either invariant, which the tests check; so the row's diagram is
+    # the one to evaluate wherever there is a row.
+    if _family(a, b)[0] is not None:
+        label, word = "tabulated diagram", lemma_word(a, b)
+    else:
+        label, word = "standard closure", torus_braid_word(a, b)
+    diagram = closure_diagram(word)
+    g_upper = turaev_genus_diagram(diagram)
+    d_upper = dealternating_number_diagram(diagram).minimum_changes
 
-    turaev = BoundBracket("turaev_genus", lower, g_upper, lower_source, g_label)
-    dealt = BoundBracket("dealternating", lower, d_upper, lower_source, d_label)
+    turaev = BoundBracket("turaev_genus", lower, g_upper, lower_source, label)
+    dealt = BoundBracket("dealternating", lower, d_upper, lower_source, label)
     return turaev, dealt
 
 

@@ -457,7 +457,7 @@ def _hfk_properties(failures: list[str]) -> int:
                 continue
             cases += 1
             delta = alexander_torus(p, q)
-            gens = _hfk_generators(p, q)
+            gens = hfk_from_staircase(extract_staircase(delta))
             mirrored = {(-s, m - 2 * s, r) for s, m, r in gens}
             if mirrored != set(gens):
                 failures.append(f"T({p},{q}): generators not symmetric")

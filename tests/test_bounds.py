@@ -8,12 +8,11 @@ import pytest
 
 from torusknot.bounds import (
     BoundBracket,
-    _best,
     bounds,
     bounds_report,
     known_dealternating_upper,
 )
-from torusknot.words import UnsupportedTorusFamily, lemma_word
+from torusknot.words import UnsupportedTorusFamily, _family, lemma_word
 from torusknot.hfk import width_torus
 
 
@@ -129,20 +128,51 @@ def test_report_structure():
     assert "known_upper" not in bounds_report(3, 4)["dealternating"]
 
 
+_DIAGRAMS_GOLDEN_PATH = Path(__file__).with_name("diagrams_golden.json")
+
+
+def _golden_closures() -> dict:
+    """The bounds grid's closure records: [s_A, s_B, g_T, dealternating, digest]."""
+    golden = json.loads(_DIAGRAMS_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert len(golden["closures"]) == 952
+    return golden["closures"]
+
+
 def test_upper_source_names_a_diagram():
-    turaev, dealt = bounds(4, 5)
-    assert turaev.upper_source in ("tabulated diagram", "standard closure")
-    assert dealt.upper_source in ("tabulated diagram", "standard closure")
-    turaev, _ = bounds(2, 9)
-    assert turaev.upper_source == "standard closure"
-    # ties keep the first candidate, which is the tabulated diagram
-    assert _best([("tabulated diagram", 3), ("standard closure", 3)], int) == (
-        3,
-        "tabulated diagram",
-    )
-    assert _best([("a", 5), ("b", 2), ("c", 2)], int) == (2, "b")
-    with pytest.raises(ValueError):
-        _best([], int)
+    # bounds reads the family row's diagram where there is one, else the
+    # standard closure, at the ordered pair; pinned on the whole grid
+    closures = _golden_closures()
+    for key in closures:
+        p, q = map(int, key.split(","))
+        record = closures["{},{}".format(*sorted((p, q)))]
+        if "tabulated" in record:
+            label, values = "tabulated diagram", record["tabulated"]
+        else:
+            label, values = "standard closure", record["standard"]
+        turaev, dealt = bounds(p, q)
+        assert (turaev.upper, dealt.upper) == tuple(values[2:4]), key
+        assert (turaev.upper_source, dealt.upper_source) == (label, label), key
+
+
+def test_family_rows_never_lose_to_the_standard_closure():
+    # the rule that admits a row to the table, which lets bounds read the
+    # row alone: at or below the standard closure on g_T and dealternating
+    # number, and equal to the row's a*n + b claims for s_B, g_T and
+    # dealternating number, at every n the grid holds
+    tabulated = 0
+    for key, record in _golden_closures().items():
+        p, q = map(int, key.split(","))
+        family, n = _family(p, q)
+        assert (family is not None) == ("tabulated" in record), key
+        if family is None:
+            continue
+        tabulated += 1
+        _, s_b, g_t, dealt, _ = record["tabulated"]
+        _, _, standard_g_t, standard_dealt, _ = record["standard"]
+        assert g_t <= standard_g_t and dealt <= standard_dealt, key
+        claims = [a * n + b for a, b in (family.s_b, family.g_t, family.dealternating)]
+        assert [s_b, g_t, dealt] == claims, key
+    assert tabulated == 272
 
 
 # ----------------------------------------------------------------------
