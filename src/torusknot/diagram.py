@@ -232,14 +232,16 @@ def closure_diagram(word) -> Diagram:
     """The closure of a positive braid word as a diagram.
 
     Crossings are numbered in word order (bottom to top); strands that meet
-    no crossing close into free circles.  All crossings are positive.
+    no crossing close into free circles.  All crossings are positive.  Only
+    the columns up to the highest letter are walked, so the cost follows the
+    word, not ``strands``: every column above it is a free circle.
     """
-    p = word.strands
-    labels = [0] * (4 * len(word.letters))
-    first_bottom: list[int | None] = [None] * p
-    open_end: list[int | None] = [None] * p
+    top = max(word._letters, default=0) + 1
+    labels = [0] * (4 * len(word._letters))
+    first_bottom: list[int | None] = [None] * top
+    open_end: list[int | None] = [None] * top
     arc = 0  # arcs are labelled 1, 2, ... in the order they close
-    for c, g in enumerate(word.letters):
+    for c, g in enumerate(word._letters):
         for col, end in ((g - 1, 4 * c + 3), (g, 4 * c)):
             if open_end[col] is None:
                 first_bottom[col] = end
@@ -248,14 +250,14 @@ def closure_diagram(word) -> Diagram:
                 labels[open_end[col]] = labels[end] = arc
         open_end[g - 1] = 4 * c + 2
         open_end[g] = 4 * c + 1
-    free = 0
-    for col in range(p):
+    free = word.strands - top
+    for col in range(top):
         if open_end[col] is None:
             free += 1
         else:
             arc += 1
             labels[open_end[col]] = labels[first_bottom[col]] = arc
-    return Diagram("+" * len(word.letters), labels, free_circles=free, strands=p)
+    return Diagram("+" * len(word._letters), labels, free_circles=free, strands=word.strands)
 
 
 # ----------------------------------------------------------------------

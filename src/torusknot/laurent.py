@@ -9,9 +9,8 @@ entries are nonzero.  Instances are immutable.
 Coefficients are Python ints, so all arithmetic is exact by construction:
 nothing wraps and nothing overflows.  Division is exact division
 (``exact_div``), which raises ``NonExactDivision`` whenever the divisor
-does not divide the dividend in Z[t, 1/t].  Division by ``t**m - 1`` sums
-the dividend over each residue class mod m with C-level
-``itertools.accumulate``; any other divisor uses long division.
+does not divide the dividend in Z[t, 1/t].  Every divisor goes through
+one schoolbook long division, from the top coefficient downward.
 
 The text format matches the usual typeset style, e.g.::
 
@@ -26,7 +25,7 @@ inside a number), and needs a sign before every term after the first.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from operator import add, index, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -72,7 +71,7 @@ class LaurentPolynomial:
     coefficients: tuple[int, ...]
 
     def __init__(self, min_exponent: int = 0, coefficients: Iterable[int] = ()):
-        coeffs = [index(c) for c in coefficients]
+        coeffs = list(map(index, coefficients))
         min_exponent, coeffs = _trimmed(index(min_exponent), coeffs)
         object.__setattr__(self, "min_exponent", min_exponent)
         object.__setattr__(self, "coefficients", coeffs)
@@ -216,11 +215,7 @@ class LaurentPolynomial:
         if self.is_zero() or other.is_zero():
             return LaurentPolynomial.zero()
         a, b = self.coefficients, other.coefficients
-        # One slice update per nonzero entry of a: let a be the operand that
-        # makes those updates cheapest (the sparser one, for t^m - 1 factors).
-        if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
-            a, b = b, a
-        n = len(b)
+        n = len(b)  # one slice update per nonzero entry of a
         product = [0] * (len(a) + n - 1)
         for i in compress(range(len(a)), a):
             product[i : i + n] = map(add, product[i : i + n], map(mul, b, repeat(a[i])))
@@ -266,17 +261,11 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPolynomial.zero()
-        num = self.coefficients
-        den = divisor.coefficients
-        shift = self.min_exponent - divisor.min_exponent
+        num, den = self.coefficients, divisor.coefficients
         if len(num) < len(den):
             raise NonExactDivision("dividend is shorter than divisor")
-        m = len(den) - 1
-        if m and den[0] == -1 and den[-1] == 1 and not any(den[1:-1]):
-            quot = _residue_class_div(num, m)
-        else:
-            quot = _long_div(num, den)
-        return LaurentPolynomial._raw(shift, quot)
+        shift = self.min_exponent - divisor.min_exponent
+        return LaurentPolynomial._raw(shift, _long_div(num, den))
 
     # -- text format ---------------------------------------------------
 
@@ -326,29 +315,6 @@ def _padded(poly: LaurentPolynomial, lo: int, size: int) -> tuple[int, ...]:
     """The ``size`` coefficients of poly from t^lo upward, zero-padded."""
     head = (0,) * (poly.min_exponent - lo) + poly.coefficients
     return head + (0,) * (size - len(head))
-
-
-def _residue_class_div(num: tuple[int, ...], m: int) -> list[int]:
-    """Exact division by t**m - 1, one residue class mod m at a time.
-
-    Writing the dividend as sum a_e t^e, the quotient of an exact division
-    satisfies q_e = q_{e-m} - a_e, so each quotient entry is minus a prefix
-    sum of the dividend's coefficients over one residue class mod m; the
-    division is exact iff every residue class sums to zero, and then minus
-    a prefix sum is the suffix sum a_{e+m} + a_{e+2m} + ... that follows it.
-    Raises NonExactDivision otherwise.
-    """
-    quot = [0] * (len(num) - m)
-    for r in range(m):
-        column = num[r::m]
-        if not any(column):
-            continue
-        sums = list(accumulate(column[::-1]))  # suffix sums, last first
-        if sums.pop():
-            raise NonExactDivision("residue-class sums are nonzero")
-        sums.reverse()
-        quot[r::m] = sums
-    return quot
 
 
 def _long_div(num: tuple[int, ...], den: tuple[int, ...]) -> list[int]:

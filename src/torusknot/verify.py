@@ -285,20 +285,27 @@ def check_braid_lemmas(failures: list[str]) -> str:
 # 7. state counts and Turaev genus of the tabulated diagrams
 
 
-def _tabulated_diagrams():
-    """(p, r, q, s_B, g_T, dealternating number) for n = 1..4."""
+@functools.cache
+def _tabulated_diagrams() -> tuple[tuple, ...]:
+    """(p, r, q, s_B, g_T, dealternating number, closure) for n = 1..4.
+
+    Built once: checks 7 and 8 read each closure of lemma_word(p, q) here.
+    """
+    rows = []
     for n in range(1, 5):
         for (p, r), family in _FAMILIES.items():
             formulas = (family.s_b, family.g_t, family.dealternating)
-            yield (p, r, p * n + r, *(a * n + b for a, b in formulas))
+            q = p * n + r
+            diagram = closure_diagram(lemma_word(p, q))
+            rows.append((p, r, q, *(a * n + b for a, b in formulas), diagram))
+    return tuple(rows)
 
 
 @_check("state-counts")
 def check_state_counts(failures: list[str]) -> str:
     """s_A, s_B, and Turaev genus of every tabulated diagram, n = 1..4."""
     cases = 0
-    for p, _, q, want_s_b, want_g_t, _ in _tabulated_diagrams():
-        diagram = closure_diagram(lemma_word(p, q))
+    for p, _, q, want_s_b, want_g_t, _, diagram in _tabulated_diagrams():
         cases += 1
         c = len(diagram.signs)
         s_a, s_b = all_a(diagram), all_b(diagram)
@@ -329,8 +336,7 @@ def check_dealternating_solver(failures: list[str]) -> str:
     """Witness really alternates; brute force confirms minimality within its limit."""
     # (label, diagram, its known minimum or None)
     corpus = []
-    for p, _, q, _, _, minimum in _tabulated_diagrams():
-        diagram = closure_diagram(lemma_word(p, q))
+    for p, _, q, _, _, minimum, diagram in _tabulated_diagrams():
         corpus.append((f"tabulated ({p},{q})", diagram, minimum))
     for p, q in ((2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (3, 7), (4, 4), (4, 5), (5, 6), (6, 7)):
         corpus.append((f"standard ({p},{q})", closure_diagram(torus_braid_word(p, q)), None))
@@ -515,7 +521,7 @@ def check_property_suites(failures: list[str]) -> str:
 def check_bound_brackets(failures: list[str]) -> str:
     """Bracket tables for every covered family, n = 1..4, with import labels."""
     cases = 0
-    for p, r, q, _, want_upper, want_dealt in _tabulated_diagrams():
+    for p, r, q, _, want_upper, want_dealt, _ in _tabulated_diagrams():
         cases += 1
         turaev, dealt = bounds(p, q)
         knot = math.gcd(p, q) == 1

@@ -2,8 +2,8 @@
 
 Nothing here imports the package's own polynomial pipeline logic; these
 are deliberately different algorithms so the tests are not circular.
-The rational formula uses only ``LaurentPolynomial`` arithmetic, the layer
-below the Alexander grid it checks; the rebuilt crossing change goes
+The rational formula divides plain lists of ints itself and only wraps its
+quotient in a ``LaurentPolynomial``; the rebuilt crossing change goes
 through the validating ``Diagram`` constructor, not the trusted flip; the
 crossing-graph solver searches one node per crossing, on pass sequences
 read off the PD rows, where the package searches one per link component
@@ -16,6 +16,7 @@ normal form itself.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from torusknot.braid import NormalForm, SearchBudgetExceeded
 from torusknot.diagram import (
@@ -31,19 +32,36 @@ from torusknot.words import BraidWord
 def rational_alexander(p: int, q: int) -> LaurentPolynomial:
     """Alexander polynomial of T(p,q), coprime, by exact division:
 
-        t^-g (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)),  g = (p-1)(q-1)/2.
+        t^-g (1 - t^pq)(1 - t) / ((1 - t^p)(1 - t^q)),  g = (p-1)(q-1)/2.
 
-    The four-term numerator is divided by t^p - 1 first: only two of its p
-    residue classes are nonzero, so that division is cheap.
+    The four-term numerator is divided by 1 - t^p, then by 1 - t^q, on
+    plain lists of ints; only the quotient becomes a LaurentPolynomial.
     """
     if math.gcd(p, q) != 1:
         raise ValueError("coprime parameters required")
-    numerator = LaurentPolynomial.from_terms(
-        [(p * q + 1, 1), (p * q, -1), (1, -1), (0, 1)]
-    )
-    quotient = numerator.exact_div(LaurentPolynomial.from_terms([(p, 1), (0, -1)]))
-    quotient = quotient.exact_div(LaurentPolynomial.from_terms([(q, 1), (0, -1)]))
-    return quotient.shift(-(p - 1) * (q - 1) // 2)
+    numerator = [0] * (p * q + 2)
+    for e, c in ((0, 1), (1, -1), (p * q, -1), (p * q + 1, 1)):  # T(1,1) repeats t
+        numerator[e] += c
+    quotient = _divide_by_one_minus_t_m(_divide_by_one_minus_t_m(numerator, p), q)
+    return LaurentPolynomial(-(p - 1) * (q - 1) // 2, quotient)
+
+
+def _divide_by_one_minus_t_m(a: list[int], m: int) -> list[int]:
+    """Divide a by 1 - t^m; both coefficient lists run lowest first.
+
+    The quotient obeys q_e = q_{e-m} + a_e, so on each residue class mod m
+    it is the running sum of a over that class; the division is exact iff
+    every class sums to zero.
+    """
+    quotient = [0] * (len(a) - m)
+    for r in range(m):
+        column = a[r::m]
+        if any(column):
+            sums = list(accumulate(column))
+            if sums.pop():
+                raise ArithmeticError(f"1 - t^{m} does not divide: class {r} sums to nonzero")
+            quotient[r::m] = sums
+    return quotient
 
 
 def semigroup_alexander_terms(p: int, q: int) -> dict[int, int]:

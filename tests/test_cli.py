@@ -324,6 +324,30 @@ def test_oversized_inputs_exit_two_before_allocating(capsys, argv):
     assert peak < 2**20  # bytes: the refusal comes before any big allocation
 
 
+@pytest.mark.parametrize(
+    "argv, want_code, want",
+    [
+        (["dalt", "--strands", "1000000000", "1"], 0, "minimum crossing changes 0"),
+        (["states", "--strands", "1000000000", "", "--assignment", "all-A"], 0, "1000000000 components"),
+        (["turaev-genus", "--strands", "1000000000", "121"], 2, "needs a connected diagram"),
+    ],
+)
+def test_closure_cost_follows_the_word_not_the_strand_count(capsys, argv, want_code, want):
+    # A closure walks the columns its letters reach; the rest are free circles.
+    for name in ("braid", "diagram"):
+        importlib.import_module(f"torusknot.{name}")
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == want_code
+    assert want in (out if code == 0 else err)
+    assert peak < 2 * 2**20  # bytes
+
+
 def test_width_above_the_alexander_cap_answers(capsys):
     # The Alexander cap (p * q <= 2^22) no longer applies to widths.
     from torusknot.hfk import width_formula

@@ -149,7 +149,7 @@ def test_division_roundtrip(a, b):
 @settings(max_examples=200, deadline=None)
 @given(polys, st.integers(1, 9))
 def test_division_by_cyclotomic_shape(a, m):
-    """The fast path: divisors of the form t^m - 1."""
+    """Divisors of the form t^m - 1 take the one long division too."""
     divisor = LaurentPolynomial.from_terms({m: 1, 0: -1})
     assert (a * divisor).exact_div(divisor) == a
     with pytest.raises(NonExactDivision):
