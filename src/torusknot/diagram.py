@@ -40,14 +40,14 @@ flip bit, and each crossing ties the bits of the components through it.
 One cached search over these ties gives each cycle its flip; its roots are
 the connected pieces, which the Turaev genus counts.  Each piece has two
 alternating change sets, complements of each other; the optimum takes the
-smaller of each, and its witness is replayed on ``pass_cycles()``.
+smaller of each, and its witness is replayed on the pass table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress
-from operator import ne
+from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -238,25 +238,26 @@ def closure_diagram(word) -> Diagram:
     """
     top = max(word._letters, default=0) + 1
     labels = [0] * (4 * len(word._letters))
-    first_bottom: list[int | None] = [None] * top
-    open_end: list[int | None] = [None] * top
+    first_bottom, open_end = [-1] * top, [-1] * top  # -1: the column is not touched yet
     arc = 0  # arcs are labelled 1, 2, ... in the order they close
-    for c, g in enumerate(word._letters):
-        for col, end in ((g - 1, 4 * c + 3), (g, 4 * c)):
-            if open_end[col] is None:
-                first_bottom[col] = end
-            else:
-                arc += 1
-                labels[open_end[col]] = labels[end] = arc
-        open_end[g - 1] = 4 * c + 2
-        open_end[g] = 4 * c + 1
-    free = word.strands - top
-    for col in range(top):
-        if open_end[col] is None:
-            free += 1
+    for e, g in zip(range(0, len(labels), 4), word._letters):
+        left, right = open_end[g - 1], open_end[g]
+        if left < 0:
+            first_bottom[g - 1] = e + 3
         else:
             arc += 1
-            labels[open_end[col]] = labels[first_bottom[col]] = arc
+            labels[left] = labels[e + 3] = arc
+        if right < 0:
+            first_bottom[g] = e
+        else:
+            arc += 1
+            labels[right] = labels[e] = arc
+        open_end[g - 1], open_end[g] = e + 2, e + 1
+    for end, bottom in zip(open_end, first_bottom):
+        if end >= 0:
+            arc += 1
+            labels[end] = labels[bottom] = arc
+    free = word.strands - top + open_end.count(-1)  # untouched columns are free circles
     return Diagram("+" * len(word._letters), labels, free_circles=free, strands=word.strands)
 
 
@@ -356,14 +357,24 @@ def turaev_genus_diagram(diagram: Diagram) -> int:
 
 def is_alternating(diagram: Diagram) -> bool:
     """Whether every component alternates over/under along its passes."""
-    return _witness_alternates(diagram.pass_cycles(), ())
+    return _witness_alternates(diagram, ())
 
 
-def _witness_alternates(cycles: list, witness: Iterable[int]) -> bool:
-    """Whether the passes alternate with the witness's pass bits flipped."""
-    flipped = set(witness)
-    cycle_bits = ([v & 1 ^ (v >> 1 in flipped) for v in cycle] for cycle in cycles)
-    return all(all(map(ne, b, b[-1:] + b[:-1])) for b in cycle_bits)  # cyclically
+def _witness_alternates(diagram: Diagram, witness: Iterable[int]) -> bool:
+    """Whether the passes alternate once the witness's crossings change.
+
+    Replayed on the pass table: pass i of cycle k with over-bit t has tag
+    2k + (t xor i mod 2) and a change flips t, so cycle k alternates exactly
+    when it is even and all its passes carry one value of tag xor changed[c].
+    """
+    cycles, tags, n = diagram.pass_cycles(), diagram._tags, diagram.n_crossings
+    changed = bytearray(n)
+    for c in witness:
+        if type(c) is not int or not 0 <= c < n:  # a bytearray reads -1 as n - 1
+            raise ValueError(f"witness entry {c!r} is not a crossing of a {n}-crossing diagram")
+        changed[c] = 1
+    values = {*map(xor, tags[0::2], changed), *map(xor, tags[1::2], changed)}
+    return len(values) == len(cycles) and not any(len(cycle) & 1 for cycle in cycles)
 
 
 def change_crossings(diagram: Diagram, crossings: Iterable[int]) -> Diagram:
@@ -421,8 +432,7 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
     bit is t & 1 xor the flip that Diagram._cycle_search gives cycle t >> 1,
     t = _tags[2c]; a table over the tags holds it with the piece's root,
     and each side of each piece is read off the crossings in one pass.  The
-    witness is replayed on the pass bits of pass_cycles(), not on those
-    flips, before return.
+    witness is replayed on the pass table, not on those flips, before return.
 
     Raises InconsistentConstraints when no change set alternates: never for
     a planar diagram, but possible for one built directly past import_pd's
@@ -447,7 +457,7 @@ def dealternating_number_diagram(diagram: Diagram) -> DaltReport:
         blocks.append(ConstraintComponent(tuple(sorted(near + far)), min(near, far, key=len)))
     witness = sorted(chain.from_iterable(block.changes for block in blocks))
     report = DaltReport(len(witness), tuple(witness), tuple(blocks))
-    if not _witness_alternates(cycles, report.witness):
+    if not _witness_alternates(diagram, report.witness):
         raise RuntimeError(f"witness {list(report.witness)} does not make the diagram alternate")
     return report
 

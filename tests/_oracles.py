@@ -5,9 +5,11 @@ are deliberately different algorithms so the tests are not circular.
 The rational formula divides plain lists of ints itself and only wraps its
 quotient in a ``LaurentPolynomial``; the rebuilt crossing change goes
 through the validating ``Diagram`` constructor, not the trusted flip; the
-crossing-graph solver searches one node per crossing, on pass sequences
-read off the PD rows, where the package searches one per link component
-of its own strand walk; the braid sweep tests generator sets as
+column closure lists each strand column's touches and sorts its arcs by
+closing time, where the package labels every arc in one pass over the
+word; the crossing-graph solver searches one node per crossing, on pass
+sequences read off the PD rows, where the package searches one per link
+component of its own strand walk; the braid sweep tests generator sets as
 Python lists and sets where the package tests bitmasks, and the cyclic
 search rebuilds every conjugate as letters where the package moves the
 normal form itself.
@@ -194,6 +196,34 @@ def rebuilt_change_crossings(diagram: Diagram, crossings) -> Diagram:
         signs.append(sign)
         labels += row
     return Diagram(signs, labels, diagram.free_circles, diagram.strands)
+
+
+def column_closure(word: BraidWord) -> Diagram:
+    """The closure of a positive braid word, built one column at a time.
+
+    Letter c = sigma_g meets column g - 1 at its ends 4c + 3 (bottom) and
+    4c + 2 (top), and column g at 4c (bottom) and 4c + 1 (top).  Each
+    column lists its touches in word order; the top end of each touch is
+    joined to the bottom end of the next, and the last touch's top to the
+    first touch's bottom.  An arc closes at the letter of its later touch,
+    column g - 1 before column g, and the wrapping arcs close last, in
+    column order; arcs are numbered 1, 2, ... in that closing order.  Every
+    column with no touch is a free circle.
+    """
+    letters = word.letters
+    touches: dict[int, list[tuple[int, int, int]]] = {}  # column -> (c, bottom, top)
+    for c, g in enumerate(letters):
+        touches.setdefault(g - 1, []).append((c, 4 * c + 3, 4 * c + 2))
+        touches.setdefault(g, []).append((c, 4 * c, 4 * c + 1))
+    arcs = []  # (closing key, top end, bottom end)
+    for col, seq in touches.items():
+        for (_, _, top), (c, bottom, _) in zip(seq, seq[1:]):
+            arcs.append(((c, col), top, bottom))
+        arcs.append(((len(letters), col), seq[-1][2], seq[0][1]))  # wraps round
+    labels = [0] * (4 * len(letters))
+    for arc, (_, top, bottom) in enumerate(sorted(arcs), 1):
+        labels[top] = labels[bottom] = arc
+    return Diagram("+" * len(letters), labels, word.strands - len(touches), word.strands)
 
 
 def pd_pass_cycles(diagram: Diagram) -> list[list[tuple[int, bool]]]:

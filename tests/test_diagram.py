@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    column_closure,
     crossing_graph_dealternating,
     pd_pass_cycles,
     rebuilt_change_crossings,
@@ -57,6 +58,45 @@ def test_closure_shape():
     assert d.strands == 4
     assert d.free_circles == 0
     assert sorted(d.edge_labels) == sorted(2 * list(range(1, 31)))
+
+
+def _closure_words(rng: random.Random, count: int):
+    """Seeded positive words: empty, one letter, columns skipped, and
+    strands above the highest letter, besides plain random words."""
+    yield BraidWord(1, ())
+    yield BraidWord(5, ())
+    for i in range(count):
+        strands = rng.randint(2, 9)
+        top = rng.randint(1, strands - 1)  # the highest letter; strands may exceed top + 1
+        kind = i % 8
+        if kind == 0:
+            yield BraidWord(strands, ())
+        elif kind == 1:
+            yield BraidWord(strands, (rng.randint(1, top),))
+        elif kind < 5:  # a random subset of the generators, so columns are skipped
+            used = rng.sample(range(1, top + 1), rng.randint(1, top))
+            yield BraidWord(strands, [rng.choice(used) for _ in range(rng.randint(1, 30))])
+        else:
+            yield BraidWord(strands, [rng.randint(1, top) for _ in range(rng.randint(0, 40))])
+
+
+def test_closure_matches_the_column_oracle():
+    """Labels, free circles and PD text of closures against a per-column build."""
+    rng = random.Random(1707)
+    words = list(_closure_words(rng, 800))
+    words += [torus_braid_word(p, q) for p, q in ((2, 3), (4, 5), (3, 7))]
+    words += [lemma_word(p, p + r) for p, r in _FAMILIES]
+    assert len(set(words)) > 500  # distinct words
+    shapes = set()
+    for word in words:
+        got, want = closure_diagram(word), column_closure(word)
+        assert got.edge_labels == want.edge_labels, word
+        assert got.free_circles == want.free_circles, word
+        assert export_pd(got) == export_pd(want), word
+        top = max(word.letters, default=0)
+        skipped = len(set(range(1, top + 1)) - set(word.letters)) > 0
+        shapes.add((len(word.letters) > 1, skipped, word.strands > top + 1))
+    assert len(shapes) >= 6, shapes
 
 
 def test_closure_of_empty_word_is_free_circles():
@@ -410,7 +450,7 @@ def test_witness_replay_matches_rebuilt_alternation():
         if rng.random() < 0.5:  # near a witness, so that both outcomes occur
             witness = set(dealternating_number_diagram(d).witness)
             flips = sorted(witness ^ set(flips[: rng.randint(0, 1)]))
-        replay = diagram_module._witness_alternates(d.pass_cycles(), flips)
+        replay = diagram_module._witness_alternates(d, flips)
         assert replay == is_alternating(rebuilt_change_crossings(d, flips))
         outcomes.add(replay)
     assert outcomes == {True, False}
@@ -418,10 +458,18 @@ def test_witness_replay_matches_rebuilt_alternation():
     loops = Diagram(["+"], [1, 2, 1, 2])
     assert [len(cycle) for cycle in loops.pass_cycles()] == [1, 1]
     for flips in ((), (0,)):
-        assert not diagram_module._witness_alternates(loops.pass_cycles(), flips)
+        assert not diagram_module._witness_alternates(loops, flips)
         assert not is_alternating(rebuilt_change_crossings(loops, flips))
     with pytest.raises(InconsistentConstraints, match="odd number of passes"):
         dealternating_number_diagram(loops)
+    # An entry that names no crossing is refused, never ignored or wrapped
+    # round: past the end, -1 (the last crossing to a bytearray), a bool.
+    d = closure_diagram(torus_braid_word(3, 4))
+    witness = list(dealternating_number_diagram(d).witness)
+    assert diagram_module._witness_alternates(d, witness)
+    for bad in (d.n_crossings, d.n_crossings + 5, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"witness entry {bad!r} is not a crossing"):
+            diagram_module._witness_alternates(d, witness + [bad])
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +628,24 @@ def test_solver_and_pieces_match_oracles_on_the_grid_and_the_table():
         d = closure_diagram(word)
         assert dealternating_number_diagram(d) == crossing_graph_dealternating(d), word
         assert diagram_module._pieces(d) == union_find_pieces(d.n_crossings, _arcs(d))
+
+
+def test_positive_closure_dealternating_number_is_the_smaller_letter_parity():
+    """On a positive word using every letter 1..p-1 the closure is connected,
+    its two alternating assignments give sigma_i the sign e * (-1)^i, so the
+    solver's minimum is min(#odd letters, #even letters)."""
+    rng = random.Random(2_718)
+    words = [lemma_word(p, p * n + r) for p, r in _FAMILIES for n in range(1, 6)]
+    for _ in range(2_600):
+        p = rng.randint(2, 7)
+        letters = list(range(1, p)) + [rng.randint(1, p - 1) for _ in range(rng.randint(0, 41 - p))]
+        rng.shuffle(letters)
+        words.append(BraidWord(p, letters))
+    for word in words:
+        assert set(word.letters) == set(range(1, word.strands)), word
+        odd = sum(g & 1 for g in word.letters)
+        want = min(odd, len(word.letters) - odd)
+        assert dealternating_number_diagram(closure_diagram(word)).minimum_changes == want, word
 
 
 def test_the_shared_search_never_raises_outside_the_solver():

@@ -44,7 +44,7 @@ expect(MalformedPDCode, lambda: import_pd('{"crossings": [[1, 2, 1, 2, "+"]]}'),
 # The same crossing built directly, past import_pd's planarity check.
 non_planar = diagram.Diagram(["+"], [1, 2, 1, 2])
 expect(MalformedPDCode, lambda: diagram.turaev_genus_diagram(non_planar), "turaev parity")
-diagram._witness_alternates = lambda cycles, witness: False
+diagram._witness_alternates = lambda diagram, witness: False
 expect(
     RuntimeError,
     lambda: diagram.dealternating_number_diagram(closure_diagram(torus_braid_word(3, 4))),
